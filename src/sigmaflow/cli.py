@@ -6,7 +6,7 @@ the command line. Each subcommand reads the subset of keys it needs, so a
 single file can drive a flow run, the matching eigen solve, and the chart
 validation. Unknown keys are errors: there is no silent typo tolerance.
 
-Exit codes: 0 success, 2 usage, 3 cone or positivity failure,
+Exit codes: 0 success, 2 usage, 3 cone violation,
 4 nonconvergence, 5 internal numeric error.
 """
 
@@ -348,6 +348,10 @@ def run_eigen(cfg):
     fieldio.write_scalar_field(phi_path, geom, phi)
 
     summary = f"λ*≈{lam:.6g} (bracket width {hi - lo:.3g})"
+    if stats["linear_misses"]:
+        summary += (f"; {stats['linear_misses']} of {stats['linear_solves']} "
+                    "linear solves ended above the Krylov tolerance (worst "
+                    f"relative residual {stats['worst_linear_residual']:.2g})")
     return RunReport(0, summary, _check_emitted((report_path, phi_path)))
 
 

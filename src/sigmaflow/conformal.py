@@ -52,6 +52,17 @@ def w_components(geom, u):
     return w, norm2
 
 
+def admissible_state(geom, u, k):
+    """The state at a trial u, or None when u is not finite or W(u) leaves
+    the Gamma_k+ cone; trial steps of the flow and of Newton use it."""
+    if not np.all(np.isfinite(u)):
+        return None
+    state = ConformalState(geom, u, k)
+    if not state.cone_report().label.inside:
+        return None
+    return state
+
+
 class ConformalState:
     """u plus lazily cached derived fields, invalidated on every update."""
 

@@ -4,15 +4,17 @@ The equation solved is sigma_k^{1/k}(W(u)) - h e^u = rhs pointwise, with
 W(u) the deformed Schouten expression assembled by the conformal module.
 An auxiliary problem fixes (f, h); the continuation walks the right-hand
 side from f (where u identically delta_lo is an exact solution) to the
-constant lambda, warm-starting a damped Newton iteration whose linear
-steps are restarted GMRES applies of the matrix-free Frechet derivative.
-lambda* is then the supremum of solvable lambda, located by bisection, and
-the eigenfunction is recovered by the renormalization phi = u - max u.
+constant lambda, warm-starting a damped Newton iteration. Each Newton step
+assembles the Frechet derivative as a sparse matrix from the chart's
+probed Hessian and gradient matrices, and solves with restarted GMRES
+under a two-level preconditioner. lambda* is then the supremum of
+solvable lambda, located by bisection, and the eigenfunction is recovered
+by the renormalization phi = u - max u.
 
 Admissibility (W(u) in the Gamma_k+ cone) is enforced on the initial
 guess, on every accepted Newton iterate, and during line searches, where a
 cone-violating candidate is treated as a failed step and the damping
-halved.
+halved. A linear solve that misses KRYLOV_RTOL is counted, not raised.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import fieldalg
-from .conformal import ConformalState
+from .conformal import ConformalState, admissible_state
 from .errors import (
     ConfigurationError,
     ContinuationFailureError,
@@ -34,13 +38,14 @@ from .errors import (
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 KRYLOV_RTOL = 1e-8
-# The Jacobi preconditioner compresses the smooth low-frequency modes into
-# a tiny cluster of the preconditioned spectrum; GMRES deflates that
-# cluster only within one orthogonalized window, so short restarts discard
-# the deflation and iteration counts explode near the solvability boundary.
-# Two windows of 250 keep the overall cap at 500 applies per solve.
-KRYLOV_RESTART = 250
+# Near lambda* the Jacobian tends to c Lap_h, whose near-null constants
+# the coarse space of the preconditioner resolves: a lambda* search on
+# 16^3 takes at most 73 applies per solve (median 1 to 2), so one window
+# of 100 holds a whole solve. The basis costs restart + 1 grid fields.
+KRYLOV_RESTART = 100
 KRYLOV_MAX_RESTARTS = 2
+# nodes per axis of one coarse-space aggregate
+COARSE_BLOCK = 4
 MIN_DAMPING = 2.0 ** -30
 
 
@@ -100,14 +105,50 @@ class AuxiliaryProblem:
         """Directional derivative of residual at u in direction rho.
 
         Matrix-free: (1/k) sigma_k^{1/k-1} <T_{k-1}(W), dW(rho)> - h e^u rho
-        with dW = Hess rho + du (x) drho + drho (x) du - <du, drho> g0.
+        with dW = Hess rho + du (x) drho + drho (x) du - <du, drho> g0. This
+        is the oracle for jacobian().
         """
-        apply_op, _ = _frechet_pieces(self, self._state(u))
-        return apply_op(np.asarray(rho, dtype=float))
+        return _frechet_apply(self, self._state(u),
+                              np.asarray(rho, dtype=float))
+
+    def jacobian(self, u):
+        """The Frechet derivative of residual at u as a sparse matrix over
+        the flattened grid (C order)."""
+        return self._jacobian_of(self._state(u))
+
+    def _jacobian_of(self, state):
+        # J = diag(p) [sum_ab m_ab t_ab H_ab + sum_c (2 (T du)_c - tr T du_c)
+        # G_c] - diag(h e^u), p = sigma_k^{1/k-1} / k, m_ab = 2 off the
+        # diagonal: dW(rho) is linear in rho through the chart's Hessian and
+        # gradient matrices H_ab, G_c alone.
+        geom = self.geometry
+        n = geom.grid.ndim
+        ek = state.sigma_w_table()[..., self.k]
+        t_field = state.newton_components()
+        grad_u, _ = geom.frame_gradient(geom.partials(state.u))
+        pairs = fieldalg.pairs(n)
+        maps = geom.derivative_matrices()
+        weights = np.empty((maps.count,) + geom.grid.shape)
+        t_grad = [0.0] * n
+        trace = 0.0
+        for m, ((a, b), t_ab) in enumerate(zip(pairs, t_field)):
+            weights[m] = t_ab if a == b else 2.0 * t_ab
+            t_grad[a] = t_grad[a] + t_ab * grad_u[b]
+            if a == b:
+                trace = trace + t_ab
+            else:
+                t_grad[b] = t_grad[b] + t_ab * grad_u[a]
+        for c in range(n):
+            weights[len(pairs) + c] = 2.0 * t_grad[c] - trace * grad_u[c]
+        weights *= (ek ** (1.0 / self.k - 1.0)) / self.k
+        zeroth = self.h_field() * np.exp(state.u)
+        return maps.combine(weights.reshape(maps.count, -1),
+                            -zeroth.reshape(-1))
 
 
-def _frechet_pieces(problem, state):
-    """(apply, diagonal estimate) of the Frechet derivative at state.u."""
+def _frechet_apply(problem, state, rho):
+    """The Frechet derivative at state.u applied to rho, through the
+    stencils."""
     geom = problem.geometry
     k = problem.k
     n = geom.grid.ndim
@@ -116,46 +157,94 @@ def _frechet_pieces(problem, state):
     prefac = (ek ** (1.0 / k - 1.0)) / k
     grad_u, _ = geom.frame_gradient(geom.partials(state.u))
     zeroth = problem.h_field() * np.exp(state.u)
-    pairs = fieldalg.pairs(n)
-
-    def apply_op(rho):
-        jet = geom.scalar_jet(rho)
-        hess = geom.hessian_components(rho, jet=jet)
-        grad_r, _ = geom.frame_gradient(jet[0])
-        dot = grad_u[0] * grad_r[0]
-        for a in range(1, n):
-            dot = dot + grad_u[a] * grad_r[a]
-        inner = 0.0
-        for (a, b), t_ab, h_ab in zip(pairs, t_field, hess):
-            dw = h_ab + grad_u[a] * grad_r[b] + grad_r[a] * grad_u[b]
-            inner = inner + (t_ab * (dw - dot) if a == b else 2.0 * t_ab * dw)
-        return prefac * inner - zeroth * rho
-
-    # diagonal of the second-difference centers plus the zeroth-order term;
-    # strictly negative in the cone (T is positive definite there), which
-    # is all a Jacobi preconditioner needs. The centers are those of the
-    # stencils (1, -2, 1) and (-1, 16, -30, 16, -1)/12. The divergence-form
-    # polar operator reduces to them once its coefficients are frozen: the
-    # flux s (-du_{-1} + 14 du - du_{+1})/12 weighs u_i by -15/12 on each
-    # of the two faces of node i, 30/12 in all.
-    center = 2.0 if geom.fd_order == 2 else 2.5
-    lap_diag = np.zeros(geom.grid.shape)
-    diag_t = [t for (a, b), t in zip(pairs, t_field) if a == b]
-    for a in range(n):
-        lap_diag -= (diag_t[a] * center
-                     / (geom.grid.spacing[a] * geom.lame[a]) ** 2)
-    diag = prefac * lap_diag - zeroth
-    return apply_op, diag
+    jet = geom.scalar_jet(rho)
+    hess = geom.hessian_components(rho, jet=jet)
+    grad_r, _ = geom.frame_gradient(jet[0])
+    dot = grad_u[0] * grad_r[0]
+    for a in range(1, n):
+        dot = dot + grad_u[a] * grad_r[a]
+    inner = 0.0
+    for (a, b), t_ab, h_ab in zip(fieldalg.pairs(n), t_field, hess):
+        dw = h_ab + grad_u[a] * grad_r[b] + grad_r[a] * grad_u[b]
+        inner = inner + (t_ab * (dw - dot) if a == b else 2.0 * t_ab * dw)
+    return prefac * inner - zeroth * rho
 
 
-def _candidate_state(problem, u):
-    """Admissible state for a trial iterate, or None if it is unusable."""
-    if not np.all(np.isfinite(u)):
-        return None
-    state = ConformalState(problem.geometry, u, problem.k)
-    if not state.cone_report().label.inside:
-        return None
-    return state
+def _aggregates(grid):
+    """Coarse-space aggregate of every node (flattened), COARSE_BLOCK nodes
+    per axis, and the number of aggregates."""
+    counts = [-(-size // COARSE_BLOCK) for size in grid.shape]
+    index = np.zeros((1,) * grid.ndim, dtype=np.intp)
+    for axis, (size, count) in enumerate(zip(grid.shape, counts)):
+        index = index * count + grid.axis_vector(
+            axis, np.arange(size) // COARSE_BLOCK).astype(np.intp)
+    return np.broadcast_to(index, grid.shape).reshape(-1), math.prod(counts)
+
+
+def _two_level(grid, jac):
+    """x = M^{-1} y: an exact solve on the span of the aggregate
+    indicators Z (the coarse matrix Z^T J Z factored densely), then one
+    Jacobi sweep with J's diagonal.
+
+    Near lambda* J tends to c Lap_h, whose smooth low modes Jacobi alone
+    cannot resolve; the piecewise constants of Z carry them (a coarse
+    space in the manner of Nicolaides 1987).
+    """
+    agg, count = _aggregates(grid)
+    z = sparse.csr_array((np.ones(len(agg)), agg, np.arange(len(agg) + 1)),
+                         shape=(len(agg), count))
+    coarse = (z.T @ (jac @ z)).toarray()
+    lu = scipy.linalg.lu_factor(coarse)
+    inv_diag = 1.0 / jac.diagonal()
+
+    def apply(y):
+        x = scipy.linalg.lu_solve(lu, np.bincount(agg, weights=y,
+                                                  minlength=count))[agg]
+        x += (y - jac @ x) * inv_diag
+        return x
+
+    return apply
+
+
+def _linear_record(stats):
+    """The linear-solve counters of a stats dict, zero when absent."""
+    return {"linear_solves": stats.get("linear_solves", 0),
+            "linear_misses": stats.get("linear_misses", 0),
+            "worst_linear_residual": stats.get("worst_linear_residual", 0.0)}
+
+
+def _add_linear(acc, record):
+    """Merge linear-solve counters into acc: the counts add up and the
+    worst residual is the larger."""
+    old, new = _linear_record(acc), _linear_record(record)
+    acc["linear_solves"] = old["linear_solves"] + new["linear_solves"]
+    acc["linear_misses"] = old["linear_misses"] + new["linear_misses"]
+    acc["worst_linear_residual"] = max(old["worst_linear_residual"],
+                                       new["worst_linear_residual"])
+
+
+def _newton_direction(problem, state, res, linear):
+    """Solve J d = -res; returns d and the number of applies of J M^{-1},
+    and records the solve's outcome in the dict linear."""
+    jac = problem._jacobian_of(state)
+    precond = _two_level(problem.geometry.grid, jac)
+    size = res.size
+    op = LinearOperator((size, size),
+                        matvec=lambda y: jac @ precond(y.reshape(-1)))
+    applies = [0]
+
+    def count(_):
+        applies[0] += 1
+
+    b = -res.reshape(-1)
+    y, info = gmres(op, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
+                    maxiter=KRYLOV_MAX_RESTARTS, callback=count,
+                    callback_type="pr_norm")
+    direction = precond(y)
+    residual = np.linalg.norm(jac @ direction - b) / np.linalg.norm(b)
+    _add_linear(linear, {"linear_solves": 1, "linear_misses": int(info != 0),
+                         "worst_linear_residual": float(residual)})
+    return direction.reshape(res.shape), applies[0]
 
 
 def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
@@ -164,8 +253,16 @@ def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
 
     Line search halves the step on residual max-norm increase or on a
     cone-violating candidate; a step that cannot make progress at minimal
-    damping raises NonconvergenceError. Inner solves are restarted GMRES
-    with a Jacobi preconditioner, never forming the operator.
+    damping raises NonconvergenceError. Each iteration assembles the
+    Jacobian J (problem.jacobian) and solves J d = -r by restarted GMRES
+    on the right-preconditioned operator J M^{-1}, d = M^{-1} y, with M^{-1}
+    the two-level preconditioner of _two_level.
+
+    stats, when given, gains newton_iterations, krylov_iterations (applies
+    of J M^{-1}) and residual_history on success, and on every linear
+    solve, failed Newton attempts included, linear_solves, linear_misses
+    (GMRES ended above KRYLOV_RTOL) and worst_linear_residual
+    (max |J d + r| / |r| in the 2-norm).
     """
     geom = problem.geometry
     rhs = np.asarray(rhs, dtype=float)
@@ -174,38 +271,24 @@ def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
     rnorm = float(np.max(np.abs(res)))
     history = [rnorm]
     krylov = 0
-    size = res.size
+    linear = {} if stats is None else stats
 
     for iteration in range(max_iter):
         if rnorm <= newton_tol:
             break
-        apply_op, diag = _frechet_pieces(problem, state)
-        op = LinearOperator(
-            (size, size),
-            matvec=lambda x: apply_op(x.reshape(geom.grid.shape)).ravel())
-        inv_diag = 1.0 / diag.ravel()
-        precond = LinearOperator((size, size), matvec=lambda x: x * inv_diag)
-        counter = [0]
-
-        def count(_):
-            counter[0] += 1
-
-        direction, _ = gmres(op, -res.ravel(), rtol=KRYLOV_RTOL, atol=0.0,
-                             restart=KRYLOV_RESTART,
-                             maxiter=KRYLOV_MAX_RESTARTS, M=precond,
-                             callback=count, callback_type="pr_norm")
-        krylov += counter[0]
+        direction, applies = _newton_direction(problem, state, res, linear)
+        krylov += applies
         if not np.all(np.isfinite(direction)):
             raise NonconvergenceError(
                 "Newton direction is non-finite (singular linearization)",
                 diagnostics={"iteration": iteration, "residual_norm": rnorm})
-        direction = direction.reshape(geom.grid.shape)
 
         alpha = 1.0
         accepted = None
         while alpha >= MIN_DAMPING:
             with np.errstate(over="ignore", invalid="ignore"):
-                trial = _candidate_state(problem, state.u + alpha * direction)
+                trial = admissible_state(geom, state.u + alpha * direction,
+                                         problem.k)
                 if trial is not None:
                     trial_res = problem._residual_of(trial, rhs)
                     if (np.all(np.isfinite(trial_res))
@@ -247,6 +330,7 @@ class ContinuationState:
     krylov_iterations: int = 0
     t_steps: int = 0
     bounds: tuple = (None, None)
+    linear: dict = field(default_factory=dict)
 
 
 def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
@@ -257,6 +341,9 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
     by construction of f = sigma_k^{1/k}(S0) - h e^{delta_lo}. The t-step
     halves on Newton failure and doubles after two easy successes; an
     underflow below min_t_step means lam is presumed at or above lambda*.
+    The linear-solve counters of newton_solve, failed attempts included,
+    come back in the state's `linear` and in the diagnostics of a
+    ContinuationFailureError raised after the start.
     """
     if not lam > 0.0:
         raise ConfigurationError(f"continuation target lambda={lam} must be > 0")
@@ -300,7 +387,8 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
             raise ContinuationFailureError(
                 f"solutions escaping (max u < {escape_floor:g}); "
                 "lambda presumed >= lambda*",
-                diagnostics={"t": t, "max_u": float(np.max(u)), "lam": lam})
+                diagnostics={"t": t, "max_u": float(np.max(u)), "lam": lam,
+                             "linear": _linear_record(stats)})
 
     check_bounds(u, 0.0)
     t = 0.0
@@ -320,7 +408,8 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
                 raise ContinuationFailureError(
                     f"continuation step underflow at t={t:.6g} "
                     f"(lambda={lam:.6g} presumed >= lambda*)",
-                    diagnostics={"t_reached": t, "lam": lam, "dt": dt})
+                    diagnostics={"t_reached": t, "lam": lam, "dt": dt,
+                                 "linear": _linear_record(stats)})
             continue
         u = u_next
         t = t_try
@@ -336,7 +425,8 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
     return ContinuationState(t=1.0, u=u, lam=lam,
                              newton_iterations=stats.get("newton_iterations", 0),
                              krylov_iterations=stats.get("krylov_iterations", 0),
-                             t_steps=steps, bounds=(delta_lo, delta_hi))
+                             t_steps=steps, bounds=(delta_lo, delta_hi),
+                             linear=_linear_record(stats))
 
 
 def maclaurin_ceiling(geometry, k):
@@ -362,6 +452,10 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     final bracket midpoint. The lower end starts at a tenth of the worst
     constant-state value (guaranteed solvable), the upper end at the
     Maclaurin ceiling (at or above lambda*, hence unsolvable).
+
+    stats, when given, gains the bracket, the ceiling, the bisection count,
+    the Newton and Krylov counts of the solvable continuations, and the
+    linear-solve counters of every continuation, unsolvable ones included.
     """
     if not tolerance > 0.0:
         raise ConfigurationError(f"tolerance={tolerance} must be > 0")
@@ -373,13 +467,15 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
         raise ConfigurationError(
             f"degenerate bracket: ceiling {lam_hi:.6g} <= start {lam_lo:.6g}")
 
-    acc = {"newton_iterations": 0, "krylov_iterations": 0, "bisections": 0}
+    acc = {"newton_iterations": 0, "krylov_iterations": 0, "bisections": 0,
+           **_linear_record({})}
     try:
         state = continuation_run(problem, lam_lo, guess=guess)
     except ContinuationFailureError as failure:
         raise ConfigurationError(
             f"no solvable lambda found (failed at {lam_lo:.6g}); "
             "the chart does not admit the k-th cone problem") from failure
+    _add_linear(acc, state.linear)
     acc["newton_iterations"] += state.newton_iterations
     acc["krylov_iterations"] += state.krylov_iterations
     lo, u_best = lam_lo, state.u
@@ -389,9 +485,11 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
         mid = 0.5 * (lo + hi)
         try:
             state = continuation_run(problem, mid)
-        except ContinuationFailureError:
+        except ContinuationFailureError as failure:
+            _add_linear(acc, failure.diagnostics.get("linear", {}))
             hi = mid
         else:
+            _add_linear(acc, state.linear)
             acc["newton_iterations"] += state.newton_iterations
             acc["krylov_iterations"] += state.krylov_iterations
             lo, u_best = mid, state.u

@@ -3,7 +3,7 @@
 Each class carries the process exit code the CLI maps it to:
 
     2  usage / configuration problems
-    3  cone or positivity failures (the state left the admissible set)
+    3  cone violations (the state left the admissible set)
     4  nonconvergence (flow step-size underflow, Newton stall, continuation)
     5  internal numeric errors (non-finite values, failed decompositions)
 """
@@ -42,12 +42,6 @@ class ConeViolationError(SigmaFlowError):
         super().__init__(message)
         self.label = label
         self.node = node
-
-
-class PositivityError(SigmaFlowError):
-    """A quantity that must stay positive (volume weight, sigma field) is not."""
-
-    exit_code = 3
 
 
 class NonconvergenceError(SigmaFlowError):

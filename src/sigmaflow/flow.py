@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldalg
-from .conformal import ConformalState
+from .conformal import ConformalState, admissible_state
 from .errors import ConfigurationError, FlowFailureError
 from .fieldio import _atomic_write
 
@@ -204,16 +204,6 @@ def cfl_dt(state, cfl_safety=0.4):
 
 # ---------------------------------------------------------------- stepping
 
-def _admissible_candidate(geom, u_new, k):
-    """Build the trial state, or None when it must be rejected."""
-    if not np.all(np.isfinite(u_new)):
-        return None
-    trial = ConformalState(geom, u_new, k)
-    if not trial.cone_report().label.inside:
-        return None
-    return trial
-
-
 def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     """One accepted explicit step from an admissible state.
 
@@ -233,13 +223,13 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     while True:
         trial = None
         if scheme == "euler":
-            trial = _admissible_candidate(geom, state.u + trial_dt * s0, state.k)
+            trial = admissible_state(geom, state.u + trial_dt * s0, state.k)
         else:
-            half = _admissible_candidate(
+            half = admissible_state(
                 geom, state.u + 0.5 * trial_dt * s0, state.k)
             if half is not None:
                 s_mid = flow_speed(half, quotient_l)
-                trial = _admissible_candidate(
+                trial = admissible_state(
                     geom, state.u + trial_dt * s_mid, state.k)
         if trial is not None:
             return trial, trial_dt, rejected

@@ -21,7 +21,8 @@ gradients pick up a sign when their direction flips under that map.
 Tensor fields live in the orthonormal frame of the background metric, as
 lists of grid arrays: vectors by component, symmetric tensors by their
 upper triangle in fieldalg.pairs(n) order. Only the curvature oracle
-returns a full (..., n, n) array.
+returns a full (..., n, n) array. derivative_matrices gives the Hessian
+and gradient of a scalar as sparse matrices, probed from the stencils.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from . import fieldalg
 from .errors import ConfigurationError
@@ -113,6 +115,65 @@ def _slice_axis(arr, axis, sl):
     return arr[tuple(idx)]
 
 
+def _greedy_colouring(table, rows, indices):
+    """Colour the columns of a sparse pattern so that no row holds two
+    columns of one colour; returns one colour per column. table lists
+    each row's columns (repeats allowed), rows and indices are the
+    pattern's entries."""
+    size = len(table)
+    holders = rows[np.argsort(indices, kind="stable")]
+    ends = np.cumsum(np.bincount(indices, minlength=size))
+    colour = np.full(size, -1, dtype=np.int32)
+    start = 0
+    for j, end in enumerate(ends):
+        taken = colour[table[holders[start:end]]].reshape(-1)
+        free = np.ones(len(taken) + 1, dtype=bool)
+        free[taken[taken >= 0]] = False
+        colour[j] = np.argmax(free)
+        start = end
+    return colour
+
+
+class DerivativeMatrices:
+    """The frame Hessian and gradient of a scalar as sparse matrices over
+    the flattened grid (C order), on one CSR pattern.
+
+    The maps, in the order combine() takes their weights, are H_ab for
+    (a, b) in fieldalg.pairs(n), then G_c. hessian_components adds the
+    divergence-form trace correction D / n to each diagonal entry, so
+    H_aa is stored as its pointwise part and D once. A stored map keeps
+    its nonzeros as their positions in the pattern and their values.
+    """
+
+    def __init__(self, n, indptr, indices, rows, maps):
+        """rows: the row of each pattern entry; maps: the stored maps,
+        pointwise H_ab, G_c, then D."""
+        self.indptr = indptr
+        self.indices = indices
+        self.size = len(indptr) - 1
+        self.count = len(maps) - 1
+        self._n = n
+        self._with_trace = [m for m, (a, b) in enumerate(fieldalg.pairs(n))
+                            if a == b]
+        self._rows = rows
+        self._diagonal = np.flatnonzero(rows == indices)
+        self._maps = maps
+
+    def combine(self, weights, diagonal=0.0):
+        """sum_m diag(weights[m]) L_m + diag(diagonal) as a CSR array over
+        the maps L_m above; weights is (count, size), diagonal a scalar or
+        (size,)."""
+        trace = sum(weights[m] for m in self._with_trace) / self._n
+        data = np.zeros(len(self.indices))
+        for w, (position, values) in zip([*weights, trace], self._maps):
+            scaled = w[self._rows[position]]
+            scaled *= values
+            np.add.at(data, position, scaled)
+        data[self._diagonal] += diagonal
+        return sparse.csr_array((data, self.indices, self.indptr),
+                                shape=(self.size, self.size))
+
+
 class BackgroundGeometry:
     """A chart: grid + diagonal metric + connection + curvature data.
 
@@ -152,6 +213,7 @@ class BackgroundGeometry:
         self._christoffel_diag = [
             [(c, dlog[a][c] / lame[c] ** 2) for c in range(grid.ndim)
              if c != a and dlog[a][c] is not None] for a in range(grid.ndim)]
+        self._derivative_matrices = None
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar
@@ -447,6 +509,101 @@ class BackgroundGeometry:
                 val *= self._inv_lame[a] * self._inv_lame[b]
             out.append(val)
         return out
+
+    def derivative_matrices(self):
+        """hessian_components and the frame_gradient components of a scalar
+        as DerivativeMatrices.
+
+        Both are linear and depend only on the chart, so they are built on
+        first use and cached. They are read off the stencil code itself by
+        probing it with sums of unit vectors (Curtis, Powell and Reid
+        1974): columns share a probe when no row of _coupling_table holds
+        two of them, so every output entry of a probe belongs to one
+        column.
+        """
+        if self._derivative_matrices is None:
+            self._derivative_matrices = self._probe_derivatives()
+        return self._derivative_matrices
+
+    def _probe_derivatives(self):
+        shape, size = self.grid.shape, self.grid.total_points
+        table = self._coupling_table()
+        # the CSR pattern of the table, repeats merged
+        table.sort(axis=1)
+        keep = np.ones(table.shape, dtype=bool)
+        keep[:, 1:] = table[:, 1:] != table[:, :-1]
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        indices = table[keep]
+        del keep
+        rows = np.repeat(np.arange(size, dtype=np.int32), np.diff(indptr))
+        colour = _greedy_colouring(table, rows, indices)
+        del table
+        # pattern entries grouped by the colour of their column
+        order = np.argsort(colour[indices], kind="stable").astype(np.int32)
+        ends = np.cumsum(np.bincount(colour[indices]))
+
+        def probes():
+            """Per colour: the pattern positions of its entries and their
+            values in each stored map (see DerivativeMatrices)."""
+            start = 0
+            for c, end in enumerate(ends):
+                probe = (colour == c).astype(float).reshape(shape)
+                parts, seconds, defect = self.scalar_jet(probe)
+                outs = (self.hessian_components(probe,
+                                                jet=(parts, seconds, 0.0))
+                        + self.frame_gradient(parts)[0] + [defect])
+                position = order[start:end]
+                r = rows[position]
+                yield position, [np.broadcast_to(out, shape).reshape(-1)[r]
+                                 for out in outs]
+                start = end
+
+        # Probing twice, once to count the nonzeros, allocates every map
+        # once at its size: growing them leaves a fragmented heap that
+        # costs more resident memory than the maps themselves.
+        n = self.grid.ndim
+        counts = np.zeros(len(fieldalg.pairs(n)) + n + 1, dtype=int)
+        for _, values in probes():
+            counts += [np.count_nonzero(v) for v in values]
+        maps = [(np.empty(c, dtype=np.int32), np.empty(c)) for c in counts]
+        filled = np.zeros_like(counts)
+        for position, values in probes():
+            for m, v in enumerate(values):
+                keep = v != 0.0
+                start, end = filled[m], filled[m] + np.count_nonzero(keep)
+                maps[m][0][start:end] = position[keep]
+                maps[m][1][start:end] = v[keep]
+                filled[m] = end
+        return DerivativeMatrices(n, indptr, indices, rows, maps)
+
+    def _coupling_table(self):
+        """The columns each node couples to in hessian_components and
+        frame_gradient, repeats allowed, as a (nodes, K) table. pad applied
+        to the grid of node indices names each stencil's source nodes,
+        periodic wraps and pole ghosts included; on polar axes the pole
+        antipodes of the divergence-form defect are added."""
+        n = self.grid.ndim
+        index = np.arange(self.grid.total_points,
+                          dtype=np.int32).reshape(self.grid.shape)
+
+        def shifts(axis, width):
+            p = self.pad(index, axis, width).astype(np.int32)
+            m = self.grid.shape[axis]
+            return [_slice_axis(p, axis, slice(width + s, width + s + m))
+                    .reshape(-1) for s in range(-width, width + 1)]
+
+        first = [shifts(a, self.fd_order // 2) for a in range(n)]
+        columns = [c for cols in first for c in cols]
+        for a in range(n):
+            if a in self._polar:
+                antipode = self._antipode_tail(index, a).reshape(-1)
+                for c in shifts(a, self._polar[a].width):
+                    columns += [c, c[antipode]]
+            for b in range(a + 1, n):
+                # the mixed entry (a, b) differences along b, then along a
+                columns += [cb[ca] for ca in first[a] for cb in first[b]]
+        return np.stack(columns, axis=1)
 
     def christoffel(self, c, a, b):
         """Gamma^c_ab as a broadcastable grid array (diagonal metric)."""

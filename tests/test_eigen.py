@@ -5,15 +5,20 @@ identity, so constants give closed forms for everything: the residual of
 u = 0 is sigma_k^{1/k}(S0) - h - rhs with sigma_k^{1/k}(S0) equal to 3/2,
 sqrt(3)/2, 1/2 for k = 1, 2, 3, the continuation target u = log(s - lam)
 is exact, and the Maclaurin ceiling coincides with lambda*. The Frechet
-derivative is checked against a symmetric difference quotient. Gates sit
-a few orders above measured values.
+derivative is checked against a symmetric difference quotient, and the
+assembled Jacobian against the matrix-free derivative. Gates sit a few
+orders above measured values.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigmaflow import eigen
 from sigmaflow.eigen import (
     AuxiliaryProblem,
     ContinuationState,
@@ -102,6 +107,44 @@ def test_linearize_matches_difference_quotient():
           - prob.residual(u - eps * rho, rhs)) / (2.0 * eps)
     # measured 2.3e-11 relative; dominated by the eps^2 truncation term
     assert np.max(np.abs(lin - fd)) <= 1e-8 * np.max(np.abs(lin))
+
+
+@functools.lru_cache(maxsize=None)
+def jacobian_chart(name, fd_order):
+    if name == "round_sphere":
+        return build_round_sphere(3, 16, fd_order=fd_order)
+    return build_hopf_product(3, 1.0, 16, fd_order=fd_order)
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("name", ("round_sphere", "hopf_product"))
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_assembled_jacobian_matches_linearize_apply(name, fd_order, seed):
+    # J is assembled from the probed Hessian and gradient matrices with
+    # pointwise weights; applied to any rho it must agree with the
+    # matrix-free derivative to rounding (measured 4e-16). u is a random
+    # combination of first harmonics (x_0, x_2 on S^3; the circle and the
+    # S^2 factor on S^1 x S^2), small enough to stay in the cone; k = 2 on
+    # the sphere and k = 1 on the product, whose background is outside
+    # Gamma_2+.
+    geom = jacobian_chart(name, fd_order)
+    rng = np.random.default_rng(seed)
+    t = [geom.grid.axis_vector(a, geom.grid.coordinates(a)) for a in range(3)]
+    if name == "round_sphere":
+        k = 2
+        modes = [np.cos(t[0]), np.sin(t[0]) * np.sin(t[1]) * np.cos(t[2])]
+    else:
+        k = 1
+        modes = [np.cos(t[0]), np.cos(t[1]), np.sin(t[1]) * np.sin(t[2])]
+    c = rng.uniform(-0.1, 0.1, size=len(modes))
+    u = np.broadcast_to(sum(ci * m for ci, m in zip(c, modes)) - 0.5,
+                        geom.grid.shape)
+    rho = rng.standard_normal(geom.grid.shape)
+    prob = AuxiliaryProblem(geom, k)
+    expected = prob.linearize_apply(u, rho).reshape(-1)
+    got = prob.jacobian(u) @ rho.reshape(-1)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 # ------------------------------------------------------------ Newton
@@ -252,6 +295,33 @@ def test_lambda_star_search_brackets_the_sharp_value():
     assert stats["bisections"] == 5
     assert stats["newton_iterations"] > 0
     assert stats["krylov_iterations"] > 0
+
+
+def test_lambda_star_search_bracket_and_linear_solves():
+    # The bracket is pinned to the matrix-free solver's: the assembled
+    # Jacobian changes how each Newton step is solved, not where the
+    # bisection lands. Every GMRES solve meets KRYLOV_RTOL on this search.
+    geom = build_round_sphere(3, 16)
+    stats = {}
+    lambda_star_search(AuxiliaryProblem(geom, 2), 2.5e-3, stats=stats)
+    assert stats["bracket"] == (0.86450309350434895, 0.86602540378443871)
+    assert stats["linear_solves"] >= stats["newton_iterations"] > 0
+    assert stats["linear_misses"] == 0
+    assert 0.0 < stats["worst_linear_residual"] <= eigen.KRYLOV_RTOL
+
+
+def test_linear_misses_are_counted_not_raised(monkeypatch):
+    # No solve reaches a relative residual of 1e-16, so every GMRES run
+    # ends on its restart cap (kept short here to bound the run time); the
+    # search records the misses and goes on.
+    monkeypatch.setattr(eigen, "KRYLOV_RTOL", 1e-16)
+    monkeypatch.setattr(eigen, "KRYLOV_RESTART", 20)
+    geom = build_round_sphere(3, 16)
+    stats = {}
+    _, lam = lambda_star_search(AuxiliaryProblem(geom, 1), 0.2, stats=stats)
+    assert abs(lam - 1.5) <= 0.2
+    assert 0 < stats["linear_misses"] <= stats["linear_solves"]
+    assert stats["worst_linear_residual"] > 1e-16
 
 
 def test_lambda_star_search_validation():

@@ -305,6 +305,41 @@ def test_discrete_divergence_theorem(name, n, fd_order, seed):
     assert abs(np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
 
 
+@functools.lru_cache(maxsize=None)
+def probed_chart(name, n, fd_order):
+    if name == "round_sphere":
+        return build_round_sphere(n, 16, fd_order=fd_order)
+    if name == "hopf_product":
+        return build_hopf_product(n, 1.3, 16 if n == 3 else 8,
+                                  fd_order=fd_order)
+    return build_synthetic(n, [0.5, -0.2, 0.7], 8, fd_order=fd_order)
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("name, n", (("round_sphere", 3), ("hopf_product", 3),
+                                     ("hopf_product", 4), ("synthetic", 3)))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_derivative_matrices_reproduce_the_stencils(name, n, fd_order, seed):
+    # The probed matrices are read off hessian_components and
+    # frame_gradient, so on any grid function they agree with them to
+    # rounding; a coupling the colouring missed would show as an entry
+    # summed from two columns.
+    geom = probed_chart(name, n, fd_order)
+    maps = geom.derivative_matrices()
+    rho = np.random.default_rng(seed).standard_normal(geom.grid.shape)
+    jet = geom.scalar_jet(rho)
+    expected = (geom.hessian_components(rho, jet=jet)
+                + geom.frame_gradient(jet[0])[0])
+    assert maps.count == len(expected)
+    for m, out in enumerate(expected):
+        weights = np.zeros((maps.count, maps.size))
+        weights[m] = 1.0
+        got = maps.combine(weights) @ rho.reshape(-1)
+        out = np.broadcast_to(out, geom.grid.shape).reshape(-1)
+        assert np.max(np.abs(got - out)) <= 1e-13 * np.max(np.abs(out))
+
+
 def test_laplacian_converges_next_to_poles():
     # Fields with a nonzero second derivative through a pole, at fd4.
     # cos(theta) on the S^2 factor of S^1 x S^2 and sin t1 cos t2 on S^3
