@@ -321,6 +321,8 @@ def run_flow(cfg):
     else:
         summary = (f"reached t_end={state.time:g}, "
                    f"residual={records[-1].rel_residual:.3e}")
+    summary += (f"; {state.accepted} steps accepted, {state.rejected} "
+                f"rejected, {state.cfl_limited} CFL-limited")
     return RunReport(0, summary, _check_emitted(paths))
 
 

@@ -57,7 +57,7 @@ def admissible_state(geom, u, k):
     the Gamma_k+ cone; trial steps of the flow and of Newton use it."""
     if not np.all(np.isfinite(u)):
         return None
-    state = ConformalState(geom, u, k)
+    state = ConformalState(geom, u, k, finite=True)
     if not state.cone_report().label.inside:
         return None
     return state
@@ -66,18 +66,20 @@ def admissible_state(geom, u, k):
 class ConformalState:
     """u plus lazily cached derived fields, invalidated on every update."""
 
-    def __init__(self, geom, u, k):
+    def __init__(self, geom, u, k, finite=False):
         n = geom.grid.ndim
         if not 1 <= k <= n:
             raise ConfigurationError(f"curvature order k={k} outside 1..{n}")
         self.geometry = geom
         self.k = k
         self._cache = {}
-        self.update_u(u)
+        self.update_u(u, finite)
 
-    def update_u(self, u):
+    def update_u(self, u, finite=False):
+        """finite=True skips the finiteness check, for a caller that has
+        just made it."""
         u = np.asarray(u, dtype=float)
-        if not np.all(np.isfinite(u)):
+        if not (finite or np.all(np.isfinite(u))):
             raise ConfigurationError("conformal factor contains non-finite values")
         self.u = np.ascontiguousarray(np.broadcast_to(u, self.geometry.grid.shape),
                                       dtype=float)
@@ -170,12 +172,31 @@ class ConformalState:
             np.ones((1,) * self.geometry.grid.ndim),
             weight=self.conformal_weight()))
 
+    def log_target(self, l=None):
+        """log of the flow's driven quantity: sigma_k(g), or
+        sigma_k(g)/sigma_l(g) for the quotient flow (0 <= l < k)."""
+        if l is None:
+            return self.log_sigma_field()
+        if ("log_target", l) not in self._cache:
+            self.require_admissible()
+            etable = self.sigma_w_table()
+            val = 2.0 * (self.k - l) * self.u + np.log(etable[..., self.k])
+            if l > 0:
+                # sigma_0 = 1, so l = 0 needs no correction and reduces to
+                # the primary flow bit for bit.
+                val = val - np.log(etable[..., l])
+            self._cache["log_target", l] = val
+        return self._cache["log_target", l]
+
+    def log_target_mean(self, l=None):
+        """Mean of log_target(l) under dvol(g), computed once per state;
+        the flow speed and the monitor row share it."""
+        return self._cached(("log_mean", l), lambda: self.geometry.integrate(
+            self.log_target(l), weight=self.conformal_weight()) / self.volume())
+
     def r_k(self):
         """Geometric mean of sigma_k(g) under dvol(g)."""
-        log_sigma = self.log_sigma_field()
-        weight = self.conformal_weight()
-        mean = self.geometry.integrate(log_sigma, weight=weight) / self.volume()
-        return float(np.exp(mean))
+        return float(np.exp(self.log_target_mean()))
 
     def F_k(self):
         """Scale-normalized integral vol^{-(n-2k)/n} * int sigma_k dvol(g)."""

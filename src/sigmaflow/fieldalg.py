@@ -162,18 +162,20 @@ def worst_violation(e, k):
 
 
 def lambda_max_components(t, n):
-    """Tight upper bound on the largest eigenvalue of each PSD matrix of a
-    component field.
+    """Upper bound on the largest eigenvalue of each symmetric matrix of a
+    component field, from its first two trace moments.
 
-    trace(B^16)^(1/16) per node lies in [lam_max, n^(1/16) lam_max] for
-    positive semidefinite input (< 1.11 even at n = 5); B^8 comes from
-    three squarings and the final doubling is a Frobenius norm. Cheap,
-    deterministic, and an overestimate, so time-step bounds built from it
-    err on the safe side.
+    With m = tr T / n and s^2 = |T - m I|_F^2 / n, every symmetric T
+    (indefinite ones included) has m + s / sqrt(n - 1) <= lam_max
+    <= m + s sqrt(n - 1) (Wolkowicz & Styan 1980, Linear Algebra Appl. 29).
+    The upper side is returned: exact for isotropic T and whenever the
+    n - 1 smaller eigenvalues are equal, and never more than
+    s (n - 2) / sqrt(n - 1) above lam_max. s comes from the deviatoric
+    components, because |T|_F^2 / n - m^2 cancels when T is nearly
+    isotropic. An overestimate, so time-step bounds built from it err on
+    the safe side.
     """
-    scale = np.sqrt(frobenius2(t, n))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    b = [c / scale for c in t]
-    for _ in range(3):
-        b = sym_product(b, b, n)
-    return scale * np.maximum(frobenius2(b, n), 0.0) ** (1.0 / 16.0)
+    diag = [c for (a, b), c in zip(pairs(n), t) if a == b]
+    m = sum(diag[1:], diag[0]) / n
+    dev = [c - m if a == b else c for (a, b), c in zip(pairs(n), t)]
+    return m + np.sqrt(frobenius2(dev, n) * ((n - 1.0) / n))

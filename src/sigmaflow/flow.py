@@ -8,9 +8,14 @@ where r_k is the geometric mean of sigma_k(g) under dvol(g). Subtracting
 the mean makes the speed integrate to zero against dvol(g), which is what
 preserves the volume; inside the Gamma_k+ cone the right-hand side is
 parabolic with diffusion coefficient T_{k-1}(W) / (2 sigma_k(W)), and the
-CFL bound tracks exactly that coefficient. A quotient variant drives
-log(sigma_k/sigma_l) instead; sigma_0 = 1 makes l = 0 coincide with the
-primary flow.
+CFL bound tracks that coefficient through a trace-moment bound on its
+largest eigenvalue, exact where T_{k-1} is isotropic. A quotient variant
+drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes l = 0 coincide with
+the primary flow.
+
+A run builds a full monitor row only where it keeps one; between those
+rows the convergence detector evaluates the residual alone. The state
+caches the mean of the log target, so the speed and the row share it.
 """
 
 from __future__ import annotations
@@ -100,7 +105,11 @@ class MonitorRecord:
 
 @dataclass
 class FlowState:
-    """Mutable bookkeeping for a run; u is the current conformal factor."""
+    """Mutable bookkeeping for a run; u is the current conformal factor.
+
+    cfl_limited counts the accepted steps whose dt the CFL bound set
+    (rather than dt_initial or t_end).
+    """
 
     time: float
     u: np.ndarray
@@ -108,6 +117,7 @@ class FlowState:
     last_dt: float = 0.0
     accepted: int = 0
     rejected: int = 0
+    cfl_limited: int = 0
     converged: bool = False
     beta: float or None = None
 
@@ -124,31 +134,10 @@ class PositivityReport:
 
 # ----------------------------------------------------------------- speed
 
-def _log_target(state, quotient_l):
-    """log of the driven quantity: sigma_k(g), or sigma_k(g)/sigma_l(g)."""
-    if quotient_l is None:
-        return state.log_sigma_field()
-    state.require_admissible()
-    etable = state.sigma_w_table()
-    k, l = state.k, quotient_l
-    val = 2.0 * (k - l) * state.u + np.log(etable[..., k])
-    if l > 0:
-        # sigma_0 = 1, so l = 0 needs no correction and reduces to the
-        # primary flow bit for bit.
-        val = val - np.log(etable[..., l])
-    return val
-
-
-def _speed_and_mean(state, quotient_l=None):
-    logt = _log_target(state, quotient_l)
-    mean = state.geometry.integrate(
-        logt, weight=state.conformal_weight()) / state.volume()
-    return 0.5 * (logt - mean), mean
-
-
 def flow_speed(state, quotient_l=None):
     """Pointwise du/dt; mean-zero against dvol(g) by construction."""
-    return _speed_and_mean(state, quotient_l)[0]
+    return 0.5 * (state.log_target(quotient_l)
+                  - state.log_target_mean(quotient_l))
 
 
 # ------------------------------------------------------------- step size
@@ -159,7 +148,9 @@ def diffusion_bound(state):
     This is the coefficient of the principal part of the linearized speed
     in the background orthonormal frame: the e^{2u} factors of the g-form
     Newton tensor and of the g-Laplacian cancel, leaving a shift-invariant
-    bound, consistent with the flow's own shift equivariance.
+    bound, consistent with the flow's own shift equivariance. lambda_max is
+    the trace-moment upper bound of fieldalg.lambda_max_components: never
+    below the true value, and exact where T_{k-1} is isotropic.
     """
     state.require_admissible()
     etable = state.sigma_w_table()
@@ -172,14 +163,14 @@ def cfl_dt(state, cfl_safety=0.4):
     """Parabolic stability bound for the explicit step.
 
     Second differences along axis a carry weight 1/(h_a H_a)^2. The frame
-    factor uses the rms of H_a over the grid: the rows where H_a vanishes
-    (polar axes near the poles) only carry modes that the antipodal ghost
-    identification keeps smooth, so the rms, not the pointwise minimum, is
-    the stiffness scale seen by smooth data. The +k term accounts for the
-    zeroth-order 2ku part of log sigma_k(g).
+    factor uses the rms of H_a over the grid (geometry.lame2_mean, fixed
+    per chart): the rows where H_a vanishes (polar axes near the poles)
+    only carry modes that the antipodal ghost identification keeps smooth,
+    so the rms, not the pointwise minimum, is the stiffness scale seen by
+    smooth data. The +k term accounts for the zeroth-order 2ku part of
+    log sigma_k(g).
     """
     geom = state.geometry
-    d_max = diffusion_bound(state)
     # largest symbol of the second-difference stencil, halved by the 1/2
     # in the flow speed: 4/h^2 at second order, 16/(3h^2) at fourth
     # ((1, -2, 1) and (-1, 16, -30, 16, -1)/12 at the wavenumber pi). The
@@ -187,19 +178,17 @@ def cfl_dt(state, cfl_safety=0.4):
     # once its coefficients are frozen, so the constants carry over; its
     # rows next to a pole lift the largest eigenvalue of the zonal
     # Laplacian on the round S^3 to 4.41/h^2 at second order and 5.75/h^2
-    # at fourth (the pointwise stencils gave 4.04 and 5.40), which the
-    # safety factor covers. On the last polar angle (the S^2 factor of
-    # S^1 x S^2) they reach 4.00/h^2 and 5.33/h^2 with the 11/12 pole
-    # weights, on the first polar angle of S^4 (density sin^3, h^5 flux
-    # terms, 127/120 pole weights) 5.11/h^2 and 7.57/h^2 at 24 points.
+    # at fourth (the pointwise stencils gave 4.04 and 5.40). On the last
+    # polar angle (the S^2 factor of S^1 x S^2) they reach 4.00/h^2 and
+    # 5.33/h^2 with the 11/12 pole weights, on the first polar angle of
+    # S^4 (density sin^3, h^5 flux terms, 127/120 pole weights) 5.11/h^2
+    # and 7.57/h^2 at 24 points. diffusion_bound is exact on isotropic
+    # T_{k-1}, as at the round fixed point, so it leaves no cushion: the
+    # lift of about 8-10% on S^3 is covered by cfl_safety alone.
     coef = 2.0 if geom.fd_order == 2 else 8.0 / 3.0
-    denom = float(state.k)
-    for a in range(geom.grid.ndim):
-        h2 = np.broadcast_to(np.square(np.asarray(geom.lame[a], dtype=float)),
-                             geom.grid.shape)
-        rms = math.sqrt(float(np.mean(h2)))
-        denom += d_max * coef / (geom.grid.spacing[a] * rms) ** 2
-    return cfl_safety / denom
+    stiffness = sum(coef / (h * h * mean2)
+                    for h, mean2 in zip(geom.grid.spacing, geom.lame2_mean))
+    return cfl_safety / (state.k + diffusion_bound(state) * stiffness)
 
 
 # ---------------------------------------------------------------- stepping
@@ -245,29 +234,40 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
 
 # ------------------------------------------------------------------ monitor
 
-def _record(state, time, quotient_l):
-    """Full monitor row at the current state (one pass of reductions).
-
-    Every field comes from the state's cache, so a row after a step costs
-    reductions only.
-    """
+def _residual(state, quotient_l):
+    """(r, |target - r|, |target|, relative residual) at the current state,
+    with L2(g) norms, target the driven quantity and r its geometric mean:
+    all the convergence detector reads, and the part of the monitor row it
+    shares. Only scalars are returned, so no field outlives the call."""
     geom = state.geometry
-    n = geom.grid.ndim
     weight = state.conformal_weight()
-    vol = state.volume()
-    logt = _log_target(state, quotient_l)
-    mean = geom.integrate(logt, weight=weight) / vol
-    r_flow = math.exp(mean)
-    primary = quotient_l is None or quotient_l == 0
+    r_flow = math.exp(state.log_target_mean(quotient_l))
     # with l = 0 the driven quantity equals sigma_k(g) bit for bit
-    target = state.sigma_field() if primary else np.exp(logt)
+    target = (state.sigma_field() if quotient_l is None or quotient_l == 0
+              else np.exp(state.log_target(quotient_l)))
     diff = target - r_flow
     l2_diff = math.sqrt(geom.integrate(diff * diff, weight=weight))
     l2_target = math.sqrt(geom.integrate(target * target, weight=weight))
+    return r_flow, l2_diff, l2_target, l2_diff / l2_target
+
+
+def _record(state, time, quotient_l, residual):
+    """Full monitor row at the current state (one pass of reductions).
+
+    Every field comes from the state's cache, so a row after a step costs
+    reductions only; residual is _residual's result at the same state.
+    """
+    geom = state.geometry
+    n = geom.grid.ndim
+    vol = state.volume()
+    r_flow, l2_diff, l2_target, rel = residual
     rhs = None
-    if primary:
+    if quotient_l is None or quotient_l == 0:
+        logt = state.log_target(quotient_l)
+        mean = state.log_target_mean(quotient_l)
         rhs = (-(n - 2.0 * state.k) / 2.0 * vol ** ((2.0 * state.k - n) / n)
-               * geom.integrate(diff * (logt - mean), weight=weight))
+               * geom.integrate((state.sigma_field() - r_flow) * (logt - mean),
+                                weight=state.conformal_weight()))
     return MonitorRecord(
         time=float(time),
         volume=vol,
@@ -280,7 +280,7 @@ def _record(state, time, quotient_l):
         max_abs_u=float(np.max(np.abs(state.u))),
         dissipation_rhs=rhs,
         l2_sigma=l2_target,
-        rel_residual=l2_diff / l2_target,
+        rel_residual=rel,
     )
 
 
@@ -302,38 +302,47 @@ def run(geom, u0, config, on_record=None):
     L2(g) residual of the driven quantity; beta is the final r_k, reported
     only for converged runs with 2k != n (at 2k = n the scale invariance
     makes the constant a gauge choice, so only monitors are reported).
-    on_record, when given, is called with (flow, state, record) for every
-    kept monitor row; callers hang snapshot writers off it.
+    The detector reads the residual after every step. on_record, when
+    given, is called with (flow, state, record) for every kept monitor
+    row; callers hang snapshot writers off it.
     """
     state = ConformalState(geom, u0, config.k)
     state.require_admissible()
     flow = FlowState(time=0.0, u=state.u)
-    rec = _record(state, 0.0, config.quotient_l)
-    records = [rec]
-    if on_record is not None:
-        on_record(flow, state, rec)
-
-    def detect(rec):
-        return (config.convergence_tol > 0
-                and rec.rel_residual < config.convergence_tol)
-
-    n = geom.grid.ndim
-    if detect(rec):
-        flow.converged = True
-        if 2 * config.k != n:
-            flow.beta = rec.r_k
-        return flow, records
-
+    records = []
     t_end = float(config.t_end)
-    cfl = cfl_dt(state, config.cfl_safety)
-    while flow.time < t_end * (1.0 - 1e-12):
+    detecting = config.convergence_tol > 0
+    cfl = None
+    while True:
+        # A row is kept at time 0, every monitor_every steps, at t_end and
+        # where convergence is detected. Off those rows a detecting run
+        # evaluates only the residual, and a run without the detector
+        # nothing at all.
+        done = flow.time >= t_end * (1.0 - 1e-12)
+        keep = done or flow.step_count % config.monitor_every == 0
+        if keep or detecting:
+            residual = _residual(state, config.quotient_l)
+            converged = detecting and residual[-1] < config.convergence_tol
+            if keep or converged:
+                rec = _record(state, flow.time, config.quotient_l, residual)
+                records.append(rec)
+                if on_record is not None:
+                    on_record(flow, state, rec)
+            if converged:
+                flow.converged = True
+                if 2 * config.k != geom.grid.ndim:
+                    flow.beta = rec.r_k
+                break
+        if done:
+            break
         # While a fixed dt_initial binds with a factor-2 margin, the CFL
         # bound moves on the slow time scale of the fields and a cached
         # value refreshed every 25 steps is still a strict bound in
         # practice; the step's own rejection path guards the remainder.
-        stale_ok = (config.dt_initial is not None
-                    and 2.0 * config.dt_initial <= cfl
-                    and flow.step_count % 25 != 0)
+        # Step 0 always refreshes, so cfl is set before it is compared.
+        stale_ok = (flow.step_count % 25 != 0
+                    and config.dt_initial is not None
+                    and 2.0 * config.dt_initial <= cfl)
         if not stale_ok:
             cfl = cfl_dt(state, config.cfl_safety)
         dt = cfl
@@ -347,24 +356,9 @@ def run(geom, u0, config, on_record=None):
         flow.last_dt = dt_used
         flow.accepted += 1
         flow.rejected += n_rej
+        if dt == cfl:
+            flow.cfl_limited += 1
         flow.u = state.u
-        done = flow.time >= t_end * (1.0 - 1e-12)
-        # With the detector disabled the off-cadence rows are never read,
-        # so only materialize the reductions on rows that get kept.
-        want = (done or config.convergence_tol > 0
-                or flow.step_count % config.monitor_every == 0)
-        if not want:
-            continue
-        rec = _record(state, flow.time, config.quotient_l)
-        if done or detect(rec) or flow.step_count % config.monitor_every == 0:
-            records.append(rec)
-            if on_record is not None:
-                on_record(flow, state, rec)
-        if detect(rec):
-            flow.converged = True
-            if 2 * config.k != n:
-                flow.beta = rec.r_k
-            break
     return flow, records
 
 

@@ -205,6 +205,9 @@ class BackgroundGeometry:
                        if grid.axis_kind[axis] == POLE}
         for c in self._polar.values():
             self.vol_weight = self.vol_weight * c.weight
+        # grid mean of H_a^2 per axis: the frame stiffness scale of cfl_dt
+        self.lame2_mean = [float(np.mean(np.broadcast_to(h_a * h_a, grid.shape)))
+                           for h_a in lame]
         # frame factors of the Hessian and gradient, as small broadcast
         # arrays: 1/H_a, 1/H_a^2, and dlog[a][c]/H_c^2 for the Christoffel
         # terms of the diagonal (each depends only on axes <= c)
@@ -661,21 +664,32 @@ def _check_resolution(points, minimum):
             "half a period)")
 
 
-def _sphere_lame_fn(polar_axes, const=1.0):
-    """Lame factors for nested-sine charts, as a function of coordinates.
+def _nested_sine_chart(grid, polar_axes, const=1.0):
+    """(lame_fn, lame, dlog) for a nested-sine chart.
 
     polar_axes maps each axis to the list of earlier polar axes whose sines
     multiply into its Lame factor; const scales axis 0 (circle radius).
+    dlog[a][b] = cot(theta_b) for each such pair, None elsewhere. With no
+    polar axes (and const 1) this is the flat box of build_synthetic.
     """
-    def fn(coords, grid):
+    n = grid.ndim
+
+    def lame_fn(coords):
         out = []
-        for a in range(grid.ndim):
-            h = np.full((1,) * grid.ndim, const if a == 0 else 1.0)
+        for a in range(n):
+            h = np.full((1,) * n, const if a == 0 else 1.0)
             for j in polar_axes[a]:
                 h = h * np.sin(grid.axis_vector(j, coords[j]))
             out.append(h)
         return out
-    return fn
+
+    coords = [grid.coordinates(a) for a in range(n)]
+    dlog = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in polar_axes[a]:
+            theta = grid.axis_vector(b, coords[b])
+            dlog[a][b] = np.cos(theta) / np.sin(theta)
+    return lame_fn, lame_fn(coords), dlog
 
 
 def build_round_sphere(n, points_per_axis, fd_order=2):
@@ -688,20 +702,9 @@ def build_round_sphere(n, points_per_axis, fd_order=2):
     spacing = tuple([math.pi / N] * (n - 1) + [2.0 * math.pi / N])
     grid = Grid(shape=(N,) * n, spacing=spacing, axis_kind=kinds)
 
-    polar_axes = [list(range(a)) for a in range(n)]  # all earlier axes are polar
-    lame_builder = _sphere_lame_fn(polar_axes)
-
-    def lame_fn(coords):
-        return lame_builder(coords, grid)
-
-    coords = [grid.coordinates(a) for a in range(n)]
-    lame = lame_fn(coords)
-    dlog = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in polar_axes[a]:
-            theta = grid.axis_vector(b, coords[b])
-            dlog[a][b] = np.cos(theta) / np.sin(theta)
-
+    # all earlier axes are polar
+    lame_fn, lame, dlog = _nested_sine_chart(
+        grid, [list(range(a)) for a in range(n)])
     return BackgroundGeometry(
         name="round_sphere", grid=grid, lame=lame, dlog=dlog,
         schouten0=0.5 * np.eye(n), scalar_curv0=n * (n - 1),
@@ -728,20 +731,9 @@ def build_hopf_product(n, circle_radius=1.0, points_per_axis=16, fd_order=2):
     grid = Grid(shape=(N,) * n, spacing=spacing, axis_kind=kinds)
 
     # sphere-factor polar angles occupy axes 1..n-2
-    polar_axes = [[]] + [list(range(1, a)) for a in range(1, n)]
-    lame_builder = _sphere_lame_fn(polar_axes, const=circle_radius)
-
-    def lame_fn(coords):
-        return lame_builder(coords, grid)
-
-    coords = [grid.coordinates(a) for a in range(n)]
-    lame = lame_fn(coords)
-    dlog = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in polar_axes[a]:
-            theta = grid.axis_vector(b, coords[b])
-            dlog[a][b] = np.cos(theta) / np.sin(theta)
-
+    lame_fn, lame, dlog = _nested_sine_chart(
+        grid, [[]] + [list(range(1, a)) for a in range(1, n)],
+        const=circle_radius)
     schouten0 = 0.5 * np.eye(n)
     schouten0[0, 0] = -0.5
     return BackgroundGeometry(
@@ -772,11 +764,7 @@ def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
     grid = Grid(shape=(N,) * n, spacing=(2.0 * math.pi / N,) * n,
                 axis_kind=(PERIODIC,) * n)
 
-    def lame_fn(coords):
-        return [np.ones((1,) * n) for _ in range(n)]
-
-    lame = lame_fn([grid.coordinates(a) for a in range(n)])
-    dlog = [[None] * n for _ in range(n)]
+    lame_fn, lame, dlog = _nested_sine_chart(grid, [[]] * n)
     return BackgroundGeometry(
         name="synthetic", grid=grid, lame=lame, dlog=dlog,
         schouten0=s0, scalar_curv0=2.0 * (n - 1) * float(np.trace(s0)),

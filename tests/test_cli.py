@@ -158,7 +158,8 @@ def test_main_fixed_point_flow_reports_beta(tmp_path, capsys):
                  f"output_dir={out}"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "β=0.75, converged at t=0" in captured.out
+    assert ("β=0.75, converged at t=0; 0 steps accepted, 0 rejected, "
+            "0 CFL-limited") in captured.out
     assert os.path.exists(os.path.join(out, "monitor.csv"))
     assert os.path.exists(os.path.join(out, "final_state.field"))
 
@@ -200,7 +201,15 @@ def test_main_flow_monitor_is_byte_deterministic(tmp_path, capsys):
         out = str(tmp_path / sub)
         assert main(args + [f"output_dir={out}"]) == 0
         outs.append(out)
-    capsys.readouterr()
+    summaries = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("reached t_end=0.05")]
+    with open(os.path.join(outs[0], "monitor.csv")) as fh:
+        steps = len(fh.read().splitlines()) - 2   # header and the t=0 row
+    # the CFL bound sets every step but the last, which t_end clips
+    assert len(summaries) == 2
+    for line in summaries:
+        assert line.endswith(f"; {steps} steps accepted, 0 rejected, "
+                             f"{steps - 1} CFL-limited")
     for name in sorted(os.listdir(outs[0])):
         with open(os.path.join(outs[0], name), "rb") as fh:
             first = fh.read()

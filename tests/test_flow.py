@@ -10,6 +10,7 @@ from measured values, far below any plausible formula error.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -102,11 +103,12 @@ def test_quotient_l0_matches_primary_bitwise():
 
 
 def test_diffusion_bound_round_sphere_closed_form():
-    # k=1, u=0: T_0 = I so the trace-power bound gives 3^{1/16}; 2 e_1 = 3.
+    # k=1, u=0: T_0 = I, on which the trace-moment bound is exact (1);
+    # 2 e_1 = 3.
     geom = build_round_sphere(3, 16)
     st = ConformalState(geom, np.zeros(geom.grid.shape), 1)
     d = diffusion_bound(st)
-    assert abs(d - 3.0 ** (1.0 / 16.0) / 3.0) <= 1e-12 * d
+    assert abs(d - 1.0 / 3.0) <= 1e-12 * d
 
 
 def test_cfl_closed_form_round_sphere():
@@ -337,6 +339,40 @@ def test_run_converges_and_reports_beta():
     assert report.positive and report.c > 0
     for rec, floor in zip(recs, report.curve):
         assert floor <= rec.min_sigma * (1.0 + 1e-12)
+
+
+def test_detector_off_cadence_reads_the_residual_only(monkeypatch):
+    # Off-cadence steps evaluate the residual alone; the run must stop on
+    # the step, with the beta, of a run that keeps every row, its kept rows
+    # must equal that run's bit for bit, and it must build one full row
+    # (one F_k) per kept row.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
+    calls = []
+    f_k = ConformalState.F_k
+
+    def counting_f_k(self):
+        calls.append(self)
+        return f_k(self)
+
+    monkeypatch.setattr(ConformalState, "F_k", counting_f_k)
+    runs = {}
+    for every in (10, 1):
+        calls.clear()
+        cfg = FlowConfig(k=2, t_end=20.0, cfl_safety=0.4,
+                         monitor_every=every, convergence_tol=1e-4)
+        flow, recs = run(geom, u0, cfg)
+        runs[every] = flow, recs, len(calls)
+    (flow, recs, built), (flow1, recs1, _) = runs[10], runs[1]
+    assert flow.converged and flow1.converged
+    # the detecting row falls off the cadence, so the test exercises it
+    assert flow.step_count == flow1.step_count and flow.step_count % 10
+    assert flow.beta == flow1.beta
+    assert built == len(recs)
+    assert len(recs) == flow.step_count // 10 + 2
+    every_row = {rec.time: rec for rec in recs1}
+    for rec in recs:
+        assert repr(astuple(rec)) == repr(astuple(every_row[rec.time]))
 
 
 def test_run_detects_fixed_point_immediately():

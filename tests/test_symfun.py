@@ -6,9 +6,12 @@ and gradients via central finite differences.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrix_form import components, matrix
 from sigmaflow import fieldalg, symfun
@@ -386,7 +389,18 @@ def test_cone_mask_and_worst_violation():
     assert fieldalg.worst_violation(e[:1], 3) is None
 
 
+def eigen_spread(w):
+    """s = |W - m I|_F / sqrt(n) with m = tr W / n, batched over (..., n, n):
+    the standard deviation of the eigenvalues."""
+    n = w.shape[-1]
+    m = np.trace(w, axis1=-2, axis2=-1) / n
+    dev = w - m[..., None, None] * np.eye(n)
+    return np.sqrt(np.sum(dev * dev, axis=(-2, -1)) / n)
+
+
 def test_lambda_max_bound_brackets_true_value():
+    # Wolkowicz-Styan: m + s/sqrt(n-1) <= lam_max <= m + s sqrt(n-1), so the
+    # bound exceeds lam_max by at most s (n-2)/sqrt(n-1).
     rng = np.random.default_rng(93)
     for n in (3, 5):
         mats = []
@@ -397,5 +411,43 @@ def test_lambda_max_bound_brackets_true_value():
         w = np.stack(mats)
         bound = fieldalg.lambda_max_components(components(w), n)
         true = np.linalg.eigvalsh(w)[..., -1]
+        s = eigen_spread(w)
         assert np.all(bound >= true * (1 - 1e-12))
-        assert np.all(bound <= true * (n ** (1.0 / 16.0) + 1e-12))
+        assert np.all(bound <= true + s * (n - 2) / math.sqrt(n - 1)
+                      + 1e-12 * true)
+        # n - 1 equal eigenvalues: exact when they are the smaller ones; the
+        # upper side is attained when they are the larger ones
+        for lo, hi in ((0.3, 2.0), (-1.5, 0.7), (1.0, 1.0)):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            top = q @ np.diag([hi] + [lo] * (n - 1)) @ q.T
+            bottom = q @ np.diag([lo] + [hi] * (n - 1)) @ q.T
+            w = np.stack([top, bottom])
+            bound = fieldalg.lambda_max_components(components(w), n)
+            s = eigen_spread(w)
+            tol = 1e-12 * (abs(lo) + abs(hi))
+            assert abs(bound[0] - hi) <= tol
+            assert abs(bound[1] - hi - s[1] * (n - 2) / math.sqrt(n - 1)) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.floats(-10.0, 10.0))
+def test_lambda_max_bound_on_random_symmetric_fields(n, seed, shift):
+    # Indefinite fields, from far off isotropic to within 1e-9 of it, where a
+    # bound built from |T|^2/n - m^2 would lose s to cancellation.
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** rng.uniform(-9.0, 1.0, size=(6, 5, 1, 1))
+    centre = rng.uniform(-5.0, 5.0, size=(6, 5, 1, 1))
+    noise = rng.standard_normal((6, 5, n, n))
+    w = spread * 0.5 * (noise + np.swapaxes(noise, -1, -2)) + centre * np.eye(n)
+    bound = fieldalg.lambda_max_components(components(w), n)
+    true = np.linalg.eigvalsh(w)[..., -1]
+    s = eigen_spread(w)
+    scale = np.sqrt(np.sum(w * w, axis=(-2, -1)))
+    assert np.all(bound >= true - 1e-12 * scale)
+    assert np.all(bound <= true + s * (n - 2) / math.sqrt(n - 1)
+                  + 1e-12 * scale)
+    shifted = fieldalg.lambda_max_components(
+        components(w + shift * np.eye(n)), n)
+    assert np.all(np.abs(shifted - bound - shift)
+                  <= 1e-12 * (scale + abs(shift)))
