@@ -7,9 +7,12 @@ side from f (where u identically delta_lo is an exact solution) to the
 constant lambda, warm-starting a damped Newton iteration. Each Newton step
 assembles the Frechet derivative as a sparse matrix from the chart's
 probed Hessian and gradient matrices, and solves with restarted GMRES
-under a two-level preconditioner. lambda* is then the supremum of
-solvable lambda, located by bisection, and the eigenfunction is recovered
-by the renormalization phi = u - max u.
+(the krylov module) under a two-level preconditioner. lambda* is then the
+supremum of solvable lambda, located by bisection, and the eigenfunction
+is recovered by the renormalization phi = u - max u. Each bisection
+midpoint is first solved by Newton on the target equation from the last
+solvable u; only when that fails, or its result fails the continuation's
+checks, is the continuation rerun from scratch for it.
 
 Admissibility (W(u) in the Gamma_k+ cone) is enforced on the initial
 guess, on every accepted Newton iterate, and during line searches, where a
@@ -24,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator
 
 from . import fieldalg
 from .conformal import ConformalState, admissible_state
@@ -34,19 +36,23 @@ from .errors import (
     ContinuationFailureError,
     NonconvergenceError,
 )
+from .krylov import gmres
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 KRYLOV_RTOL = 1e-8
 # Near lambda* the Jacobian tends to c Lap_h, whose near-null constants
-# the coarse space of the preconditioner resolves: a lambda* search on
-# 16^3 takes at most 73 applies per solve (median 1 to 2), so one window
-# of 100 holds a whole solve. The basis costs restart + 1 grid fields.
+# the coarse space of the preconditioner resolves: the lambda* searches
+# of criterion 8 on 16^3 take at most 79 applies per solve (median 1), so
+# one window of 100 holds a whole solve. The basis, restart + 1 grid
+# fields, is allocated once per solve and reused by its restarts.
 KRYLOV_RESTART = 100
 KRYLOV_MAX_RESTARTS = 2
 # nodes per axis of one coarse-space aggregate
 COARSE_BLOCK = 4
 MIN_DAMPING = 2.0 ** -30
+# continuation presumes lambda >= lambda* once max u falls below this
+ESCAPE_FLOOR = -50.0
 
 
 @dataclass(frozen=True)
@@ -188,12 +194,14 @@ def _two_level(grid, jac):
 
     Near lambda* J tends to c Lap_h, whose smooth low modes Jacobi alone
     cannot resolve; the piecewise constants of Z carry them (a coarse
-    space in the manner of Nicolaides 1987).
+    space in the manner of Nicolaides 1987). Entry (I, K) of Z^T J Z sums
+    J over the rows in aggregate I and the columns in K: one bincount
+    over J's pattern.
     """
     agg, count = _aggregates(grid)
-    z = sparse.csr_array((np.ones(len(agg)), agg, np.arange(len(agg) + 1)),
-                         shape=(len(agg), count))
-    coarse = (z.T @ (jac @ z)).toarray()
+    entry = np.repeat(agg * count, np.diff(jac.indptr)) + agg[jac.indices]
+    coarse = np.bincount(entry, weights=jac.data,
+                         minlength=count * count).reshape(count, count)
     lu = scipy.linalg.lu_factor(coarse)
     inv_diag = 1.0 / jac.diagonal()
 
@@ -237,14 +245,14 @@ def _newton_direction(problem, state, res, linear):
         applies[0] += 1
 
     b = -res.reshape(-1)
-    y, info = gmres(op, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
-                    maxiter=KRYLOV_MAX_RESTARTS, callback=count,
-                    callback_type="pr_norm")
-    direction = precond(y)
-    residual = np.linalg.norm(jac @ direction - b) / np.linalg.norm(b)
+    # |b - J M^{-1} y| is |J d - b| for d = M^{-1} y
+    y, info, residual = gmres(op, b, rtol=KRYLOV_RTOL,
+                              restart=KRYLOV_RESTART,
+                              maxiter=KRYLOV_MAX_RESTARTS, callback=count)
     _add_linear(linear, {"linear_solves": 1, "linear_misses": int(info != 0),
-                         "worst_linear_residual": float(residual)})
-    return direction.reshape(res.shape), applies[0]
+                         "worst_linear_residual":
+                             residual / float(np.linalg.norm(b))})
+    return precond(y).reshape(res.shape), applies[0]
 
 
 def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
@@ -255,14 +263,16 @@ def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
     cone-violating candidate; a step that cannot make progress at minimal
     damping raises NonconvergenceError. Each iteration assembles the
     Jacobian J (problem.jacobian) and solves J d = -r by restarted GMRES
-    on the right-preconditioned operator J M^{-1}, d = M^{-1} y, with M^{-1}
-    the two-level preconditioner of _two_level.
+    (krylov.gmres) on the right-preconditioned operator J M^{-1},
+    d = M^{-1} y, with M^{-1} the two-level preconditioner of _two_level.
+    GMRES returns the residual of its last iterate, so each iteration
+    costs one product by J M^{-1} per Krylov step and per restart cycle.
 
     stats, when given, gains newton_iterations, krylov_iterations (applies
-    of J M^{-1}) and residual_history on success, and on every linear
-    solve, failed Newton attempts included, linear_solves, linear_misses
-    (GMRES ended above KRYLOV_RTOL) and worst_linear_residual
-    (max |J d + r| / |r| in the 2-norm).
+    of J M^{-1} inside the Krylov steps) and residual_history on success,
+    and on every linear solve, failed Newton attempts included,
+    linear_solves, linear_misses (GMRES ended above KRYLOV_RTOL) and
+    worst_linear_residual (max |J d + r| / |r| in the 2-norm).
     """
     geom = problem.geometry
     rhs = np.asarray(rhs, dtype=float)
@@ -333,29 +343,18 @@ class ContinuationState:
     linear: dict = field(default_factory=dict)
 
 
-def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
-                     newton_tol=NEWTON_TOL, escape_floor=-50.0):
-    """Walk the right-hand side from f to the constant lam.
-
-    The start value u identically delta_lo solves the t=0 problem exactly
-    by construction of f = sigma_k^{1/k}(S0) - h e^{delta_lo}. The t-step
-    halves on Newton failure and doubles after two easy successes; an
-    underflow below min_t_step means lam is presumed at or above lambda*.
-    The linear-solve counters of newton_solve, failed attempts included,
-    come back in the state's `linear` and in the diagnostics of a
-    ContinuationFailureError raised after the start.
-    """
+def _path_bounds(problem, lam):
+    """sigma_k^{1/k}(S0) and the maximum-principle bounds (delta_lo,
+    delta_hi) that every solution on the continuation path to lam obeys."""
     if not lam > 0.0:
         raise ConfigurationError(f"continuation target lambda={lam} must be > 0")
-    geom = problem.geometry
     h = problem.h_field()
     h_max = float(np.max(h))
     h_min = float(np.min(h))
     if h_min <= 0.0:
         raise ConfigurationError(
             "continuation needs a strictly positive coefficient h")
-
-    base = problem._state(np.zeros(geom.grid.shape))
+    base = problem._state(np.zeros(problem.geometry.grid.shape))
     s0 = base.sigma_w_table()[..., problem.k] ** (1.0 / problem.k)
     s_min = float(np.min(s0))
     s_max = float(np.max(s0))
@@ -366,31 +365,60 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
             diagnostics={"lam": lam, "s_min": s_min})
     delta_lo = min(0.0, math.log((s_min - lam) / h_max)) - 1.0
     delta_hi = max(0.0, math.log((s_max - lam) / h_min)) + 1.0
+    return s0, (delta_lo, delta_hi)
 
-    f = s0 - h * math.exp(delta_lo)
+
+def _check_solution(u, t, lam, bounds, escape_floor, stats):
+    """Raise unless u lies within the maximum-principle bounds (a
+    NonconvergenceError) and max u is at or above escape_floor (a
+    ContinuationFailureError: lam presumed >= lambda*)."""
+    delta_lo, delta_hi = bounds
+    slack = 1e-8 * (1.0 + abs(delta_lo) + abs(delta_hi))
+    if float(np.min(u)) < delta_lo - slack \
+            or float(np.max(u)) > delta_hi + slack:
+        raise NonconvergenceError(
+            f"maximum principle bounds [{delta_lo:.6g}, {delta_hi:.6g}] "
+            f"violated at t={t:.6g}",
+            diagnostics={"t": t, "min_u": float(np.min(u)),
+                         "max_u": float(np.max(u))})
+    if float(np.max(u)) < escape_floor:
+        raise ContinuationFailureError(
+            f"solutions escaping (max u < {escape_floor:g}); "
+            "lambda presumed >= lambda*",
+            diagnostics={"t": t, "max_u": float(np.max(u)), "lam": lam,
+                         **_spent(stats)})
+
+
+def _spent(stats):
+    """The work of a failed walk for a ContinuationFailureError: the
+    iterations of its converged Newton solves and its linear counters."""
+    return {"newton_iterations": stats.get("newton_iterations", 0),
+            "linear": _linear_record(stats)}
+
+
+def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
+                     newton_tol=NEWTON_TOL, escape_floor=ESCAPE_FLOOR):
+    """Walk the right-hand side from f to the constant lam.
+
+    The start value u identically delta_lo solves the t=0 problem exactly
+    by construction of f = sigma_k^{1/k}(S0) - h e^{delta_lo}. The t-step
+    halves on Newton failure and doubles after two easy successes; an
+    underflow below min_t_step means lam is presumed at or above lambda*.
+    The linear-solve counters of newton_solve, failed attempts included,
+    come back in the state's `linear` and in the diagnostics of a
+    ContinuationFailureError raised after the start, with the Newton
+    iterations of the solves that converged.
+    """
+    s0, bounds = _path_bounds(problem, lam)
+    geom = problem.geometry
+    delta_lo = bounds[0]
+    f = s0 - problem.h_field() * math.exp(delta_lo)
     path = AuxiliaryProblem(geom, problem.k, f=f, h=problem.h)
     stats = {}
     start = np.full(geom.grid.shape, delta_lo) if guess is None \
         else np.asarray(guess, dtype=float)
     u = newton_solve(path, f, start, newton_tol=newton_tol, stats=stats)
-
-    def check_bounds(u, t):
-        slack = 1e-8 * (1.0 + abs(delta_lo) + abs(delta_hi))
-        if float(np.min(u)) < delta_lo - slack \
-                or float(np.max(u)) > delta_hi + slack:
-            raise NonconvergenceError(
-                f"maximum principle bounds [{delta_lo:.6g}, {delta_hi:.6g}] "
-                f"violated at t={t:.6g}",
-                diagnostics={"t": t, "min_u": float(np.min(u)),
-                             "max_u": float(np.max(u))})
-        if float(np.max(u)) < escape_floor:
-            raise ContinuationFailureError(
-                f"solutions escaping (max u < {escape_floor:g}); "
-                "lambda presumed >= lambda*",
-                diagnostics={"t": t, "max_u": float(np.max(u)), "lam": lam,
-                             "linear": _linear_record(stats)})
-
-    check_bounds(u, 0.0)
+    _check_solution(u, 0.0, lam, bounds, escape_floor, stats)
     t = 0.0
     dt = float(t_step)
     steps = 0
@@ -409,12 +437,12 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
                     f"continuation step underflow at t={t:.6g} "
                     f"(lambda={lam:.6g} presumed >= lambda*)",
                     diagnostics={"t_reached": t, "lam": lam, "dt": dt,
-                                 "linear": _linear_record(stats)})
+                                 **_spent(stats)})
             continue
         u = u_next
         t = t_try
         steps += 1
-        check_bounds(u, t)
+        _check_solution(u, t, lam, bounds, escape_floor, stats)
         if stats.get("newton_iterations", 0) - before <= 3:
             streak += 1
             if streak >= 2:
@@ -425,8 +453,25 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
     return ContinuationState(t=1.0, u=u, lam=lam,
                              newton_iterations=stats.get("newton_iterations", 0),
                              krylov_iterations=stats.get("krylov_iterations", 0),
-                             t_steps=steps, bounds=(delta_lo, delta_hi),
+                             t_steps=steps, bounds=bounds,
                              linear=_linear_record(stats))
+
+
+def _warm_solve(problem, lam, guess, stats):
+    """Damped Newton on the target equation (rhs = lam) from guess.
+
+    Returns the solution when Newton converges and the result passes the
+    checks continuation_run applies at t = 1 (the maximum-principle bounds
+    and the escape floor), else None; stats gains newton_solve's counters
+    either way.
+    """
+    try:
+        _, bounds = _path_bounds(problem, lam)
+        u = newton_solve(problem, lam, guess, stats=stats)
+        _check_solution(u, 1.0, lam, bounds, ESCAPE_FLOOR, stats)
+    except NonconvergenceError:
+        return None
+    return u
 
 
 def maclaurin_ceiling(geometry, k):
@@ -445,17 +490,63 @@ def maclaurin_ceiling(geometry, k):
     return math.comb(n, k) ** (1.0 / k) * mean / n
 
 
+def _solve_midpoint(problem, lam, warm_start):
+    """One bisection midpoint: Newton from warm_start (_warm_solve), else
+    continuation from scratch.
+
+    Returns (u, record, spent): u is None when lam is unsolvable, record
+    is the midpoint record of lambda_star_search, and spent holds the
+    linear-solve counters of every solve the midpoint ran and, when lam is
+    solvable, the Newton and Krylov counts of the solves behind it.
+    """
+    spent = {}
+    u = _warm_solve(problem, lam, warm_start, spent)
+    record = {"lam": lam, "solvable": True, "route": "warm",
+              "newton_iterations": spent.get("newton_iterations", 0),
+              "linear_solves": 0, "error": None, "message": None}
+    if u is None:
+        record["route"] = "continuation"
+        try:
+            state = continuation_run(problem, lam)
+        except ContinuationFailureError as failure:
+            record.update(solvable=False, error=type(failure).__name__,
+                          message=str(failure))
+            walk = failure.diagnostics
+        else:
+            u = state.u
+            walk = {"newton_iterations": state.newton_iterations,
+                    "linear": state.linear}
+            spent["krylov_iterations"] = state.krylov_iterations
+        spent["newton_iterations"] = walk.get("newton_iterations", 0)
+        record["newton_iterations"] += spent["newton_iterations"]
+        _add_linear(spent, walk.get("linear", {}))
+    record["linear_solves"] = spent.get("linear_solves", 0)
+    return u, record, spent
+
+
 def lambda_star_search(problem, tolerance, guess=None, stats=None):
     """Bisect lambda between solvable and unsolvable; return (phi, lambda*).
 
     phi = u - max u from the largest solvable lambda found; lambda* is the
     final bracket midpoint. The lower end starts at a tenth of the worst
     constant-state value (guaranteed solvable), the upper end at the
-    Maclaurin ceiling (at or above lambda*, hence unsolvable).
+    Maclaurin ceiling (at or above lambda*, hence unsolvable); the lower
+    end is solved by continuation from scratch.
+
+    Each midpoint is first solved by damped Newton on the target equation
+    from the last solvable u (route "warm"). When that fails, or its
+    result fails the checks of continuation_run, the midpoint falls back
+    to continuation from scratch (route "continuation"), whose outcome is
+    the verdict.
 
     stats, when given, gains the bracket, the ceiling, the bisection count,
-    the Newton and Krylov counts of the solvable continuations, and the
-    linear-solve counters of every continuation, unsolvable ones included.
+    the Newton and Krylov counts of the solves behind the solvable
+    verdicts, the linear-solve counters of every solve, failed and
+    unsolvable ones included, and `midpoints`: one record per midpoint
+    with lam, solvable, route, newton_iterations (of the Newton solves
+    that converged), linear_solves (one per Newton iteration run, failed
+    attempts included), and for an unsolvable midpoint the error class
+    and message.
     """
     if not tolerance > 0.0:
         raise ConfigurationError(f"tolerance={tolerance} must be > 0")
@@ -469,6 +560,7 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
 
     acc = {"newton_iterations": 0, "krylov_iterations": 0, "bisections": 0,
            **_linear_record({})}
+    midpoints = []
     try:
         state = continuation_run(problem, lam_lo, guess=guess)
     except ContinuationFailureError as failure:
@@ -483,21 +575,20 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     hi = lam_hi
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        try:
-            state = continuation_run(problem, mid)
-        except ContinuationFailureError as failure:
-            _add_linear(acc, failure.diagnostics.get("linear", {}))
+        u, record, spent = _solve_midpoint(problem, mid, u_best)
+        _add_linear(acc, spent)
+        if u is None:
             hi = mid
         else:
-            _add_linear(acc, state.linear)
-            acc["newton_iterations"] += state.newton_iterations
-            acc["krylov_iterations"] += state.krylov_iterations
-            lo, u_best = mid, state.u
+            acc["newton_iterations"] += spent["newton_iterations"]
+            acc["krylov_iterations"] += spent["krylov_iterations"]
+            lo, u_best = mid, u
+        midpoints.append(record)
         acc["bisections"] += 1
 
     phi = u_best - float(np.max(u_best))
     lambda_star = 0.5 * (lo + hi)
     if stats is not None:
         stats.update(acc, ceiling=lam_hi, bracket=(lo, hi),
-                     lambda_solvable=lo)
+                     lambda_solvable=lo, midpoints=midpoints)
     return phi, lambda_star

@@ -140,35 +140,52 @@ class DerivativeMatrices:
 
     The maps, in the order combine() takes their weights, are H_ab for
     (a, b) in fieldalg.pairs(n), then G_c. hessian_components adds the
-    divergence-form trace correction D / n to each diagonal entry, so
-    H_aa is stored as its pointwise part and D once. A stored map keeps
-    its nonzeros as their positions in the pattern and their values.
+    divergence-form trace correction D / n to each diagonal entry, so H_aa
+    is stored as its pointwise part and D once, with the weight
+    sum_a w_aa / n. What is kept is the assembly operator A: row p, column
+    m * size + r holds the value of stored map m at pattern entry p, whose
+    row is r, so the pattern values of sum_m diag(w_m) L_m are A @ w for
+    the stacked weights w, the trace weight last.
     """
 
     def __init__(self, n, indptr, indices, rows, maps):
         """rows: the row of each pattern entry; maps: the stored maps,
-        pointwise H_ab, G_c, then D."""
+        pointwise H_ab, G_c, then D, back to back as (pattern positions,
+        values, end of each map). A takes their buffers over: each map is
+        sorted in place by position, which groups it by row, since the
+        pattern is in row order, and so stores it as columns of A."""
+        position, data, ends = maps
         self.indptr = indptr
         self.indices = indices
         self.size = len(indptr) - 1
-        self.count = len(maps) - 1
+        self.count = len(ends) - 1
         self._n = n
         self._with_trace = [m for m, (a, b) in enumerate(fieldalg.pairs(n))
                             if a == b]
-        self._rows = rows
         self._diagonal = np.flatnonzero(rows == indices)
-        self._maps = maps
+        column_end = np.zeros(len(ends) * self.size + 1, dtype=np.int32)
+        start = 0
+        for m, end in enumerate(ends):
+            segment = slice(start, end)
+            order = np.argsort(position[segment])
+            position[segment] = position[segment][order]
+            data[segment] = data[segment][order]
+            counts = np.bincount(rows[position[segment]], minlength=self.size)
+            column_end[m * self.size + 1:(m + 1) * self.size + 1] = \
+                start + np.cumsum(counts)
+            start = end
+        self._assembly = sparse.csc_array(
+            (data, position, column_end),
+            shape=(len(indices), len(column_end) - 1))
 
     def combine(self, weights, diagonal=0.0):
         """sum_m diag(weights[m]) L_m + diag(diagonal) as a CSR array over
         the maps L_m above; weights is (count, size), diagonal a scalar or
         (size,)."""
-        trace = sum(weights[m] for m in self._with_trace) / self._n
-        data = np.zeros(len(self.indices))
-        for w, (position, values) in zip([*weights, trace], self._maps):
-            scaled = w[self._rows[position]]
-            scaled *= values
-            np.add.at(data, position, scaled)
+        stacked = np.empty((self.count + 1, self.size))
+        stacked[:-1] = weights
+        stacked[-1] = sum(weights[m] for m in self._with_trace) / self._n
+        data = self._assembly @ stacked.reshape(-1)
         data[self._diagonal] += diagonal
         return sparse.csr_array((data, self.indices, self.indptr),
                                 shape=(self.size, self.size))
@@ -562,23 +579,27 @@ class BackgroundGeometry:
                                  for out in outs]
                 start = end
 
-        # Probing twice, once to count the nonzeros, allocates every map
-        # once at its size: growing them leaves a fragmented heap that
-        # costs more resident memory than the maps themselves.
+        # Probing twice, once to count the nonzeros, allocates the stored
+        # maps once at their size, back to back in one buffer: growing
+        # them leaves a fragmented heap that costs more resident memory
+        # than the maps themselves.
         n = self.grid.ndim
         counts = np.zeros(len(fieldalg.pairs(n)) + n + 1, dtype=int)
         for _, values in probes():
             counts += [np.count_nonzero(v) for v in values]
-        maps = [(np.empty(c, dtype=np.int32), np.empty(c)) for c in counts]
-        filled = np.zeros_like(counts)
-        for position, values in probes():
+        stored = np.cumsum(counts)
+        position = np.empty(stored[-1], dtype=np.int32)
+        data = np.empty(stored[-1])
+        filled = stored - counts
+        for entries, values in probes():
             for m, v in enumerate(values):
                 keep = v != 0.0
                 start, end = filled[m], filled[m] + np.count_nonzero(keep)
-                maps[m][0][start:end] = position[keep]
-                maps[m][1][start:end] = v[keep]
+                position[start:end] = entries[keep]
+                data[start:end] = v[keep]
                 filled[m] = end
-        return DerivativeMatrices(n, indptr, indices, rows, maps)
+        return DerivativeMatrices(n, indptr, indices, rows,
+                                  (position, data, stored))
 
     def _coupling_table(self):
         """The columns each node couples to in hessian_components and

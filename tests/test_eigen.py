@@ -33,7 +33,11 @@ from sigmaflow.errors import (
     ContinuationFailureError,
     NonconvergenceError,
 )
-from sigmaflow.geometry import build_hopf_product, build_round_sphere
+from sigmaflow.geometry import (
+    build_hopf_product,
+    build_round_sphere,
+    build_synthetic,
+)
 
 S_OF_K = {1: 1.5, 2: math.sqrt(3.0) / 2.0, 3: 0.5}
 
@@ -308,6 +312,69 @@ def test_lambda_star_search_bracket_and_linear_solves():
     assert stats["linear_solves"] >= stats["newton_iterations"] > 0
     assert stats["linear_misses"] == 0
     assert 0.0 < stats["worst_linear_residual"] <= eigen.KRYLOV_RTOL
+
+
+def test_lambda_star_search_midpoint_records():
+    # On S^3 the ceiling is lambda*, so every midpoint is solvable and the
+    # warm Newton start from the last solvable u carries each one. The
+    # records account for the search's counters.
+    geom = build_round_sphere(3, 16)
+    stats = {}
+    lambda_star_search(AuxiliaryProblem(geom, 2), 2.5e-3, stats=stats)
+    records = stats["midpoints"]
+    assert len(records) == stats["bisections"] == 9
+    assert [r["lam"] for r in records] == sorted(r["lam"] for r in records)
+    assert records[-1]["lam"] == stats["lambda_solvable"]
+    for r in records:
+        assert r["solvable"] and r["route"] == "warm"
+        assert r["error"] is None and r["message"] is None
+        assert 0 < r["newton_iterations"] == r["linear_solves"]
+    assert stats["newton_iterations"] > sum(r["newton_iterations"]
+                                            for r in records)
+
+
+def test_lambda_star_search_falls_back_when_warm_start_fails(monkeypatch):
+    # The warm attempts run and are then rejected, so every midpoint is
+    # decided by continuation from scratch: the bracket must be the one
+    # pinned above, and the rejected attempts' solves stay counted.
+    warm_solve = eigen._warm_solve
+
+    def rejected(problem, lam, guess, stats):
+        warm_solve(problem, lam, guess, stats)
+        return None
+
+    monkeypatch.setattr(eigen, "_warm_solve", rejected)
+    geom = build_round_sphere(3, 16)
+    stats = {}
+    lambda_star_search(AuxiliaryProblem(geom, 2), 2.5e-3, stats=stats)
+    assert stats["bracket"] == (0.86450309350434895, 0.86602540378443871)
+    for r in stats["midpoints"]:
+        assert r["solvable"] and r["route"] == "continuation"
+        assert r["linear_solves"] >= r["newton_iterations"] > 0
+    assert stats["linear_solves"] > stats["newton_iterations"]
+
+
+def test_lambda_star_search_unsolvable_midpoints():
+    # A constant Schouten tensor diag(1, 2, 3) on the flat torus: constants
+    # solve the target equation up to min sigma_2^(1/2)(S0) = sqrt(11), and
+    # above it continuation cannot even start, so the upper midpoints are
+    # unsolvable. The bracket is pinned to the one of continuation from
+    # scratch at every midpoint.
+    geom = build_synthetic(3, [1.0, 2.0, 3.0], 16, fd_order=2)
+    stats = {}
+    _, lam = lambda_star_search(AuxiliaryProblem(geom, 2), 1e-2, stats=stats)
+    assert stats["bracket"] == (3.311150485445264, 3.3172685306329637)
+    assert abs(lam - math.sqrt(11.0)) <= 1e-2
+    failed = [r for r in stats["midpoints"] if not r["solvable"]]
+    assert [r["lam"] for r in failed] == [3.366212892134561,
+                                          3.3172685306329637]
+    for r in failed:
+        assert r["route"] == "continuation"
+        assert r["error"] == "ContinuationFailureError"
+        assert "cannot bracket" in r["message"]
+    for r in stats["midpoints"]:
+        if r["solvable"]:
+            assert r["route"] == "warm" and r["error"] is None
 
 
 def test_linear_misses_are_counted_not_raised(monkeypatch):
