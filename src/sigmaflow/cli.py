@@ -86,22 +86,22 @@ class RunConfig:
     """Validated settings for one subcommand invocation."""
 
     subcommand: str
-    chart: str or None = None
-    n: int or None = None
-    k: int or None = None
-    quotient_l: int or None = None
-    resolution: int or None = None
-    t_end: float or None = None
-    dt: float or None = None
+    chart: str | None = None
+    n: int | None = None
+    k: int | None = None
+    quotient_l: int | None = None
+    resolution: int | None = None
+    t_end: float | None = None
+    dt: float | None = None
     cfl_safety: float = 0.4
-    tolerance: float or None = None
+    tolerance: float | None = None
     output_dir: str = "."
-    snapshot_interval: float or None = None
+    snapshot_interval: float | None = None
     seed: int = 0
     amplitude: float = 0.1
     radius: float = 1.0
-    fd_order: int or None = None
-    s0_diag: tuple or None = None
+    fd_order: int | None = None
+    s0_diag: tuple | None = None
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,14 @@ class ConeReport:
     """Worst-node summary of the pointwise Gamma_k+ test."""
 
     label: ConeLabel
-    node: tuple or None
-    value: float or None
+    node: tuple | None
+    value: float | None
     n_violations: int
 
 
 def w_components(geom, u):
-    """W(u) in the orthonormal frame as fieldalg components, plus |grad u|^2.
+    """W(u) in the orthonormal frame as fieldalg components, with the frame
+    gradient components and |grad u|^2 it is built from.
 
     The one place W is assembled.
     """
@@ -49,7 +50,7 @@ def w_components(geom, u):
             w_ab -= half
         if geom.schouten0[a, b] != 0.0:
             w_ab += geom.schouten0[a, b]
-    return w, norm2
+    return w, grad, norm2
 
 
 def admissible_state(geom, u, k):
@@ -102,8 +103,12 @@ class ConformalState:
     def max_abs_w(self):
         return float(max(np.max(np.abs(c)) for c in self.w_components()))
 
-    def grad_norm2(self):
+    def frame_gradient(self):
+        """The frame gradient components of u that W was built from."""
         return self._w()[1]
+
+    def grad_norm2(self):
+        return self._w()[2]
 
     def sigma_w_table(self):
         """Elementary symmetric functions e_0..e_k of W, (..., k+1)."""

@@ -67,8 +67,8 @@ class AuxiliaryProblem:
 
     geometry: object
     k: int
-    f: np.ndarray or None = None
-    h: np.ndarray or float = 1.0
+    f: np.ndarray | None = None
+    h: np.ndarray | float = 1.0
     bound: float = field(init=False, default=None)
 
     def __post_init__(self):
@@ -131,7 +131,7 @@ class AuxiliaryProblem:
         n = geom.grid.ndim
         ek = state.sigma_w_table()[..., self.k]
         t_field = state.newton_components()
-        grad_u, _ = geom.frame_gradient(geom.partials(state.u))
+        grad_u = state.frame_gradient()
         pairs = fieldalg.pairs(n)
         maps = geom.derivative_matrices()
         weights = np.empty((maps.count,) + geom.grid.shape)
@@ -161,7 +161,7 @@ def _frechet_apply(problem, state, rho):
     ek = state.sigma_w_table()[..., k]
     t_field = state.newton_components()
     prefac = (ek ** (1.0 / k - 1.0)) / k
-    grad_u, _ = geom.frame_gradient(geom.partials(state.u))
+    grad_u = state.frame_gradient()
     zeroth = problem.h_field() * np.exp(state.u)
     jet = geom.scalar_jet(rho)
     hess = geom.hessian_components(rho, jet=jet)

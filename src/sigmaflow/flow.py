@@ -49,11 +49,11 @@ class FlowConfig:
 
     k: int
     t_end: float
-    dt_initial: float or None = None
+    dt_initial: float | None = None
     cfl_safety: float = 0.4
     monitor_every: int = 1
     convergence_tol: float = 1e-5
-    quotient_l: int or None = None
+    quotient_l: int | None = None
     scheme: str = "euler"
 
     def __post_init__(self):
@@ -98,7 +98,7 @@ class MonitorRecord:
     max_abs_W: float
     harnack: float
     max_abs_u: float
-    dissipation_rhs: float or None
+    dissipation_rhs: float | None
     l2_sigma: float
     rel_residual: float
 
@@ -119,7 +119,7 @@ class FlowState:
     rejected: int = 0
     cfl_limited: int = 0
     converged: bool = False
-    beta: float or None = None
+    beta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,9 @@ class PositivityReport:
     """Largest double-exponential floor consistent with a monitor series."""
 
     positive: bool
-    c: float or None
-    curve: tuple or None
-    first_violation_time: float or None
+    c: float | None
+    curve: tuple | None
+    first_violation_time: float | None
 
 
 # ----------------------------------------------------------------- speed

@@ -27,6 +27,7 @@ and gradient of a scalar as sparse matrices, probed from the stencils.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -233,7 +234,28 @@ class BackgroundGeometry:
         self._christoffel_diag = [
             [(c, dlog[a][c] / lame[c] ** 2) for c in range(grid.ndim)
              if c != a and dlog[a][c] is not None] for a in range(grid.ndim)]
+        # (nodes before, along, after) each axis in C order
+        self._layout = [(math.prod(grid.shape[:a]), grid.shape[a],
+                         math.prod(grid.shape[a + 1:])) for a in range(grid.ndim)]
         self._derivative_matrices = None
+
+    @functools.cached_property
+    def _kernel(self):
+        """Stencil tables, built on first use: per polar axis the flux
+        coefficients as tiles of the padded layout (zero past the faces)
+        and each node's antipode; pad's ghost sources by (axis, width); and
+        the work buffers every stencil call reuses and no result aliases."""
+        polar = {}
+        for a, c in self._polar.items():
+            pre, n, st = self._layout[a]
+            tiles = np.zeros((len(c.flux), 1, n + 2 * c.width, st))
+            tiles[:, 0, :n + 1] = [coef.reshape(-1, 1) for _, coef in c.flux]
+            polar[a] = tiles, np.ravel_multi_index(
+                np.ix_(*self._antipode_maps(a)), self.grid.shape)
+        # a padded field and its shifts, at most 3 ghost layers
+        length = max((pre * (n + 6) + 6) * st for pre, n, st in self._layout)
+        return {"polar": polar, "ghosts": {},
+                "work": [np.zeros(length) for _ in range(5)]}
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar
@@ -293,47 +315,46 @@ class BackgroundGeometry:
 
     # ------------------------------------------------------------- ghosts
 
-    def _antipode_tail(self, slab, axis):
-        """Apply the pole-crossing identification to the axes after `axis`."""
-        out = slab
-        for a in range(axis + 1, self.grid.ndim):
-            if self.grid.axis_kind[a] == POLE:
-                out = np.flip(out, axis=a)
-            else:
-                out = np.roll(out, self.grid.shape[a] // 2, axis=a)
-        return out
+    def _antipode_maps(self, axis):
+        """Per-axis source nodes of the pole identification across `axis`:
+        later polar angles reflect, later periodic axes shift half a period."""
+        return [np.arange(m) if b <= axis else m - 1 - np.arange(m) if kind == POLE
+                else (np.arange(m) + m // 2) % m for b, (m, kind)
+                in enumerate(zip(self.grid.shape, self.grid.axis_kind))]
 
-    def _component_sign(self, comp, axis):
-        # d/dx_comp flips across the pole of `axis` when comp is the axis
-        # itself or a later polar angle (those reflect under the antipode).
-        if comp is None:
-            return 1.0
-        if comp == axis:
-            return -1.0
-        if comp > axis and self.grid.axis_kind[comp] == POLE:
-            return -1.0
-        return 1.0
-
-    def pad(self, f, axis, width, comp=None):
-        """Extend f by ghost layers along one axis.
+    def pad(self, f, axis, width, comp=None, out=None):
+        """Extend f by ghost layers along one axis; out, when given, is a
+        flat buffer of the padded size to fill.
 
         comp labels f as the comp-th partial derivative of a scalar (None
         for plain scalars); pole ghosts of such components carry the parity
         sign of the identification.
         """
         f = np.asarray(f)
-        n = f.shape[axis]
-        kind = self.grid.axis_kind[axis]
-        if kind == PERIODIC:
-            lo = _slice_axis(f, axis, slice(n - width, n))
-            hi = _slice_axis(f, axis, slice(0, width))
-            return np.concatenate([lo, f, hi], axis=axis)
-        sign = self._component_sign(comp, axis)
-        head = self._antipode_tail(_slice_axis(f, axis, slice(0, width)), axis)
-        tail = self._antipode_tail(_slice_axis(f, axis, slice(n - width, n)), axis)
-        lo = sign * np.flip(head, axis=axis)
-        hi = sign * np.flip(tail, axis=axis)
-        return np.concatenate([lo, f, hi], axis=axis)
+        pre, n, st = self._layout[axis]
+        shape = self.grid.shape[:axis] + (n + 2 * width,) + self.grid.shape[axis + 1:]
+        p = np.empty(shape, f.dtype) if out is None else out.reshape(shape)
+        body = p.reshape(pre, n + 2 * width, st)
+        body[:, width:width + n] = f.reshape(pre, n, st)
+        pole = self.grid.axis_kind[axis] == POLE
+        ghosts = self._kernel["ghosts"]
+        if (axis, width) not in ghosts:  # source nodes of the two ghost slabs
+            maps = self._antipode_maps(axis if pole else self.grid.ndim)
+            ends = ((np.arange(width)[::-1], n - 1 - np.arange(width)) if pole
+                    else (np.arange(n - width, n), np.arange(width)))
+            ghosts[axis, width] = [np.ravel_multi_index(
+                np.ix_(*maps[:axis], end, *maps[axis + 1:]),
+                self.grid.shape).reshape(pre, width, st) for end in ends]
+        # d/dx_comp flips across the pole when comp is the axis itself or
+        # a later polar angle (those reflect under the antipode)
+        flip = pole and comp is not None and (
+            comp == axis or comp > axis and self.grid.axis_kind[comp] == POLE)
+        for ghost, index in zip((body[:, :width], body[:, width + n:]),
+                                ghosts[axis, width]):
+            ghost[...] = np.take(f.reshape(-1), index)
+            if flip:
+                np.negative(ghost, out=ghost)
+        return p
 
     # ----------------------------------------------------------- stencils
 
@@ -346,37 +367,44 @@ class BackgroundGeometry:
         constant along the axis difference to bitwise zero; a plain
         weighted sum leaves ~1e-17 dust on constants, and near the poles
         that dust seeds stiff rows that an explicit step then amplifies.
-        Arithmetic runs in place on a few fresh arrays: at these sizes a
-        temporary costs as much as the arithmetic.
+        A shift by s nodes is a flat shift by s strides of the padded buffer,
+        so every operand is a contiguous run of a work buffer; the last
+        operation of each chain takes the interior out into a new array.
         """
         h = self.grid.spacing[axis]
-        n = self.grid.shape[axis]
+        pre, n, st = self._layout[axis]
         polar = second and axis in self._polar
         width = self._polar[axis].width if polar else self.fd_order // 2
-        p = self.pad(f, axis, width, comp)
-        take = lambda s: _slice_axis(p, axis, slice(width + s, width + s + n))
-        first = take(1) - take(-1)
+        size = pre * (n + 2 * width) * st
+        work = self._kernel["work"]
+        p = work[0][:size + 2 * width * st]
+        self.pad(f, axis, width, comp, out=p[:size])
+        one, two, tmp = (buf[:size] for buf in work[1:4])
+        take = lambda s: p[(width + s) * st:(width + s) * st + size]
+        interior = lambda buf, scale: np.multiply(
+            buf.reshape(pre, -1, st)[:, :n], scale,
+            out=np.empty((pre, n, st))).reshape(self.grid.shape)
+        first = np.subtract(take(1), take(-1), out=one)
         if self.fd_order == 2:
-            first *= 0.5 / h
+            first = interior(first, 0.5 / h)
             if not second:
                 return first
-            d2 = take(-1) - take(0)
-            d2 += take(1) - take(0)
-            d2 *= 1.0 / (h * h)
+            d2 = np.subtract(take(-1), take(0), out=two)
+            d2 += np.subtract(take(1), take(0), out=tmp)
+            d2 = interior(d2, 1.0 / (h * h))
         else:
             first *= 8.0
-            tmp = take(-2) - take(2)
-            first += tmp
-            first *= 1.0 / (12.0 * h)
+            first += np.subtract(take(-2), take(2), out=tmp)
+            first = interior(first, 1.0 / (12.0 * h))
             if not second:
                 return first
             t0 = take(0)
-            d2 = take(-1) - t0
+            d2 = np.subtract(take(-1), t0, out=two)
             d2 += np.subtract(take(1), t0, out=tmp)
             d2 *= 16.0
             d2 -= np.subtract(take(-2), t0, out=tmp)
             d2 -= np.subtract(take(2), t0, out=tmp)
-            d2 *= 1.0 / (12.0 * h * h)
+            d2 = interior(d2, 1.0 / (12.0 * h * h))
         defect = self._polar_defect(p, first, d2, axis) if polar else None
         return first, d2, defect
 
@@ -433,19 +461,24 @@ class BackgroundGeometry:
         criterion 7), so it goes without them.
         """
         c = self._polar[axis]
-        n = self.grid.shape[axis]
-        du = np.diff(p, axis=axis)
-        face = lambda k: _slice_axis(du, axis, slice(c.width - 1 + k, c.width + k + n))
-        (k, coef), *rest = c.flux
-        flux = coef * face(k)
-        tmp = np.empty_like(flux)
+        tiles, antipode = self._kernel["polar"][axis]
+        pre, n, st = self._layout[axis]
+        size = pre * (n + 2 * c.width) * st
+        du, flux, tmp = self._kernel["work"][1:4]
+        du = np.subtract(p[st:], p[:-st], out=du[:len(p) - st])
+        face = lambda k: du[(c.width - 1 + k) * st:][:size].reshape(pre, -1, st)
+        flux = flux[:size].reshape(pre, -1, st)
+        (k, coef), *rest = zip((k for k, _ in c.flux), tiles)
+        np.multiply(coef, face(k), out=flux)
         for k, coef in rest:
-            flux += np.multiply(coef, face(k), out=tmp)
-        out = np.diff(flux, axis=axis)
+            flux += np.multiply(coef, face(k), out=tmp[:size].reshape(flux.shape))
+        out = np.empty(self.grid.shape)
+        np.subtract(flux[:, 1:n + 1], flux[:, :n], out=out.reshape(pre, n, st))
         out /= c.hs
         out -= d2
-        out -= c.kappa * first
-        out += self._antipode_tail(out, axis)
+        tmp = tmp[:out.size].reshape(out.shape)
+        out -= np.multiply(c.kappa, first, out=tmp)
+        out += np.take(out, antipode, out=tmp, mode="clip")
         out *= 0.5
         return out
 
@@ -477,14 +510,14 @@ class BackgroundGeometry:
             seconds.append(second)
             if extra is not None:
                 extra *= self._inv_lame2[a]
-                defect = defect + extra
+                defect = np.add(defect, extra, out=extra)
         return parts, seconds, defect
 
     def frame_gradient(self, parts):
-        """Orthonormal-frame gradient components and |grad u|^2 wrt g0."""
-        grad = [p * inv for p, inv in zip(parts, self._inv_lame)]
+        """Frame gradient components (parts scaled in place), |grad u|^2 wrt g0."""
+        grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, self._inv_lame)]
         norm2 = grad[0] * grad[0]
-        tmp = np.empty_like(norm2)
+        tmp = self._kernel["work"][4][:norm2.size].reshape(norm2.shape)
         for g in grad[1:]:
             norm2 += np.multiply(g, g, out=tmp)
         return grad, norm2
@@ -501,11 +534,13 @@ class BackgroundGeometry:
         entries have the stencil's order except in the rows next to a
         pole, where the part of u that is even under the pole
         identification can drop to second order (see _polar_defect).
-        Pass jet from scalar_jet to reuse the differences.
+        Pass jet from scalar_jet to reuse the differences; its second
+        differences and defect are overwritten, its partials kept.
         """
         n = self.grid.ndim
         parts, seconds, defect = jet if jet is not None else self.scalar_jet(u)
-        iso = defect / n
+        iso = np.divide(defect, n, out=defect if np.ndim(defect) else None)
+        tmp = self._kernel["work"][4][:seconds[0].size].reshape(seconds[0].shape)
         out = []
         for a, b in fieldalg.pairs(n):
             if a == b:
@@ -514,18 +549,18 @@ class BackgroundGeometry:
                 # depend on later coordinates. Fields constant along later
                 # axes then produce bitwise-constant output along them, so
                 # exact discrete symmetries of initial data survive stepping.
-                val = seconds[a] * self._inv_lame2[a]
+                val = np.multiply(seconds[a], self._inv_lame2[a], out=seconds[a])
                 if self.dlog[a][a] is not None:
-                    val -= self.dlog[a][a] * parts[a] * self._inv_lame2[a]
+                    np.multiply(self.dlog[a][a], parts[a], out=tmp)
+                    val -= np.multiply(tmp, self._inv_lame2[a], out=tmp)
                 for c, coef in self._christoffel_diag[a]:
-                    val += coef * parts[c]
+                    val += np.multiply(coef, parts[c], out=tmp)
                 val += iso
             else:
                 val = self.d1(parts[b], a, comp=b)
-                if self.dlog[a][b] is not None:
-                    val -= self.dlog[a][b] * parts[a]
-                if self.dlog[b][a] is not None:
-                    val -= self.dlog[b][a] * parts[b]
+                for c, d in ((a, b), (b, a)):
+                    if self.dlog[c][d] is not None:
+                        val -= np.multiply(self.dlog[c][d], parts[c], out=tmp)
                 val *= self._inv_lame[a] * self._inv_lame[b]
             out.append(val)
         return out
@@ -612,7 +647,7 @@ class BackgroundGeometry:
                           dtype=np.int32).reshape(self.grid.shape)
 
         def shifts(axis, width):
-            p = self.pad(index, axis, width).astype(np.int32)
+            p = self.pad(index, axis, width)
             m = self.grid.shape[axis]
             return [_slice_axis(p, axis, slice(width + s, width + s + m))
                     .reshape(-1) for s in range(-width, width + 1)]
@@ -621,7 +656,7 @@ class BackgroundGeometry:
         columns = [c for cols in first for c in cols]
         for a in range(n):
             if a in self._polar:
-                antipode = self._antipode_tail(index, a).reshape(-1)
+                antipode = self._kernel["polar"][a][1].reshape(-1)
                 for c in shifts(a, self._polar[a].width):
                     columns += [c, c[antipode]]
             for b in range(a + 1, n):
