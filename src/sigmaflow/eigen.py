@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator
+from scipy import sparse
 
 from . import fieldalg
 from .conformal import ConformalState, admissible_state
@@ -176,40 +177,30 @@ def _frechet_apply(problem, state, rho):
     return prefac * inner - zeroth * rho
 
 
-def _aggregates(grid):
-    """Coarse-space aggregate of every node (flattened), COARSE_BLOCK nodes
-    per axis, and the number of aggregates."""
-    counts = [-(-size // COARSE_BLOCK) for size in grid.shape]
-    index = np.zeros((1,) * grid.ndim, dtype=np.intp)
-    for axis, (size, count) in enumerate(zip(grid.shape, counts)):
-        index = index * count + grid.axis_vector(
-            axis, np.arange(size) // COARSE_BLOCK).astype(np.intp)
-    return np.broadcast_to(index, grid.shape).reshape(-1), math.prod(counts)
-
-
-def _two_level(grid, jac):
+def _two_level(maps, jac):
     """x = M^{-1} y: an exact solve on the span of the aggregate
     indicators Z (the coarse matrix Z^T J Z factored densely), then one
     Jacobi sweep with J's diagonal.
 
     Near lambda* J tends to c Lap_h, whose smooth low modes Jacobi alone
     cannot resolve; the piecewise constants of Z carry them (a coarse
-    space in the manner of Nicolaides 1987). Entry (I, K) of Z^T J Z sums
-    J over the rows in aggregate I and the columns in K: one bincount
-    over J's pattern.
+    space in the manner of Nicolaides 1987). Z c is constant on each
+    aggregate, so the sweep reads J Z c = (J Z) c, not J: J Z and Z^T J Z
+    are one bincount each through the chart's map of J's pattern onto
+    J Z's (DerivativeMatrices.coarse_space, built once per chart).
     """
-    agg, count = _aggregates(grid)
-    entry = np.repeat(agg * count, np.diff(jac.indptr)) + agg[jac.indices]
-    coarse = np.bincount(entry, weights=jac.data,
+    agg, count, slot, indices, indptr, entry = maps.coarse_space(COARSE_BLOCK)
+    jz = np.bincount(slot, weights=jac.data, minlength=len(indices))
+    coarse = np.bincount(entry, weights=jz,
                          minlength=count * count).reshape(count, count)
+    jz = sparse.csr_array((jz, indices, indptr), shape=(maps.size, count))
     lu = scipy.linalg.lu_factor(coarse)
-    inv_diag = 1.0 / jac.diagonal()
+    inv_diag = 1.0 / jac.data[maps.diagonal]
 
     def apply(y):
-        x = scipy.linalg.lu_solve(lu, np.bincount(agg, weights=y,
-                                                  minlength=count))[agg]
-        x += (y - jac @ x) * inv_diag
-        return x
+        rhs = np.bincount(agg, weights=y, minlength=count)
+        c = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        return c[agg] + (y - jz @ c) * inv_diag
 
     return apply
 
@@ -235,10 +226,9 @@ def _newton_direction(problem, state, res, linear):
     """Solve J d = -res; returns d and the number of applies of J M^{-1},
     and records the solve's outcome in the dict linear."""
     jac = problem._jacobian_of(state)
-    precond = _two_level(problem.geometry.grid, jac)
-    size = res.size
-    op = LinearOperator((size, size),
-                        matvec=lambda y: jac @ precond(y.reshape(-1)))
+    precond = _two_level(problem.geometry.derivative_matrices(), jac)
+    op = SimpleNamespace(shape=jac.shape, dtype=jac.dtype,
+                         matvec=lambda y: jac @ precond(y))
     applies = [0]
 
     def count(_):
@@ -263,10 +253,10 @@ def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
     cone-violating candidate; a step that cannot make progress at minimal
     damping raises NonconvergenceError. Each iteration assembles the
     Jacobian J (problem.jacobian) and solves J d = -r by restarted GMRES
-    (krylov.gmres) on the right-preconditioned operator J M^{-1},
-    d = M^{-1} y, with M^{-1} the two-level preconditioner of _two_level.
-    GMRES returns the residual of its last iterate, so each iteration
-    costs one product by J M^{-1} per Krylov step and per restart cycle.
+    (krylov.gmres) on J M^{-1} preconditioned from the right, d = M^{-1} y,
+    with M^{-1} the two-level preconditioner of _two_level, whose coarse
+    correction reads J Z. GMRES returns the residual of its last iterate,
+    so an iteration costs one product by J per Krylov step and per cycle.
 
     stats, when given, gains newton_iterations, krylov_iterations (applies
     of J M^{-1} inside the Krylov steps) and residual_history on success,

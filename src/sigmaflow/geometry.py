@@ -116,22 +116,25 @@ def _slice_axis(arr, axis, sl):
     return arr[tuple(idx)]
 
 
-def _greedy_colouring(table, rows, indices):
+def _greedy_colouring(rows, indices, size):
     """Colour the columns of a sparse pattern so that no row holds two
-    columns of one colour; returns one colour per column. table lists
-    each row's columns (repeats allowed), rows and indices are the
-    pattern's entries."""
-    size = len(table)
+    columns of one colour, first fit in column order; returns one colour
+    per column. rows and indices are the pattern's entries, size its
+    number of columns. Each row keeps its columns' colours so far as the
+    bits of one Python int."""
     holders = rows[np.argsort(indices, kind="stable")]
-    ends = np.cumsum(np.bincount(indices, minlength=size))
-    colour = np.full(size, -1, dtype=np.int32)
-    start = 0
-    for j, end in enumerate(ends):
-        taken = colour[table[holders[start:end]]].reshape(-1)
-        free = np.ones(len(taken) + 1, dtype=bool)
-        free[taken[taken >= 0]] = False
-        colour[j] = np.argmax(free)
-        start = end
+    ends = np.cumsum(np.bincount(indices, minlength=size)).tolist()
+    used = [0] * size
+    colour = np.empty(size, dtype=np.int32)
+    for j, (start, end) in enumerate(zip([0] + ends, ends)):
+        held = holders[start:end].tolist()
+        taken = 0
+        for r in held:
+            taken |= used[r]
+        bit = ~taken & (taken + 1)
+        for r in held:
+            used[r] |= bit
+        colour[j] = bit.bit_length() - 1
     return colour
 
 
@@ -149,7 +152,7 @@ class DerivativeMatrices:
     the stacked weights w, the trace weight last.
     """
 
-    def __init__(self, n, indptr, indices, rows, maps):
+    def __init__(self, grid_shape, indptr, indices, rows, maps):
         """rows: the row of each pattern entry; maps: the stored maps,
         pointwise H_ab, G_c, then D, back to back as (pattern positions,
         values, end of each map). A takes their buffers over: each map is
@@ -158,12 +161,14 @@ class DerivativeMatrices:
         position, data, ends = maps
         self.indptr = indptr
         self.indices = indices
+        self.grid_shape = grid_shape
         self.size = len(indptr) - 1
         self.count = len(ends) - 1
-        self._n = n
-        self._with_trace = [m for m, (a, b) in enumerate(fieldalg.pairs(n))
-                            if a == b]
-        self._diagonal = np.flatnonzero(rows == indices)
+        self._n = len(grid_shape)
+        self._with_trace = [m for m, (a, b)
+                            in enumerate(fieldalg.pairs(self._n)) if a == b]
+        self.diagonal = np.flatnonzero(rows == indices)
+        self._coarse = {}
         column_end = np.zeros(len(ends) * self.size + 1, dtype=np.int32)
         start = 0
         for m, end in enumerate(ends):
@@ -187,9 +192,39 @@ class DerivativeMatrices:
         stacked[:-1] = weights
         stacked[-1] = sum(weights[m] for m in self._with_trace) / self._n
         data = self._assembly @ stacked.reshape(-1)
-        data[self._diagonal] += diagonal
+        data[self.diagonal] += diagonal
         return sparse.csr_array((data, self.indices, self.indptr),
                                 shape=(self.size, self.size))
+
+    def coarse_space(self, block):
+        """The aggregates of block nodes per axis, and the pattern of L Z
+        for every L from combine, Z the aggregates' indicator columns:
+        (agg, count, slot, indices, indptr, entry), the aggregate of every
+        node, their number, the L Z entry of every pattern entry, L Z's
+        CSR pattern and the flat entry of Z^T L Z of every L Z entry.
+        Built on the first call per block and kept."""
+        if block not in self._coarse:
+            counts = [-(-size // block) for size in self.grid_shape]
+            agg = np.ravel_multi_index(tuple(np.indices(self.grid_shape)
+                                             // block), counts)
+            agg = agg.astype(np.int32).ravel()
+            count = math.prod(counts)
+            # per entry row * count + its column's aggregate, then in place
+            # its L Z entry; in parts, so no temporary spans the pattern
+            dtype = np.int32 if self.size * count < 2 ** 31 else np.int64
+            slot = np.repeat(np.arange(0, self.size * count, count,
+                                       dtype=dtype), np.diff(self.indptr))
+            parts = np.array_split(slot, 16)
+            for part, cols in zip(parts, np.array_split(self.indices, 16)):
+                part += agg[cols]
+            unique = np.unique(np.concatenate([np.unique(p) for p in parts]))
+            for part in parts:
+                part[:] = np.searchsorted(unique, part)
+            rows, columns = np.divmod(unique, count)
+            indptr = np.searchsorted(rows, np.arange(self.size + 1))
+            self._coarse[block] = (agg, count, slot, columns, indptr,
+                                   agg[rows] * count + columns)
+        return self._coarse[block]
 
 
 class BackgroundGeometry:
@@ -591,9 +626,9 @@ class BackgroundGeometry:
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
         indices = table[keep]
         del keep
-        rows = np.repeat(np.arange(size, dtype=np.int32), np.diff(indptr))
-        colour = _greedy_colouring(table, rows, indices)
         del table
+        rows = np.repeat(np.arange(size, dtype=np.int32), np.diff(indptr))
+        colour = _greedy_colouring(rows, indices, size)
         # pattern entries grouped by the colour of their column
         order = np.argsort(colour[indices], kind="stable").astype(np.int32)
         ends = np.cumsum(np.bincount(colour[indices]))
@@ -633,7 +668,7 @@ class BackgroundGeometry:
                 position[start:end] = entries[keep]
                 data[start:end] = v[keep]
                 filled[m] = end
-        return DerivativeMatrices(n, indptr, indices, rows,
+        return DerivativeMatrices(shape, indptr, indices, rows,
                                   (position, data, stored))
 
     def _coupling_table(self):

@@ -24,7 +24,7 @@ EPS = np.finfo(float).eps
 def gmres(A, b, rtol=1e-5, restart=20, maxiter=1, callback=None):
     """Solve A x = b from x = 0 by GMRES(restart).
 
-    A needs only a matvec method (a scipy LinearOperator, for one).
+    A needs only a matvec method that returns a new float array to work in.
     Stops once |b - A x| <= rtol |b| (2-norms) or after maxiter cycles.
     callback, when given, is called once per inner iteration with the
     estimated relative residual. Returns (x, info, residual): info is 0 on
@@ -47,7 +47,7 @@ def gmres(A, b, rtol=1e-5, restart=20, maxiter=1, callback=None):
         size = 0
         np.multiply(r, 1.0 / rnorm, out=basis[0])
         for j in range(m):
-            w = A.matvec(basis[j]).astype(float)  # a copy to work in
+            w = A.matvec(basis[j])
             scale = float(np.linalg.norm(w))
             v = basis[:j + 1]
             h = v @ w

@@ -1,0 +1,67 @@
+"""The numpy column colouring and the J-based two-level preconditioner, as
+oracles for geometry's bit-mask colouring and eigen's J Z coarse
+correction.
+
+greedy_colouring marks the colours taken in a column's rows in a boolean
+array per column; the package keeps them as one bit mask per row. Both
+are first fit in column order, so the colours must be identical.
+two_level applies the coarse correction through J itself: the coarse
+solution Z c is formed on the grid and multiplied by J. The package
+multiplies c by the count-column matrix J Z instead, which is the same
+operator up to rounding.
+"""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+
+def greedy_colouring(table, rows, indices):
+    """Colour the columns of a sparse pattern so that no row holds two
+    columns of one colour; returns one colour per column. table lists
+    each row's columns (repeats allowed), rows and indices are the
+    pattern's entries."""
+    size = len(table)
+    holders = rows[np.argsort(indices, kind="stable")]
+    ends = np.cumsum(np.bincount(indices, minlength=size))
+    colour = np.full(size, -1, dtype=np.int32)
+    start = 0
+    for j, end in enumerate(ends):
+        taken = colour[table[holders[start:end]]].reshape(-1)
+        free = np.ones(len(taken) + 1, dtype=bool)
+        free[taken[taken >= 0]] = False
+        colour[j] = np.argmax(free)
+        start = end
+    return colour
+
+
+def aggregates(grid, block):
+    """Coarse-space aggregate of every node (flattened), block nodes per
+    axis, and the number of aggregates."""
+    counts = [-(-size // block) for size in grid.shape]
+    index = np.zeros((1,) * grid.ndim, dtype=np.intp)
+    for axis, (size, count) in enumerate(zip(grid.shape, counts)):
+        index = index * count + grid.axis_vector(
+            axis, np.arange(size) // block).astype(np.intp)
+    return np.broadcast_to(index, grid.shape).reshape(-1), math.prod(counts)
+
+
+def two_level(grid, jac, block):
+    """x = M^{-1} y: an exact solve on the span of the aggregate
+    indicators Z, Z^T J Z summed from J's pattern, then one Jacobi sweep
+    on y - J Z c with J's diagonal."""
+    agg, count = aggregates(grid, block)
+    entry = np.repeat(agg * count, np.diff(jac.indptr)) + agg[jac.indices]
+    coarse = np.bincount(entry, weights=jac.data,
+                         minlength=count * count).reshape(count, count)
+    lu = scipy.linalg.lu_factor(coarse)
+    inv_diag = 1.0 / jac.diagonal()
+
+    def apply(y):
+        x = scipy.linalg.lu_solve(lu, np.bincount(agg, weights=y,
+                                                  minlength=count))[agg]
+        x += (y - jac @ x) * inv_diag
+        return x
+
+    return apply

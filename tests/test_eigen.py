@@ -15,9 +15,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+import jacobian_reference as ref
 from sigmaflow import eigen
 from sigmaflow.eigen import (
     AuxiliaryProblem,
@@ -149,6 +152,80 @@ def test_assembled_jacobian_matches_linearize_apply(name, fd_order, seed):
     expected = prob.linearize_apply(u, rho).reshape(-1)
     got = prob.jacobian(u) @ rho.reshape(-1)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+# ------------------------------------------- two-level preconditioner
+
+
+def admissible_jacobian(name):
+    """J at a fixed admissible non-constant state: k = 2 on S^3, k = 1 on
+    S^1 x S^2 (fd2), u built as in the assembled-Jacobian test."""
+    geom = jacobian_chart(name, 2)
+    t = [geom.grid.axis_vector(a, geom.grid.coordinates(a)) for a in range(3)]
+    if name == "round_sphere":
+        k, c = 2, (0.07, -0.05)
+        modes = [np.cos(t[0]), np.sin(t[0]) * np.sin(t[1]) * np.cos(t[2])]
+    else:
+        k, c = 1, (0.06, -0.08, 0.05)
+        modes = [np.cos(t[0]), np.cos(t[1]), np.sin(t[1]) * np.sin(t[2])]
+    u = np.broadcast_to(sum(ci * m for ci, m in zip(c, modes)) - 0.5,
+                        geom.grid.shape)
+    return geom, AuxiliaryProblem(geom, k).jacobian(u)
+
+
+@pytest.mark.parametrize("name", ("round_sphere", "hopf_product"))
+def test_two_level_matches_the_j_based_apply(name, monkeypatch):
+    # The coarse correction reads J Z where the oracle forms Z c on the
+    # grid and multiplies by J; the two differ by rounding only (measured
+    # 9e-14 and 3e-14 relative). The coarse matrix handed to the LU factor
+    # must be Z^T J Z (measured equal), and the preconditioner must
+    # reproduce the coarse space: M^{-1} J Z c = Z c (measured 8e-15 and
+    # 2e-15 relative).
+    geom, jac = admissible_jacobian(name)
+    factored = []
+    lu_factor = scipy.linalg.lu_factor
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "lu_factor",
+                      lambda a: factored.append(a.copy()) or lu_factor(a))
+        apply = eigen._two_level(geom.derivative_matrices(), jac)
+    want = ref.two_level(geom.grid, jac, eigen.COARSE_BLOCK)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        y = rng.standard_normal(jac.shape[0])
+        expected = want(y)
+        assert np.max(np.abs(apply(y) - expected)) \
+            <= 1e-12 * np.max(np.abs(expected))
+
+    agg, count = ref.aggregates(geom.grid, eigen.COARSE_BLOCK)
+    size = jac.shape[0]
+    z = sparse.csr_array((np.ones(size), agg, np.arange(size + 1)),
+                         shape=(size, count))
+    ztjz = (z.T @ (jac @ z)).toarray()
+    assert len(factored) == 1
+    assert np.max(np.abs(factored[0] - ztjz)) <= 1e-14 * np.max(np.abs(ztjz))
+    zc = z @ rng.standard_normal(count)
+    assert np.max(np.abs(apply(jac @ zc) - zc)) <= 1e-12 * np.max(np.abs(zc))
+
+
+def test_coarse_space_is_built_once_per_chart(monkeypatch):
+    # Every Newton iteration reads the chart's one map from J's pattern
+    # onto J Z's; the map is built on the first and kept.
+    geom = build_round_sphere(3, 16)
+    maps = geom.derivative_matrices()
+    seen = []
+    coarse_space = maps.coarse_space
+    monkeypatch.setattr(maps, "coarse_space",
+                        lambda block: seen.append(coarse_space(block))
+                        or seen[-1])
+    prob = AuxiliaryProblem(geom, 2)
+    rhs = constant(geom, S_OF_K[2] - 1.0)
+    stats = {}
+    newton_solve(prob, rhs, zonal(geom, lambda t: 0.05 * np.cos(t)),
+                 stats=stats)
+    assert stats["newton_iterations"] >= 3
+    assert len(seen) == stats["linear_solves"] == stats["newton_iterations"]
+    assert all(space is seen[0] for space in seen)
+    assert list(maps._coarse) == [eigen.COARSE_BLOCK]
 
 
 # ------------------------------------------------------------ Newton
