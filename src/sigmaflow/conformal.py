@@ -4,11 +4,18 @@ The deformed Schouten data in the g0-orthonormal frame is
 
     W(u) = Hess u + du (x) du - (|grad u|^2 / 2) g0 + S_{g0},
 
-and sigma_k(g) = e^{2ku} sigma_k(W(u)). Everything downstream (volume,
-geometric mean r_k, the scale-normalized sigma_k integral, Harnack bound,
-cone checks) lives here. W is kept as its upper-triangle components and
-sigma_k(W) comes from fieldalg's closed-form minors; the eigenvalue route
-in symfun is kept as the independent cross-check in tests.
+and sigma_k(g) = e^{2ku} sigma_k(W(u)). W and its linearization are
+assembled here, and everything downstream (volume, geometric mean r_k, the
+scale-normalized sigma_k integral, Harnack bound, cone checks) lives here
+too. W is kept as its upper-triangle components and sigma_k(W) comes from
+fieldalg's closed-form minors; the eigenvalue route in symfun is kept as
+the independent cross-check in tests. The linearization
+
+    d sigma_k(W)[rho] = <T_{k-1}(W), Hess rho + du (x) drho + drho (x) du
+                         - <du, drho> g0>
+
+is linear in rho through the chart's Hessian and gradient matrices alone,
+so it is kept as their pointwise weights (linearization_weights).
 """
 
 from __future__ import annotations
@@ -160,10 +167,37 @@ class ConformalState:
 
     def newton_components(self):
         """T_{k-1}(W), the gradient of sigma_k at W, as components; drives
-        CFL bounds and the eigen linearization."""
+        CFL bounds and the linearization."""
         return self._cached("newton", lambda: fieldalg.newton_components(
             self.w_components(), self.geometry.grid.ndim, self.sigma_w_table(),
             self.k - 1))
+
+    def linearization_weights(self):
+        """The weights of d sigma_k(W) in DerivativeMatrices.combine order.
+
+        m_ab T_ab on H_ab for (a, b) in fieldalg.pairs(n), m_ab = 2 off the
+        diagonal, then 2 (T du)_c - tr T du_c on G_c, with T = T_{k-1}(W)
+        and du the frame gradient of u; combine(weights) is the sparse
+        matrix of d sigma_k(W_h) at u. The array is built afresh on every
+        call and not cached, so the caller may scale it in place.
+        """
+        n = self.geometry.grid.ndim
+        t_field = self.newton_components()
+        grad_u = self.frame_gradient()
+        pairs = fieldalg.pairs(n)
+        weights = np.empty((len(pairs) + n,) + self.geometry.grid.shape)
+        t_grad = [0.0] * n
+        trace = 0.0
+        for m, ((a, b), t_ab) in enumerate(zip(pairs, t_field)):
+            weights[m] = t_ab if a == b else 2.0 * t_ab
+            t_grad[a] = t_grad[a] + t_ab * grad_u[b]
+            if a == b:
+                trace = trace + t_ab
+            else:
+                t_grad[b] = t_grad[b] + t_ab * grad_u[a]
+        for c in range(n):
+            weights[len(pairs) + c] = 2.0 * t_grad[c] - trace * grad_u[c]
+        return weights
 
     # ------------------------------------------------------- global scalars
 
@@ -180,16 +214,14 @@ class ConformalState:
     def log_target(self, l=None):
         """log of the flow's driven quantity: sigma_k(g), or
         sigma_k(g)/sigma_l(g) for the quotient flow (0 <= l < k)."""
-        if l is None:
+        if not l:
+            # sigma_0 = 1: l = 0 is the primary flow
             return self.log_sigma_field()
         if ("log_target", l) not in self._cache:
             self.require_admissible()
             etable = self.sigma_w_table()
             val = 2.0 * (self.k - l) * self.u + np.log(etable[..., self.k])
-            if l > 0:
-                # sigma_0 = 1, so l = 0 needs no correction and reduces to
-                # the primary flow bit for bit.
-                val = val - np.log(etable[..., l])
+            val -= np.log(etable[..., l])
             self._cache["log_target", l] = val
         return self._cache["log_target", l]
 

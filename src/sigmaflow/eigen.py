@@ -5,14 +5,15 @@ W(u) the deformed Schouten expression assembled by the conformal module.
 An auxiliary problem fixes (f, h); the continuation walks the right-hand
 side from f (where u identically delta_lo is an exact solution) to the
 constant lambda, warm-starting a damped Newton iteration. Each Newton step
-assembles the Frechet derivative as a sparse matrix from the chart's
-probed Hessian and gradient matrices, and solves with restarted GMRES
-(the krylov module) under a two-level preconditioner. lambda* is then the
-supremum of solvable lambda, located by bisection, and the eigenfunction
-is recovered by the renormalization phi = u - max u. Each bisection
-midpoint is first solved by Newton on the target equation from the last
-solvable u; only when that fails, or its result fails the continuation's
-checks, is the continuation rerun from scratch for it.
+assembles the Frechet derivative as a sparse matrix: the chart's probed
+Hessian and gradient matrices combined with the conformal state's weights
+of d sigma_k(W), scaled by sigma_k^{1/k-1}/k, minus h e^u. It solves with
+restarted GMRES (the krylov module) under a two-level preconditioner.
+lambda* is then the supremum of solvable lambda, located by bisection, and
+the eigenfunction is recovered by the renormalization phi = u - max u.
+Each bisection midpoint is first solved by Newton on the target equation
+from the last solvable u; only when that fails, or its result fails the
+continuation's checks, is the continuation rerun from scratch for it.
 
 Admissibility (W(u) in the Gamma_k+ cone) is enforced on the initial
 guess, on every accepted Newton iterate, and during line searches, where a
@@ -30,7 +31,6 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from . import fieldalg
 from .conformal import ConformalState, admissible_state
 from .errors import (
     ConfigurationError,
@@ -108,73 +108,22 @@ class AuxiliaryProblem:
         """Pointwise sigma_k^{1/k}(W(u)) - h e^u - rhs; u must be admissible."""
         return self._residual_of(self._state(u), rhs)
 
-    def linearize_apply(self, u, rho):
-        """Directional derivative of residual at u in direction rho.
-
-        Matrix-free: (1/k) sigma_k^{1/k-1} <T_{k-1}(W), dW(rho)> - h e^u rho
-        with dW = Hess rho + du (x) drho + drho (x) du - <du, drho> g0. This
-        is the oracle for jacobian().
-        """
-        return _frechet_apply(self, self._state(u),
-                              np.asarray(rho, dtype=float))
-
     def jacobian(self, u):
         """The Frechet derivative of residual at u as a sparse matrix over
         the flattened grid (C order)."""
         return self._jacobian_of(self._state(u))
 
     def _jacobian_of(self, state):
-        # J = diag(p) [sum_ab m_ab t_ab H_ab + sum_c (2 (T du)_c - tr T du_c)
-        # G_c] - diag(h e^u), p = sigma_k^{1/k-1} / k, m_ab = 2 off the
-        # diagonal: dW(rho) is linear in rho through the chart's Hessian and
-        # gradient matrices H_ab, G_c alone.
-        geom = self.geometry
-        n = geom.grid.ndim
+        # J = diag(p) d sigma_k(W) - diag(h e^u), p = sigma_k^{1/k-1} / k,
+        # with d sigma_k(W) the chart's maps combined with the state's
+        # linearization weights, scaled by p in place.
+        maps = self.geometry.derivative_matrices()
         ek = state.sigma_w_table()[..., self.k]
-        t_field = state.newton_components()
-        grad_u = state.frame_gradient()
-        pairs = fieldalg.pairs(n)
-        maps = geom.derivative_matrices()
-        weights = np.empty((maps.count,) + geom.grid.shape)
-        t_grad = [0.0] * n
-        trace = 0.0
-        for m, ((a, b), t_ab) in enumerate(zip(pairs, t_field)):
-            weights[m] = t_ab if a == b else 2.0 * t_ab
-            t_grad[a] = t_grad[a] + t_ab * grad_u[b]
-            if a == b:
-                trace = trace + t_ab
-            else:
-                t_grad[b] = t_grad[b] + t_ab * grad_u[a]
-        for c in range(n):
-            weights[len(pairs) + c] = 2.0 * t_grad[c] - trace * grad_u[c]
+        weights = state.linearization_weights()
         weights *= (ek ** (1.0 / self.k - 1.0)) / self.k
         zeroth = self.h_field() * np.exp(state.u)
         return maps.combine(weights.reshape(maps.count, -1),
                             -zeroth.reshape(-1))
-
-
-def _frechet_apply(problem, state, rho):
-    """The Frechet derivative at state.u applied to rho, through the
-    stencils."""
-    geom = problem.geometry
-    k = problem.k
-    n = geom.grid.ndim
-    ek = state.sigma_w_table()[..., k]
-    t_field = state.newton_components()
-    prefac = (ek ** (1.0 / k - 1.0)) / k
-    grad_u = state.frame_gradient()
-    zeroth = problem.h_field() * np.exp(state.u)
-    jet = geom.scalar_jet(rho)
-    hess = geom.hessian_components(rho, jet=jet)
-    grad_r, _ = geom.frame_gradient(jet[0])
-    dot = grad_u[0] * grad_r[0]
-    for a in range(1, n):
-        dot = dot + grad_u[a] * grad_r[a]
-    inner = 0.0
-    for (a, b), t_ab, h_ab in zip(fieldalg.pairs(n), t_field, hess):
-        dw = h_ab + grad_u[a] * grad_r[b] + grad_r[a] * grad_u[b]
-        inner = inner + (t_ab * (dw - dot) if a == b else 2.0 * t_ab * dw)
-    return prefac * inner - zeroth * rho
 
 
 def _two_level(maps, jac):

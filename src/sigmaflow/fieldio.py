@@ -4,10 +4,8 @@ Format, version 1: a single header line
 
     sigmaflow-field v1; dims=32,32,32; axis=pole_shifted,pole_shifted,periodic; chart=round_sphere
 
-followed by one line per grid node in row-major order. Scalar fields write
-one value per line; symmetric tensor fields write the upper triangle
-(i <= j, lexicographic) comma-separated. Values use repr-exact %.17g so a
-round trip preserves every bit.
+followed by one line per grid node in row-major order, one scalar value
+per line. Values use repr-exact %.17g so a round trip preserves every bit.
 """
 
 from __future__ import annotations
@@ -51,19 +49,6 @@ def write_scalar_field(path, geom, values):
     _atomic_write(path, lines)
 
 
-def write_tensor_field(path, geom, field):
-    n = geom.grid.ndim
-    field = np.broadcast_to(np.asarray(field, dtype=float),
-                            geom.grid.shape + (n, n))
-    _require_finite(field, path)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    flat = field.reshape(-1, n, n)
-    lines = [_header(geom)]
-    for row in flat:
-        lines.append(",".join("%.17g" % row[i, j] for i, j in pairs))
-    _atomic_write(path, lines)
-
-
 def _parse_header(line):
     parts = [p.strip() for p in line.strip().split(";")]
     tag = parts[0].split()
@@ -84,11 +69,7 @@ def _parse_header(line):
 
 
 def read_field(path):
-    """Read a dump; returns (array, meta).
-
-    Scalar dumps come back with the grid shape, tensor dumps with an extra
-    (n, n) symmetric block per node.
-    """
+    """Read a dump; returns (array with the grid shape, meta)."""
     with open(path) as fh:
         header = fh.readline()
         meta = _parse_header(header)
@@ -98,19 +79,9 @@ def read_field(path):
     if len(data) != count:
         raise ConfigurationError(
             f"field dump has {len(data)} rows, grid needs {count}")
-    width = len(data[0])
-    values = np.array([[float(v) for v in row] for row in data], dtype=float)
-    if width == 1:
-        return values.reshape(shape), meta
-    n = len(shape)
-    if width != n * (n + 1) // 2:
+    width = max(len(row) for row in data)
+    if width != 1:
         raise ConfigurationError(
-            f"field dump rows have {width} entries; expected 1 or {n * (n + 1) // 2}")
-    full = np.empty((count, n, n), dtype=float)
-    col = 0
-    for i in range(n):
-        for j in range(i, n):
-            full[:, i, j] = values[:, col]
-            full[:, j, i] = values[:, col]
-            col += 1
-    return full.reshape(shape + (n, n)), meta
+            f"field dump rows have up to {width} entries; expected 1")
+    values = np.array([float(row[0]) for row in data], dtype=float)
+    return values.reshape(shape), meta

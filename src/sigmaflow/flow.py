@@ -242,8 +242,7 @@ def _residual(state, quotient_l):
     geom = state.geometry
     weight = state.conformal_weight()
     r_flow = math.exp(state.log_target_mean(quotient_l))
-    # with l = 0 the driven quantity equals sigma_k(g) bit for bit
-    target = (state.sigma_field() if quotient_l is None or quotient_l == 0
+    target = (state.sigma_field() if not quotient_l
               else np.exp(state.log_target(quotient_l)))
     diff = target - r_flow
     l2_diff = math.sqrt(geom.integrate(diff * diff, weight=weight))
@@ -262,7 +261,7 @@ def _record(state, time, quotient_l, residual):
     vol = state.volume()
     r_flow, l2_diff, l2_target, rel = residual
     rhs = None
-    if quotient_l is None or quotient_l == 0:
+    if not quotient_l:
         logt = state.log_target(quotient_l)
         mean = state.log_target_mean(quotient_l)
         rhs = (-(n - 2.0 * state.k) / 2.0 * vol ** ((2.0 * state.k - n) / n)

@@ -237,7 +237,7 @@ class BackgroundGeometry:
     """
 
     def __init__(self, name, grid, lame, dlog, schouten0, scalar_curv0,
-                 lame_fn, fd_order=2, variational=True, analytic_volume=None):
+                 lame_fn, fd_order=2, variational=True):
         self.name = name
         self.grid = grid
         self.lame = lame
@@ -247,7 +247,6 @@ class BackgroundGeometry:
         self.lame_fn = lame_fn
         self.fd_order = fd_order
         self.variational = variational
-        self.analytic_volume = analytic_volume
         if fd_order not in (2, 4):
             raise ConfigurationError("difference order must be 2 or 4")
         w = np.ones((1,) * grid.ndim)
@@ -699,28 +698,6 @@ class BackgroundGeometry:
                 columns += [cb[ca] for ca in first[a] for cb in first[b]]
         return np.stack(columns, axis=1)
 
-    def christoffel(self, c, a, b):
-        """Gamma^c_ab as a broadcastable grid array (diagonal metric)."""
-        def dl(i, j):
-            arr = self.dlog[i][j]
-            return None if arr is None else arr
-
-        if a == b:
-            if c == a:
-                arr = dl(a, a)
-                return np.zeros((1,) * self.grid.ndim) if arr is None else arr
-            arr = dl(a, c)
-            if arr is None:
-                return np.zeros((1,) * self.grid.ndim)
-            return -((self.lame[a] / self.lame[c]) ** 2) * arr
-        if c == a:
-            arr = dl(a, b)
-        elif c == b:
-            arr = dl(b, a)
-        else:
-            arr = None
-        return np.zeros((1,) * self.grid.ndim) if arr is None else arr
-
     # --------------------------------------------------------- integration
 
     def integrate(self, f, weight=None):
@@ -739,11 +716,6 @@ class BackgroundGeometry:
 
 
 # ------------------------------------------------------------------ charts
-
-def sphere_volume(m):
-    """Volume of the unit round sphere S^m."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
-
 
 def _check_resolution(points, minimum):
     if points < minimum:
@@ -799,8 +771,7 @@ def build_round_sphere(n, points_per_axis, fd_order=2):
     return BackgroundGeometry(
         name="round_sphere", grid=grid, lame=lame, dlog=dlog,
         schouten0=0.5 * np.eye(n), scalar_curv0=n * (n - 1),
-        lame_fn=lame_fn, fd_order=fd_order,
-        analytic_volume=sphere_volume(n))
+        lame_fn=lame_fn, fd_order=fd_order)
 
 
 def build_hopf_product(n, circle_radius=1.0, points_per_axis=16, fd_order=2):
@@ -830,8 +801,7 @@ def build_hopf_product(n, circle_radius=1.0, points_per_axis=16, fd_order=2):
     return BackgroundGeometry(
         name="hopf_product", grid=grid, lame=lame, dlog=dlog,
         schouten0=schouten0, scalar_curv0=(n - 1) * (n - 2),
-        lame_fn=lame_fn, fd_order=fd_order,
-        analytic_volume=2.0 * math.pi * circle_radius * sphere_volume(n - 1))
+        lame_fn=lame_fn, fd_order=fd_order)
 
 
 def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
@@ -859,8 +829,7 @@ def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
     return BackgroundGeometry(
         name="synthetic", grid=grid, lame=lame, dlog=dlog,
         schouten0=s0, scalar_curv0=2.0 * (n - 1) * float(np.trace(s0)),
-        lame_fn=lame_fn, fd_order=fd_order, variational=False,
-        analytic_volume=(2.0 * math.pi) ** n)
+        lame_fn=lame_fn, fd_order=fd_order, variational=False)
 
 
 # -------------------------------------------------------- curvature oracle

@@ -1,6 +1,11 @@
-"""The numpy column colouring and the J-based two-level preconditioner, as
-oracles for geometry's bit-mask colouring and eigen's J Z coarse
-correction.
+"""The matrix-free Frechet derivative, the numpy column colouring and the
+J-based two-level preconditioner, as oracles for eigen's assembled
+Jacobian, geometry's bit-mask colouring and eigen's J Z coarse correction.
+
+frechet_apply applies the derivative through the stencils, forming
+dW(rho) from rho's Hessian and gradient; the package combines the chart's
+derivative matrices with the state's linearization weights, so the two
+share no formula for dW.
 
 greedy_colouring marks the colours taken in a column's rows in a boolean
 array per column; the package keeps them as one bit mask per row. Both
@@ -15,6 +20,38 @@ import math
 
 import numpy as np
 import scipy.linalg
+
+from sigmaflow import fieldalg
+from sigmaflow.conformal import ConformalState
+
+
+def frechet_apply(problem, u, rho):
+    """Directional derivative of problem.residual at u in direction rho:
+    (1/k) sigma_k^{1/k-1} <T_{k-1}(W), dW(rho)> - h e^u rho with
+    dW = Hess rho + du (x) drho + drho (x) du - <du, drho> g0; u must be
+    admissible."""
+    geom = problem.geometry
+    k = problem.k
+    n = geom.grid.ndim
+    state = ConformalState(geom, u, k)
+    state.require_admissible()
+    rho = np.asarray(rho, dtype=float)
+    ek = state.sigma_w_table()[..., k]
+    t_field = state.newton_components()
+    prefac = (ek ** (1.0 / k - 1.0)) / k
+    grad_u = state.frame_gradient()
+    zeroth = problem.h_field() * np.exp(state.u)
+    jet = geom.scalar_jet(rho)
+    hess = geom.hessian_components(rho, jet=jet)
+    grad_r, _ = geom.frame_gradient(jet[0])
+    dot = grad_u[0] * grad_r[0]
+    for a in range(1, n):
+        dot = dot + grad_u[a] * grad_r[a]
+    inner = 0.0
+    for (a, b), t_ab, h_ab in zip(fieldalg.pairs(n), t_field, hess):
+        dw = h_ab + grad_u[a] * grad_r[b] + grad_r[a] * grad_u[b]
+        inner = inner + (t_ab * (dw - dot) if a == b else 2.0 * t_ab * dw)
+    return prefac * inner - zeroth * rho
 
 
 def greedy_colouring(table, rows, indices):

@@ -137,6 +137,43 @@ def test_newton_field_matches_symfun():
     assert np.max(np.abs(t_field.reshape(-1, 3, 3)[sample] - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("chart, k",
+                         (("round_sphere", 2), ("hopf_product", 1)))
+def test_linearization_weights_give_exact_gradient(chart, k, fd_order):
+    # F_h(u) = sum x sigma_k(W_h(u)), x = vol_weight e^{(2k-n)u}, has the
+    # exact gradient L^T x + (2k-n) x sigma_k(W) with L the combined
+    # linearization weights. The central difference at eps = 1e-6 agrees
+    # to 3e-9..2e-8 relative; on S^3 the error shrinks as eps^2 at larger
+    # eps (fd2: 2.8e-5, 2.8e-7 at 1e-4, 1e-5)
+    if chart == "round_sphere":
+        geom = build_round_sphere(3, 16, fd_order=fd_order)
+    else:
+        geom = build_hopf_product(3, 1.0, 16, fd_order=fd_order)
+    n = geom.grid.ndim
+    t1, t2, phi = mesh(geom)
+    u = np.broadcast_to(0.1 * np.cos(t1)
+                        + 0.05 * np.sin(t1) * np.sin(t2) * np.cos(phi),
+                        geom.grid.shape)
+    rho = 0.1 * np.random.default_rng(11).standard_normal(geom.grid.shape)
+
+    def objective(v):
+        state = ConformalState(geom, v, k)
+        x = geom.vol_weight * np.exp((2.0 * k - n) * state.u)
+        return float(np.sum(x * state.sigma_w_table()[..., k]))
+
+    state = ConformalState(geom, u, k)
+    lin = geom.derivative_matrices().combine(
+        state.linearization_weights().reshape(-1, u.size))
+    x = (geom.vol_weight * np.exp((2.0 * k - n) * state.u)).reshape(-1)
+    sigma = state.sigma_w_table()[..., k].reshape(-1)
+    grad = lin.T @ x + (2.0 * k - n) * x * sigma
+    exact = float(grad @ rho.reshape(-1))
+    eps = 1e-6
+    fd = (objective(u + eps * rho) - objective(u - eps * rho)) / (2.0 * eps)
+    assert abs(fd - exact) <= 1e-6 * abs(exact)
+
+
 def test_sigma_covariance_under_shift():
     geom = build_round_sphere(3, 16)
     u = smooth_admissible_u(geom, seed=3)

@@ -27,8 +27,12 @@ from sigmaflow.geometry import (
     build_round_sphere,
     build_synthetic,
     curvature_oracle,
-    sphere_volume,
 )
+
+
+def sphere_volume(m):
+    """Volume of the unit round sphere S^m."""
+    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
 def mesh(geom):
@@ -438,22 +442,6 @@ def test_zonal_fields_stay_bitwise_zonal():
         assert np.array_equal(field, np.broadcast_to(ref, field.shape))
 
 
-def test_christoffel_round_sphere():
-    geom = build_round_sphere(3, 16)
-    t1, t2, _ = mesh(geom)
-    cot1 = np.cos(t1) / np.sin(t1)
-    cot2 = np.cos(t2) / np.sin(t2)
-    assert np.allclose(geom.christoffel(1, 0, 1), cot1)
-    assert np.allclose(geom.christoffel(2, 0, 2), cot1)
-    assert np.allclose(geom.christoffel(2, 1, 2), cot2)
-    assert np.allclose(geom.christoffel(0, 1, 1), -np.sin(t1) * np.cos(t1))
-    assert np.allclose(geom.christoffel(0, 2, 2),
-                       -np.sin(t1) * np.cos(t1) * np.sin(t2) ** 2)
-    assert np.allclose(geom.christoffel(1, 2, 2), -np.sin(t2) * np.cos(t2)
-                       * np.ones((1, 1, 1)))
-    assert np.max(np.abs(geom.christoffel(0, 1, 2))) == 0.0
-
-
 # --------------------------------------------------------------- curvature
 
 
@@ -499,18 +487,6 @@ def test_scalar_dump_roundtrip(tmp_path):
     assert meta["axis"] == ("pole_shifted", "pole_shifted", "periodic")
 
 
-def test_tensor_dump_roundtrip(tmp_path):
-    geom = build_synthetic(3, 0.5 * np.eye(3), 8)
-    rng = np.random.default_rng(5)
-    field = rng.standard_normal(geom.grid.shape + (3, 3))
-    field = 0.5 * (field + np.swapaxes(field, -1, -2))
-    path = tmp_path / "w.dump"
-    fieldio.write_tensor_field(path, geom, field)
-    back, meta = fieldio.read_field(path)
-    assert np.array_equal(back, field)
-    assert meta["chart"] == "synthetic"
-
-
 def test_dump_rejects_garbage(tmp_path):
     path = tmp_path / "bad.dump"
     path.write_text("not-a-dump v1; dims=2; axis=periodic; chart=x\n0\n0\n")
@@ -523,3 +499,10 @@ def test_dump_rejects_garbage(tmp_path):
     good.write_text("\n".join(lines[:-5]) + "\n")
     with pytest.raises(ConfigurationError):
         fieldio.read_field(good)
+    # rows of six entries (the upper triangle of a 3 x 3 tensor) are not
+    # a scalar dump
+    wide = tmp_path / "wide.dump"
+    wide.write_text("\n".join([lines[0]] + ["0,1,2,3,4,5"] * (len(lines) - 1))
+                    + "\n")
+    with pytest.raises(ConfigurationError):
+        fieldio.read_field(wide)
