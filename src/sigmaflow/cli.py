@@ -106,9 +106,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of a dispatched run: status, one summary line, files."""
+    """Outcome of a dispatched run: one summary line and the files written."""
 
-    exit_status: int
     summary: str
     paths: tuple = ()
 
@@ -323,7 +322,7 @@ def run_flow(cfg):
                    f"residual={records[-1].rel_residual:.3e}")
     summary += (f"; {state.accepted} steps accepted, {state.rejected} "
                 f"rejected, {state.cfl_limited} CFL-limited")
-    return RunReport(0, summary, _check_emitted(paths))
+    return RunReport(summary, _check_emitted(paths))
 
 
 def run_eigen(cfg):
@@ -354,7 +353,7 @@ def run_eigen(cfg):
         summary += (f"; {stats['linear_misses']} of {stats['linear_solves']} "
                     "linear solves ended above the Krylov tolerance (worst "
                     f"relative residual {stats['worst_linear_residual']:.2g})")
-    return RunReport(0, summary, _check_emitted((report_path, phi_path)))
+    return RunReport(summary, _check_emitted((report_path, phi_path)))
 
 
 # ---------------------------------------------------------- check suite
@@ -468,7 +467,7 @@ def run_check(cfg):
     if failures:
         raise NumericError(
             f"{failures} of {len(_PROPERTIES)} properties failed")
-    return RunReport(0, f"all {len(_PROPERTIES)} properties pass")
+    return RunReport(f"all {len(_PROPERTIES)} properties pass")
 
 
 def run_geometry_validate(cfg):
@@ -484,7 +483,7 @@ def run_geometry_validate(cfg):
                    f"(errors {coarse:.3e}, {fine:.3e})")
         if order < 1.9:
             raise NumericError("curvature oracle fails to converge: " + summary)
-        return RunReport(0, summary)
+        return RunReport(summary)
     # synthetic charts have no meaningful curvature; verify the stencil
     # summation-by-parts identity on the periodic box instead
     rng = np.random.default_rng(cfg.seed)
@@ -498,7 +497,7 @@ def run_geometry_validate(cfg):
     summary = f"stencil adjointness defect {worst:.3e}"
     if worst > 1e-10:
         raise NumericError("summation by parts fails: " + summary)
-    return RunReport(0, summary)
+    return RunReport(summary)
 
 
 _DISPATCH = {
@@ -545,7 +544,7 @@ def main(argv=None):
         print(report.summary)
         for path in report.paths:
             print(f"wrote {path}")
-        return report.exit_status
+        return 0
     except SigmaFlowError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -72,26 +72,21 @@ def admissible_state(geom, u, k):
 
 
 class ConformalState:
-    """u plus lazily cached derived fields, invalidated on every update."""
+    """u plus lazily cached derived fields; a new u makes a new state."""
 
     def __init__(self, geom, u, k, finite=False):
+        """finite=True skips the check of u for a caller that made it."""
         n = geom.grid.ndim
         if not 1 <= k <= n:
             raise ConfigurationError(f"curvature order k={k} outside 1..{n}")
-        self.geometry = geom
-        self.k = k
-        self._cache = {}
-        self.update_u(u, finite)
-
-    def update_u(self, u, finite=False):
-        """finite=True skips the finiteness check, for a caller that has
-        just made it."""
         u = np.asarray(u, dtype=float)
         if not (finite or np.all(np.isfinite(u))):
             raise ConfigurationError("conformal factor contains non-finite values")
-        self.u = np.ascontiguousarray(np.broadcast_to(u, self.geometry.grid.shape),
+        self.geometry = geom
+        self.k = k
+        self.u = np.ascontiguousarray(np.broadcast_to(u, geom.grid.shape),
                                       dtype=float)
-        self._cache.clear()
+        self._cache = {}
 
     # ------------------------------------------------------------ assembly
 

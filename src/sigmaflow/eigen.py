@@ -52,7 +52,10 @@ KRYLOV_MAX_RESTARTS = 2
 # nodes per axis of one coarse-space aggregate
 COARSE_BLOCK = 4
 MIN_DAMPING = 2.0 ** -30
-# continuation presumes lambda >= lambda* once max u falls below this
+# continuation's t-step starts at T_STEP; a step halved below MIN_T_STEP,
+# or max u below ESCAPE_FLOOR, means lambda is presumed >= lambda*
+T_STEP = 0.25
+MIN_T_STEP = 1e-4
 ESCAPE_FLOOR = -50.0
 
 
@@ -154,26 +157,25 @@ def _two_level(maps, jac):
     return apply
 
 
-def _linear_record(stats):
-    """The linear-solve counters of a stats dict, zero when absent."""
-    return {"linear_solves": stats.get("linear_solves", 0),
-            "linear_misses": stats.get("linear_misses", 0),
-            "worst_linear_residual": stats.get("worst_linear_residual", 0.0)}
+def _merge(acc, part, solved=True):
+    """Fold the counters held by the stats dict part into acc: on every
+    solve linear_solves and linear_misses add up and worst_linear_residual
+    is the larger; newton_iterations and krylov_iterations add up only
+    when solved, for the solves behind a solvable verdict."""
+    counts = ("linear_solves", "linear_misses")
+    if solved:
+        counts += ("newton_iterations", "krylov_iterations")
+    for key in counts:
+        if key in part:
+            acc[key] = acc.get(key, 0) + part[key]
+    worst = "worst_linear_residual"
+    if worst in part:
+        acc[worst] = max(acc.get(worst, 0.0), part[worst])
 
 
-def _add_linear(acc, record):
-    """Merge linear-solve counters into acc: the counts add up and the
-    worst residual is the larger."""
-    old, new = _linear_record(acc), _linear_record(record)
-    acc["linear_solves"] = old["linear_solves"] + new["linear_solves"]
-    acc["linear_misses"] = old["linear_misses"] + new["linear_misses"]
-    acc["worst_linear_residual"] = max(old["worst_linear_residual"],
-                                       new["worst_linear_residual"])
-
-
-def _newton_direction(problem, state, res, linear):
+def _newton_direction(problem, state, res, stats):
     """Solve J d = -res; returns d and the number of applies of J M^{-1},
-    and records the solve's outcome in the dict linear."""
+    and merges the solve's linear counters into stats."""
     jac = problem._jacobian_of(state)
     precond = _two_level(problem.geometry.derivative_matrices(), jac)
     op = SimpleNamespace(shape=jac.shape, dtype=jac.dtype,
@@ -188,15 +190,15 @@ def _newton_direction(problem, state, res, linear):
     y, info, residual = gmres(op, b, rtol=KRYLOV_RTOL,
                               restart=KRYLOV_RESTART,
                               maxiter=KRYLOV_MAX_RESTARTS, callback=count)
-    _add_linear(linear, {"linear_solves": 1, "linear_misses": int(info != 0),
-                         "worst_linear_residual":
-                             residual / float(np.linalg.norm(b))})
+    _merge(stats, {"linear_solves": 1, "linear_misses": int(info != 0),
+                   "worst_linear_residual":
+                       residual / float(np.linalg.norm(b))})
     return precond(y).reshape(res.shape), applies[0]
 
 
-def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
-                 max_iter=NEWTON_MAX_ITER, stats=None):
-    """Damped Newton for residual(u, rhs) = 0 from an admissible guess.
+def newton_solve(problem, rhs, guess, stats=None):
+    """Damped Newton for residual(u, rhs) = 0 to NEWTON_TOL in at most
+    NEWTON_MAX_ITER iterations, from an admissible guess.
 
     Line search halves the step on residual max-norm increase or on a
     cone-violating candidate; a step that cannot make progress at minimal
@@ -220,12 +222,12 @@ def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
     rnorm = float(np.max(np.abs(res)))
     history = [rnorm]
     krylov = 0
-    linear = {} if stats is None else stats
+    stats = {} if stats is None else stats
 
-    for iteration in range(max_iter):
-        if rnorm <= newton_tol:
+    for iteration in range(NEWTON_MAX_ITER):
+        if rnorm <= NEWTON_TOL:
             break
-        direction, applies = _newton_direction(problem, state, res, linear)
+        direction, applies = _newton_direction(problem, state, res, stats)
         krylov += applies
         if not np.all(np.isfinite(direction)):
             raise NonconvergenceError(
@@ -254,17 +256,15 @@ def newton_solve(problem, rhs, guess, newton_tol=NEWTON_TOL,
         rnorm = float(np.max(np.abs(res)))
         history.append(rnorm)
 
-    if rnorm > newton_tol:
+    if rnorm > NEWTON_TOL:
         raise NonconvergenceError(
-            f"Newton did not reach tolerance {newton_tol:g} in "
-            f"{max_iter} iterations (residual {rnorm:.3g})",
+            f"Newton did not reach tolerance {NEWTON_TOL:g} in "
+            f"{NEWTON_MAX_ITER} iterations (residual {rnorm:.3g})",
             diagnostics={"residual_norm": rnorm, "history": history,
                          "krylov_iterations": krylov})
-    if stats is not None:
-        stats["newton_iterations"] = stats.get("newton_iterations", 0) \
-            + len(history) - 1
-        stats["krylov_iterations"] = stats.get("krylov_iterations", 0) + krylov
-        stats["residual_history"] = history
+    _merge(stats, {"newton_iterations": len(history) - 1,
+                   "krylov_iterations": krylov})
+    stats["residual_history"] = history
     return state.u
 
 
@@ -275,11 +275,8 @@ class ContinuationState:
     t: float
     u: np.ndarray
     lam: float
-    newton_iterations: int = 0
-    krylov_iterations: int = 0
     t_steps: int = 0
     bounds: tuple = (None, None)
-    linear: dict = field(default_factory=dict)
 
 
 def _path_bounds(problem, lam):
@@ -307,59 +304,47 @@ def _path_bounds(problem, lam):
     return s0, (delta_lo, delta_hi)
 
 
-def _check_solution(u, t, lam, bounds, escape_floor, stats):
+def _check_solution(u, t, lam, bounds):
     """Raise unless u lies within the maximum-principle bounds (a
-    NonconvergenceError) and max u is at or above escape_floor (a
+    NonconvergenceError) and max u is at or above ESCAPE_FLOOR (a
     ContinuationFailureError: lam presumed >= lambda*)."""
     delta_lo, delta_hi = bounds
+    u_min, u_max = float(np.min(u)), float(np.max(u))
     slack = 1e-8 * (1.0 + abs(delta_lo) + abs(delta_hi))
-    if float(np.min(u)) < delta_lo - slack \
-            or float(np.max(u)) > delta_hi + slack:
+    if u_min < delta_lo - slack or u_max > delta_hi + slack:
         raise NonconvergenceError(
             f"maximum principle bounds [{delta_lo:.6g}, {delta_hi:.6g}] "
             f"violated at t={t:.6g}",
-            diagnostics={"t": t, "min_u": float(np.min(u)),
-                         "max_u": float(np.max(u))})
-    if float(np.max(u)) < escape_floor:
+            diagnostics={"t": t, "min_u": u_min, "max_u": u_max})
+    if u_max < ESCAPE_FLOOR:
         raise ContinuationFailureError(
-            f"solutions escaping (max u < {escape_floor:g}); "
+            f"solutions escaping (max u < {ESCAPE_FLOOR:g}); "
             "lambda presumed >= lambda*",
-            diagnostics={"t": t, "max_u": float(np.max(u)), "lam": lam,
-                         **_spent(stats)})
+            diagnostics={"t": t, "max_u": u_max, "lam": lam})
 
 
-def _spent(stats):
-    """The work of a failed walk for a ContinuationFailureError: the
-    iterations of its converged Newton solves and its linear counters."""
-    return {"newton_iterations": stats.get("newton_iterations", 0),
-            "linear": _linear_record(stats)}
-
-
-def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
-                     newton_tol=NEWTON_TOL, escape_floor=ESCAPE_FLOOR):
+def continuation_run(problem, lam, guess=None, stats=None):
     """Walk the right-hand side from f to the constant lam.
 
     The start value u identically delta_lo solves the t=0 problem exactly
     by construction of f = sigma_k^{1/k}(S0) - h e^{delta_lo}. The t-step
-    halves on Newton failure and doubles after two easy successes; an
-    underflow below min_t_step means lam is presumed at or above lambda*.
-    The linear-solve counters of newton_solve, failed attempts included,
-    come back in the state's `linear` and in the diagnostics of a
-    ContinuationFailureError raised after the start, with the Newton
-    iterations of the solves that converged.
+    starts at T_STEP, halves on Newton failure and doubles after two easy
+    successes; an underflow below MIN_T_STEP means lam is presumed at or
+    above lambda*. stats, when given, gains the counters of every
+    newton_solve the walk runs, failed attempts and a failed walk included.
     """
     s0, bounds = _path_bounds(problem, lam)
     geom = problem.geometry
     delta_lo = bounds[0]
     f = s0 - problem.h_field() * math.exp(delta_lo)
     path = AuxiliaryProblem(geom, problem.k, f=f, h=problem.h)
-    stats = {}
+    stats = {} if stats is None else stats
     start = np.full(geom.grid.shape, delta_lo) if guess is None \
         else np.asarray(guess, dtype=float)
-    u = newton_solve(path, f, start, newton_tol=newton_tol, stats=stats)
-    _check_solution(u, 0.0, lam, bounds, escape_floor, stats)
+    u = newton_solve(path, f, start, stats=stats)
+    _check_solution(u, 0.0, lam, bounds)
     t = 0.0
-    dt = float(t_step)
+    dt = T_STEP
     steps = 0
     streak = 0
     while t < 1.0:
@@ -367,21 +352,19 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
         rhs = t_try * lam + (1.0 - t_try) * f
         before = stats.get("newton_iterations", 0)
         try:
-            u_next = newton_solve(path, rhs, u, newton_tol=newton_tol,
-                                  stats=stats)
+            u_next = newton_solve(path, rhs, u, stats=stats)
         except NonconvergenceError:
             dt *= 0.5
-            if dt < min_t_step:
+            if dt < MIN_T_STEP:
                 raise ContinuationFailureError(
                     f"continuation step underflow at t={t:.6g} "
                     f"(lambda={lam:.6g} presumed >= lambda*)",
-                    diagnostics={"t_reached": t, "lam": lam, "dt": dt,
-                                 **_spent(stats)})
+                    diagnostics={"t_reached": t, "lam": lam, "dt": dt})
             continue
         u = u_next
         t = t_try
         steps += 1
-        _check_solution(u, t, lam, bounds, escape_floor, stats)
+        _check_solution(u, t, lam, bounds)
         if stats.get("newton_iterations", 0) - before <= 3:
             streak += 1
             if streak >= 2:
@@ -389,11 +372,8 @@ def continuation_run(problem, lam, guess=None, t_step=0.25, min_t_step=1e-4,
                 streak = 0
         else:
             streak = 0
-    return ContinuationState(t=1.0, u=u, lam=lam,
-                             newton_iterations=stats.get("newton_iterations", 0),
-                             krylov_iterations=stats.get("krylov_iterations", 0),
-                             t_steps=steps, bounds=bounds,
-                             linear=_linear_record(stats))
+    return ContinuationState(t=1.0, u=u, lam=lam, t_steps=steps,
+                             bounds=bounds)
 
 
 def _warm_solve(problem, lam, guess, stats):
@@ -401,13 +381,12 @@ def _warm_solve(problem, lam, guess, stats):
 
     Returns the solution when Newton converges and the result passes the
     checks continuation_run applies at t = 1 (the maximum-principle bounds
-    and the escape floor), else None; stats gains newton_solve's counters
-    either way.
+    and the escape floor), else None; stats gains the solve's counters.
     """
     try:
         _, bounds = _path_bounds(problem, lam)
         u = newton_solve(problem, lam, guess, stats=stats)
-        _check_solution(u, 1.0, lam, bounds, ESCAPE_FLOOR, stats)
+        _check_solution(u, 1.0, lam, bounds)
     except NonconvergenceError:
         return None
     return u
@@ -429,38 +408,31 @@ def maclaurin_ceiling(geometry, k):
     return math.comb(n, k) ** (1.0 / k) * mean / n
 
 
-def _solve_midpoint(problem, lam, warm_start):
+def _solve_midpoint(problem, lam, warm_start, acc):
     """One bisection midpoint: Newton from warm_start (_warm_solve), else
     continuation from scratch.
 
-    Returns (u, record, spent): u is None when lam is unsolvable, record
-    is the midpoint record of lambda_star_search, and spent holds the
-    linear-solve counters of every solve the midpoint ran and, when lam is
-    solvable, the Newton and Krylov counts of the solves behind it.
+    Returns (u, record): u is None when lam is unsolvable, and record is
+    the midpoint record of lambda_star_search. acc gains the counters of
+    every solve the midpoint ran by _merge's rule: the Newton and Krylov
+    counts are those of the route that gave a solvable verdict.
     """
-    spent = {}
-    u = _warm_solve(problem, lam, warm_start, spent)
-    record = {"lam": lam, "solvable": True, "route": "warm",
-              "newton_iterations": spent.get("newton_iterations", 0),
-              "linear_solves": 0, "error": None, "message": None}
+    warm, walk = {}, {}
+    u = _warm_solve(problem, lam, warm_start, warm)
+    record = {"lam": lam, "solvable": True, "route": "warm", "error": None,
+              "message": None}
     if u is None:
         record["route"] = "continuation"
         try:
-            state = continuation_run(problem, lam)
+            u = continuation_run(problem, lam, stats=walk).u
         except ContinuationFailureError as failure:
             record.update(solvable=False, error=type(failure).__name__,
                           message=str(failure))
-            walk = failure.diagnostics
-        else:
-            u = state.u
-            walk = {"newton_iterations": state.newton_iterations,
-                    "linear": state.linear}
-            spent["krylov_iterations"] = state.krylov_iterations
-        spent["newton_iterations"] = walk.get("newton_iterations", 0)
-        record["newton_iterations"] += spent["newton_iterations"]
-        _add_linear(spent, walk.get("linear", {}))
-    record["linear_solves"] = spent.get("linear_solves", 0)
-    return u, record, spent
+    _merge(acc, warm, solved=record["route"] == "warm")
+    _merge(acc, walk, solved=record["solvable"])
+    for key in ("newton_iterations", "linear_solves"):
+        record[key] = warm.get(key, 0) + walk.get(key, 0)
+    return u, record
 
 
 def lambda_star_search(problem, tolerance, guess=None, stats=None):
@@ -479,13 +451,11 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     the verdict.
 
     stats, when given, gains the bracket, the ceiling, the bisection count,
-    the Newton and Krylov counts of the solves behind the solvable
-    verdicts, the linear-solve counters of every solve, failed and
-    unsolvable ones included, and `midpoints`: one record per midpoint
-    with lam, solvable, route, newton_iterations (of the Newton solves
-    that converged), linear_solves (one per Newton iteration run, failed
-    attempts included), and for an unsolvable midpoint the error class
-    and message.
+    the counters of every solve by _merge's rule, and `midpoints`: one
+    record per midpoint with lam, solvable, route, newton_iterations (of
+    the Newton solves that converged), linear_solves (one per Newton
+    iteration run, failed attempts included), and for an unsolvable
+    midpoint the error class and message.
     """
     if not tolerance > 0.0:
         raise ConfigurationError(f"tolerance={tolerance} must be > 0")
@@ -497,37 +467,32 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
         raise ConfigurationError(
             f"degenerate bracket: ceiling {lam_hi:.6g} <= start {lam_lo:.6g}")
 
-    acc = {"newton_iterations": 0, "krylov_iterations": 0, "bisections": 0,
-           **_linear_record({})}
-    midpoints = []
+    acc = {"newton_iterations": 0, "krylov_iterations": 0,
+           "linear_solves": 0, "linear_misses": 0,
+           "worst_linear_residual": 0.0}
+    walk = {}
     try:
-        state = continuation_run(problem, lam_lo, guess=guess)
+        state = continuation_run(problem, lam_lo, guess=guess, stats=walk)
     except ContinuationFailureError as failure:
         raise ConfigurationError(
             f"no solvable lambda found (failed at {lam_lo:.6g}); "
             "the chart does not admit the k-th cone problem") from failure
-    _add_linear(acc, state.linear)
-    acc["newton_iterations"] += state.newton_iterations
-    acc["krylov_iterations"] += state.krylov_iterations
-    lo, u_best = lam_lo, state.u
-
-    hi = lam_hi
+    _merge(acc, walk)
+    lo, hi, u_best = lam_lo, lam_hi, state.u
+    midpoints = []
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        u, record, spent = _solve_midpoint(problem, mid, u_best)
-        _add_linear(acc, spent)
+        u, record = _solve_midpoint(problem, mid, u_best, acc)
         if u is None:
             hi = mid
         else:
-            acc["newton_iterations"] += spent["newton_iterations"]
-            acc["krylov_iterations"] += spent["krylov_iterations"]
             lo, u_best = mid, u
         midpoints.append(record)
-        acc["bisections"] += 1
 
     phi = u_best - float(np.max(u_best))
     lambda_star = 0.5 * (lo + hi)
     if stats is not None:
-        stats.update(acc, ceiling=lam_hi, bracket=(lo, hi),
-                     lambda_solvable=lo, midpoints=midpoints)
+        stats.update(acc, bisections=len(midpoints), ceiling=lam_hi,
+                     bracket=(lo, hi), lambda_solvable=lo,
+                     midpoints=midpoints)
     return phi, lambda_star

@@ -10,6 +10,7 @@ per line. Values use repr-exact %.17g so a round trip preserves every bit.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -83,5 +84,14 @@ def read_field(path):
     if width != 1:
         raise ConfigurationError(
             f"field dump rows have up to {width} entries; expected 1")
-    values = np.array([float(row[0]) for row in data], dtype=float)
+    values = np.empty(count)
+    for i, row in enumerate(data):
+        try:
+            values[i] = float(row[0])
+        except ValueError:
+            values[i] = math.nan
+        if not math.isfinite(values[i]):
+            raise ConfigurationError(
+                f"field dump row {i + 1} holds {row[0].strip()!r}; "
+                "expected a finite number")
     return values.reshape(shape), meta

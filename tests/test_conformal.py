@@ -99,7 +99,7 @@ def test_sigma_constants_round_sphere():
     assert abs(state.min_sigma() - 0.75) <= 1e-14
 
     c = 0.31
-    state.update_u(np.full(geom.grid.shape, c))
+    state = ConformalState(geom, np.full(geom.grid.shape, c), k=2)
     target = 0.75 * math.exp(4.0 * c)
     assert np.max(np.abs(state.sigma_field() - target)) <= 1e-12 * target
 
@@ -180,8 +180,7 @@ def test_sigma_covariance_under_shift():
     state = ConformalState(geom, u, k=2)
     sigma0 = state.sigma_field()
     c = 0.27
-    state.update_u(u + c)
-    shifted = state.sigma_field()
+    shifted = ConformalState(geom, u + c, k=2).sigma_field()
     target = math.exp(4.0 * c) * sigma0
     rel = np.abs(shifted - target) / target
     # pole-corner frame components amplify the rounding of forming u + c by
@@ -206,10 +205,10 @@ def test_volume_values():
 
     vol0 = state.volume()
     c = 0.4
-    state.update_u(np.full(geom.grid.shape, c))
+    state = ConformalState(geom, np.full(geom.grid.shape, c), k=1)
     assert abs(state.volume() - math.exp(-3.0 * c) * vol0) <= 1e-13 * vol0
 
-    state.update_u(smooth_admissible_u(geom, seed=5))
+    state = ConformalState(geom, smooth_admissible_u(geom, seed=5), k=1)
     v = state.volume()
     assert np.isfinite(v) and v > 0.0
 
@@ -220,10 +219,10 @@ def test_r_k_values_and_covariance():
     assert abs(state.r_k() - 1.5) <= 1e-14  # geometric mean of a constant
 
     u = smooth_admissible_u(geom, seed=6)
-    state.update_u(u)
+    state = ConformalState(geom, u, k=1)
     r0 = state.r_k()
     c = 0.19
-    state.update_u(u + c)
+    state = ConformalState(geom, u + c, k=1)
     assert abs(state.r_k() - math.exp(2.0 * c) * r0) <= 1e-12 * r0
 
 
@@ -251,7 +250,7 @@ def test_f_k_value_consistency_and_shift_invariance():
     u = smooth_admissible_u(geom16, seed=7)
     s = ConformalState(geom16, u, k=2)
     f0 = s.F_k()
-    s.update_u(u + 0.25)
+    s = ConformalState(geom16, u + 0.25, k=2)
     assert abs(s.F_k() - f0) <= 1e-10 * abs(f0)
 
 
@@ -263,11 +262,11 @@ def test_harnack_quantity():
     eps = 0.1
     t1 = mesh(geom)[0]
     u = np.broadcast_to(eps * np.cos(t1), geom.grid.shape).copy()
-    state.update_u(u)
+    state = ConformalState(geom, u, k=1)
     h = state.harnack_quantity()
     assert abs(h - eps) <= 0.02 * eps
 
-    state.update_u(u + 0.5)
+    state = ConformalState(geom, u + 0.5, k=1)
     assert abs(state.harnack_quantity() - h) <= 1e-12
 
 
@@ -301,21 +300,6 @@ def test_cone_reports():
     assert report.label.first_failing_j == 1
     assert report.value == 0.0
     assert report.n_violations == flat.grid.total_points
-
-
-def test_cache_coherence_on_update():
-    geom = build_round_sphere(3, 16)
-    u1 = smooth_admissible_u(geom, seed=8)
-    u2 = smooth_admissible_u(geom, seed=9)
-    state = ConformalState(geom, u1, k=2)
-    w1 = w_field(state).copy()
-    sigma1 = state.sigma_field().copy()
-    state.update_u(u2)
-    fresh = ConformalState(geom, u2, k=2)
-    assert np.array_equal(w_field(state), w_field(fresh))
-    assert np.array_equal(state.sigma_field(), fresh.sigma_field())
-    assert not np.array_equal(w_field(state), w1)
-    assert not np.array_equal(state.sigma_field(), sigma1)
 
 
 def test_state_validation():

@@ -302,6 +302,19 @@ def test_continuation_guess_does_not_change_the_solution():
     assert np.max(np.abs(a.u - b.u)) <= 1e-6
 
 
+def test_failed_walk_keeps_its_linear_counters(monkeypatch):
+    # Newton capped at one iteration cannot follow the path, so every
+    # t-step fails until the step underflows; the stats of the failed walk
+    # still hold the linear solves of its failed attempts.
+    monkeypatch.setattr(eigen, "NEWTON_MAX_ITER", 1)
+    geom = build_round_sphere(3, 16)
+    stats = {}
+    with pytest.raises(ContinuationFailureError, match="underflow"):
+        continuation_run(AuxiliaryProblem(geom, 2), 0.3, stats=stats)
+    assert stats["linear_solves"] > 0
+    assert stats["newton_iterations"] == 0
+
+
 def test_continuation_rejects_lambda_above_curvature_floor():
     geom = build_round_sphere(3, 16)
     with pytest.raises(ContinuationFailureError, match="cannot bracket"):
@@ -411,6 +424,21 @@ def test_lambda_star_search_midpoint_records():
                                             for r in records)
 
 
+def test_lambda_star_search_totals_add_up():
+    # Every midpoint of this search is solved warm, so the search's totals
+    # are the lower end's walk, rerun here on its own, plus the records.
+    geom = build_round_sphere(3, 16)
+    prob = AuxiliaryProblem(geom, 2)
+    stats, walk = {}, {}
+    lambda_star_search(prob, 2.5e-3, stats=stats)
+    s0 = prob._state(np.zeros(geom.grid.shape)).sigma_w_table()[..., 2] ** 0.5
+    continuation_run(prob, 0.1 * float(np.min(s0)), stats=walk)
+    assert all(r["route"] == "warm" for r in stats["midpoints"])
+    for key in ("newton_iterations", "linear_solves"):
+        assert stats[key] == walk[key] + sum(r[key]
+                                             for r in stats["midpoints"])
+
+
 def test_lambda_star_search_falls_back_when_warm_start_fails(monkeypatch):
     # The warm attempts run and are then rejected, so every midpoint is
     # decided by continuation from scratch: the bracket must be the one
@@ -482,4 +510,3 @@ def test_lambda_star_search_validation():
 def test_continuation_state_defaults():
     st = ContinuationState(t=0.0, u=np.zeros(3), lam=0.5)
     assert st.bounds == (None, None)
-    assert st.newton_iterations == 0

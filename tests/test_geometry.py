@@ -506,3 +506,9 @@ def test_dump_rejects_garbage(tmp_path):
                     + "\n")
     with pytest.raises(ConfigurationError):
         fieldio.read_field(wide)
+    # a non-numeric entry, and values write_scalar_field refuses to write
+    for entry in ("abc", "nan", "inf", "-inf"):
+        bad = tmp_path / f"{entry}.dump"
+        bad.write_text("\n".join(lines[:3] + [entry] + lines[4:]) + "\n")
+        with pytest.raises(ConfigurationError, match=f"row 3 holds '{entry}'"):
+            fieldio.read_field(bad)
