@@ -5,9 +5,10 @@ W(u) the deformed Schouten expression assembled by the conformal module.
 An auxiliary problem fixes (f, h); the continuation walks the right-hand
 side from f (where u identically delta_lo is an exact solution) to the
 constant lambda, warm-starting a damped Newton iteration. Each Newton step
-assembles the Frechet derivative as a sparse matrix: the chart's probed
-Hessian and gradient matrices combined with the conformal state's weights
-of d sigma_k(W), scaled by sigma_k^{1/k-1}/k, minus h e^u. It solves with
+assembles the Frechet derivative as a sparse matrix: the chart's Hessian
+and gradient matrices, built once from its shift matrices, combined with
+the conformal state's weights of d sigma_k(W), scaled by
+sigma_k^{1/k-1}/k, minus h e^u. It solves with
 restarted GMRES (the krylov module) under a two-level preconditioner.
 lambda* is then the supremum of solvable lambda, located by bisection, and
 the eigenfunction is recovered by the renormalization phi = u - max u.
@@ -23,6 +24,7 @@ halved. A linear solve that misses KRYLOV_RTOL is counted, not raised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -94,6 +96,12 @@ class AuxiliaryProblem:
 
     def h_field(self):
         return np.broadcast_to(self.h, self.geometry.grid.shape)
+
+    @functools.cached_property
+    def s0(self):
+        """sigma_k^{1/k}(S0), of the state u = 0; computed once, shared."""
+        base = self._state(np.zeros(self.geometry.grid.shape))
+        return base.sigma_w_table()[..., self.k] ** (1.0 / self.k)
 
     # --------------------------------------------------------- evaluation
 
@@ -272,28 +280,22 @@ def newton_solve(problem, rhs, guess, stats=None):
 class ContinuationState:
     """Accepted end state of a continuation walk."""
 
-    t: float
     u: np.ndarray
     lam: float
-    t_steps: int = 0
     bounds: tuple = (None, None)
 
 
 def _path_bounds(problem, lam):
-    """sigma_k^{1/k}(S0) and the maximum-principle bounds (delta_lo,
-    delta_hi) that every solution on the continuation path to lam obeys."""
+    """The maximum-principle bounds (delta_lo, delta_hi) that every
+    solution on the continuation path to lam obeys."""
     if not lam > 0.0:
         raise ConfigurationError(f"continuation target lambda={lam} must be > 0")
     h = problem.h_field()
-    h_max = float(np.max(h))
-    h_min = float(np.min(h))
+    h_max, h_min = float(np.max(h)), float(np.min(h))
     if h_min <= 0.0:
         raise ConfigurationError(
             "continuation needs a strictly positive coefficient h")
-    base = problem._state(np.zeros(problem.geometry.grid.shape))
-    s0 = base.sigma_w_table()[..., problem.k] ** (1.0 / problem.k)
-    s_min = float(np.min(s0))
-    s_max = float(np.max(s0))
+    s_min, s_max = float(np.min(problem.s0)), float(np.max(problem.s0))
     if not s_min - lam > 0.0:
         raise ContinuationFailureError(
             f"cannot bracket the start: lambda={lam:.6g} is not below "
@@ -301,7 +303,7 @@ def _path_bounds(problem, lam):
             diagnostics={"lam": lam, "s_min": s_min})
     delta_lo = min(0.0, math.log((s_min - lam) / h_max)) - 1.0
     delta_hi = max(0.0, math.log((s_max - lam) / h_min)) + 1.0
-    return s0, (delta_lo, delta_hi)
+    return delta_lo, delta_hi
 
 
 def _check_solution(u, t, lam, bounds):
@@ -333,10 +335,10 @@ def continuation_run(problem, lam, guess=None, stats=None):
     above lambda*. stats, when given, gains the counters of every
     newton_solve the walk runs, failed attempts and a failed walk included.
     """
-    s0, bounds = _path_bounds(problem, lam)
+    bounds = _path_bounds(problem, lam)
     geom = problem.geometry
     delta_lo = bounds[0]
-    f = s0 - problem.h_field() * math.exp(delta_lo)
+    f = problem.s0 - problem.h_field() * math.exp(delta_lo)
     path = AuxiliaryProblem(geom, problem.k, f=f, h=problem.h)
     stats = {} if stats is None else stats
     start = np.full(geom.grid.shape, delta_lo) if guess is None \
@@ -345,7 +347,6 @@ def continuation_run(problem, lam, guess=None, stats=None):
     _check_solution(u, 0.0, lam, bounds)
     t = 0.0
     dt = T_STEP
-    steps = 0
     streak = 0
     while t < 1.0:
         t_try = min(1.0, t + dt)
@@ -363,7 +364,6 @@ def continuation_run(problem, lam, guess=None, stats=None):
             continue
         u = u_next
         t = t_try
-        steps += 1
         _check_solution(u, t, lam, bounds)
         if stats.get("newton_iterations", 0) - before <= 3:
             streak += 1
@@ -372,8 +372,7 @@ def continuation_run(problem, lam, guess=None, stats=None):
                 streak = 0
         else:
             streak = 0
-    return ContinuationState(t=1.0, u=u, lam=lam, t_steps=steps,
-                             bounds=bounds)
+    return ContinuationState(u=u, lam=lam, bounds=bounds)
 
 
 def _warm_solve(problem, lam, guess, stats):
@@ -384,7 +383,7 @@ def _warm_solve(problem, lam, guess, stats):
     and the escape floor), else None; stats gains the solve's counters.
     """
     try:
-        _, bounds = _path_bounds(problem, lam)
+        bounds = _path_bounds(problem, lam)
         u = newton_solve(problem, lam, guess, stats=stats)
         _check_solution(u, 1.0, lam, bounds)
     except NonconvergenceError:
@@ -459,9 +458,7 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     """
     if not tolerance > 0.0:
         raise ConfigurationError(f"tolerance={tolerance} must be > 0")
-    base = problem._state(np.zeros(problem.geometry.grid.shape))
-    s0 = base.sigma_w_table()[..., problem.k] ** (1.0 / problem.k)
-    lam_lo = 0.1 * float(np.min(s0))
+    lam_lo = 0.1 * float(np.min(problem.s0))
     lam_hi = maclaurin_ceiling(problem.geometry, problem.k)
     if not lam_hi > lam_lo:
         raise ConfigurationError(

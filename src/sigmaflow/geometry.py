@@ -22,7 +22,7 @@ Tensor fields live in the orthonormal frame of the background metric, as
 lists of grid arrays: vectors by component, symmetric tensors by their
 upper triangle in fieldalg.pairs(n) order. Only the curvature oracle
 returns a full (..., n, n) array. derivative_matrices gives the Hessian
-and gradient of a scalar as sparse matrices, probed from the stencils.
+and gradient of a scalar as sparse matrices, built from pad's shifts.
 """
 
 from __future__ import annotations
@@ -110,32 +110,28 @@ _FACE_DERIVATIVES = (
     (4, (0.0, 0.0, 1.0, 0.0, 0.0)),
 )
 
+# _stencil's difference weights (shifts -2..2) and denominators over h^order
+_DIFFERENCES = {2: (((0, -1, 0, 1, 0), 2.0), ((0, 1, -2, 1, 0), 1.0)),
+                4: (((1, -8, 0, 8, -1), 12.0), ((-1, 16, -30, 16, -1), 12.0))}
+
+
 def _slice_axis(arr, axis, sl):
     idx = [slice(None)] * arr.ndim
     idx[axis] = sl
     return arr[tuple(idx)]
 
 
-def _greedy_colouring(rows, indices, size):
-    """Colour the columns of a sparse pattern so that no row holds two
-    columns of one colour, first fit in column order; returns one colour
-    per column. rows and indices are the pattern's entries, size its
-    number of columns. Each row keeps its columns' colours so far as the
-    bits of one Python int."""
-    holders = rows[np.argsort(indices, kind="stable")]
-    ends = np.cumsum(np.bincount(indices, minlength=size)).tolist()
-    used = [0] * size
-    colour = np.empty(size, dtype=np.int32)
-    for j, (start, end) in enumerate(zip([0] + ends, ends)):
-        held = holders[start:end].tolist()
-        taken = 0
-        for r in held:
-            taken |= used[r]
-        bit = ~taken & (taken + 1)
-        for r in held:
-            used[r] |= bit
-        colour[j] = bit.bit_length() - 1
-    return colour
+def _sparse_sum(terms, size):
+    """The sum of terms (columns, values), one entry per row each, as a
+    size x size CSR array without repeats or explicit zeros."""
+    columns = np.array([c for c, _ in terms], dtype=np.int32).reshape(-1, size)
+    values = np.array([v for _, v in terms], dtype=float).reshape(-1, size)
+    out = sparse.csr_array(
+        (values.T.reshape(-1), columns.T.reshape(-1),
+         np.arange(size + 1) * len(terms)), shape=(size, size))
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
 class DerivativeMatrices:
@@ -152,37 +148,43 @@ class DerivativeMatrices:
     the stacked weights w, the trace weight last.
     """
 
-    def __init__(self, grid_shape, indptr, indices, rows, maps):
-        """rows: the row of each pattern entry; maps: the stored maps,
-        pointwise H_ab, G_c, then D, back to back as (pattern positions,
-        values, end of each map). A takes their buffers over: each map is
-        sorted in place by position, which groups it by row, since the
-        pattern is in row order, and so stores it as columns of A."""
-        position, data, ends = maps
-        self.indptr = indptr
-        self.indices = indices
+    def __init__(self, grid_shape, maps):
+        """maps() yields the stored maps (pointwise H_ab, G_c, then D) as
+        CSR arrays without explicit zeros. It is called twice, to hold one
+        map at a time: for the pattern, their union with each diagonal
+        entry explicit, then for A (column m * size + r: row r of map m)."""
         self.grid_shape = grid_shape
-        self.size = len(indptr) - 1
-        self.count = len(ends) - 1
+        self.size = math.prod(grid_shape)
         self._n = len(grid_shape)
         self._with_trace = [m for m, (a, b)
                             in enumerate(fieldalg.pairs(self._n)) if a == b]
-        self.diagonal = np.flatnonzero(rows == indices)
         self._coarse = {}
-        column_end = np.zeros(len(ends) * self.size + 1, dtype=np.int32)
-        start = 0
-        for m, end in enumerate(ends):
-            segment = slice(start, end)
-            order = np.argsort(position[segment])
-            position[segment] = position[segment][order]
-            data[segment] = data[segment][order]
-            counts = np.bincount(rows[position[segment]], minlength=self.size)
+        union = sparse.identity(self.size, dtype=bool, format="csr")
+        counts = []
+        for stored in maps():
+            union = union + (stored != 0)
+            counts.append(stored.nnz)
+        self.count = len(counts) - 1
+        self.indptr, self.indices = union.indptr, union.indices
+        slots = sparse.csr_array(  # each pattern entry holds its position
+            (np.arange(union.nnz, dtype=np.int32), union.indices,
+             union.indptr), shape=union.shape)
+        self.diagonal = slots.diagonal()
+        ends = np.cumsum(counts)
+        position = np.empty(ends[-1], dtype=np.int32)
+        data = np.empty(ends[-1])
+        column_end = np.zeros(len(counts) * self.size + 1, dtype=np.int32)
+        for m, (stored, start, end) in enumerate(zip(maps(), ends - counts,
+                                                     ends)):
+            if end > start:  # an empty lookup returns a sparse array
+                entries = stored.tocoo(copy=False)
+                position[start:end] = slots[entries.row, entries.col]
+            data[start:end] = stored.data
             column_end[m * self.size + 1:(m + 1) * self.size + 1] = \
-                start + np.cumsum(counts)
-            start = end
+                start + stored.indptr[1:]
         self._assembly = sparse.csc_array(
             (data, position, column_end),
-            shape=(len(indices), len(column_end) - 1))
+            shape=(union.nnz, len(column_end) - 1))
 
     def combine(self, weights, diagonal=0.0):
         """sum_m diag(weights[m]) L_m + diag(diagonal) as a CSR array over
@@ -231,9 +233,9 @@ class BackgroundGeometry:
     """A chart: grid + diagonal metric + connection + curvature data.
 
     lame[a] holds the Lame factor H_a (sqrt of the metric diagonal) as a
-    broadcastable array; dlog[a][b] holds d_b H_a / H_a or None when it
-    vanishes identically. schouten0 is the constant frame Schouten tensor of
-    the background, scalar_curv0 its scalar curvature.
+    broadcastable array; dlog[a][b] holds d_b H_a / H_a, None where it
+    vanishes identically (always for b = a). schouten0 is the constant frame
+    Schouten tensor of the background, scalar_curv0 its scalar curvature.
     """
 
     def __init__(self, name, grid, lame, dlog, schouten0, scalar_curv0,
@@ -584,9 +586,6 @@ class BackgroundGeometry:
                 # axes then produce bitwise-constant output along them, so
                 # exact discrete symmetries of initial data survive stepping.
                 val = np.multiply(seconds[a], self._inv_lame2[a], out=seconds[a])
-                if self.dlog[a][a] is not None:
-                    np.multiply(self.dlog[a][a], parts[a], out=tmp)
-                    val -= np.multiply(tmp, self._inv_lame2[a], out=tmp)
                 for c, coef in self._christoffel_diag[a]:
                     val += np.multiply(coef, parts[c], out=tmp)
                 val += iso
@@ -601,102 +600,78 @@ class BackgroundGeometry:
 
     def derivative_matrices(self):
         """hessian_components and the frame_gradient components of a scalar
-        as DerivativeMatrices.
-
-        Both are linear and depend only on the chart, so they are built on
-        first use and cached. They are read off the stencil code itself by
-        probing it with sums of unit vectors (Curtis, Powell and Reid
-        1974): columns share a probe when no row of _coupling_table holds
-        two of them, so every output entry of a probe belongs to one
-        column.
-        """
+        as DerivativeMatrices; both are linear and depend only on the
+        chart, so they are built on first use (_maps) and cached."""
         if self._derivative_matrices is None:
-            self._derivative_matrices = self._probe_derivatives()
+            self._derivative_matrices = DerivativeMatrices(self.grid.shape,
+                                                           self._maps)
         return self._derivative_matrices
 
-    def _probe_derivatives(self):
+    def _maps(self):
+        """Yield the stored maps of DerivativeMatrices one at a time, each a
+        sum of terms with one entry per row (_shift_terms). A mixed entry
+        composes the shifts along a with the first difference along b; a
+        polar defect is _polar_defect's flux difference over the density
+        less the pointwise part, plus its antipodal rows (same 1/H_a^2)."""
+        n, size = self.grid.ndim, self.grid.total_points
+
+        def weights(axis, order, factor=1.0):
+            stencil, denominator = _DIFFERENCES[self.fd_order][order - 1]
+            scale = 1.0 / (denominator * self.grid.spacing[axis] ** order)
+            return {s: w * scale * factor
+                    for s, w in zip(range(-2, 3), stencil) if w}
+
+        d1 = lambda c, factor=1.0, comp=None: self._shift_terms(
+            c, weights(c, 1, factor), comp=comp)
+        for a, b in fieldalg.pairs(n):
+            if a == b:
+                terms = self._shift_terms(a, weights(a, 2, self._inv_lame2[a]))
+                for c, coef in self._christoffel_diag[a]:
+                    terms += d1(c, coef)
+            else:
+                inv = self._inv_lame[a] * self._inv_lame[b]
+                inner = d1(b)
+                terms = [(col_b[col_a], val_a * val_b[col_a])
+                         for col_a, val_a in d1(a, inv, comp=b)
+                         for col_b, val_b in inner]
+                for c, d in ((a, b), (b, a)):
+                    if self.dlog[c][d] is not None:
+                        terms += d1(c, -self.dlog[c][d] * inv)
+            yield _sparse_sum(terms, size)
+        for c in range(n):
+            yield _sparse_sum(d1(c, self._inv_lame[c]), size)
+        terms = []
+        for a, c in self._polar.items():
+            # out_i = F_{i+1} - F_i with F_i = sum_k coef_k(i) du_{i+k}, less
+            # the pointwise d2 + kappa d1
+            parts = [(s, -w) for order, factor in ((2, 1.0), (1, c.kappa))
+                     for s, w in weights(a, order, factor).items()]
+            for k, coef in c.flux:
+                upper = _slice_axis(coef, a, slice(1, None)) / c.hs
+                lower = _slice_axis(coef, a, slice(None, -1)) / c.hs
+                parts += [(k + 1, upper), (k, -upper - lower), (k - 1, lower)]
+            defect = {}
+            for s, v in parts:
+                defect[s] = defect.get(s, 0.0) + 0.5 * self._inv_lame2[a] * v
+            axis = self._shift_terms(a, defect, c.width)
+            antipode = self._kernel["polar"][a][1].reshape(-1)
+            terms += axis + [(col[antipode], val[antipode]) for col, val in axis]
+        yield _sparse_sum(terms, size)
+
+    def _shift_terms(self, axis, weights, width=None, comp=None):
+        """The terms (columns, values) of sum_s diag(weights[s]) S_s, |s| <=
+        width (fd_order / 2 by default): S_s shifts by s along the axis
+        through the ghosts with the parity sign of the comp-th partial, as
+        pad gives them for the node indices and ones."""
         shape, size = self.grid.shape, self.grid.total_points
-        table = self._coupling_table()
-        # the CSR pattern of the table, repeats merged
-        table.sort(axis=1)
-        keep = np.ones(table.shape, dtype=bool)
-        keep[:, 1:] = table[:, 1:] != table[:, :-1]
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        indices = table[keep]
-        del keep
-        del table
-        rows = np.repeat(np.arange(size, dtype=np.int32), np.diff(indptr))
-        colour = _greedy_colouring(rows, indices, size)
-        # pattern entries grouped by the colour of their column
-        order = np.argsort(colour[indices], kind="stable").astype(np.int32)
-        ends = np.cumsum(np.bincount(colour[indices]))
-
-        def probes():
-            """Per colour: the pattern positions of its entries and their
-            values in each stored map (see DerivativeMatrices)."""
-            start = 0
-            for c, end in enumerate(ends):
-                probe = (colour == c).astype(float).reshape(shape)
-                parts, seconds, defect = self.scalar_jet(probe)
-                outs = (self.hessian_components(probe,
-                                                jet=(parts, seconds, 0.0))
-                        + self.frame_gradient(parts)[0] + [defect])
-                position = order[start:end]
-                r = rows[position]
-                yield position, [np.broadcast_to(out, shape).reshape(-1)[r]
-                                 for out in outs]
-                start = end
-
-        # Probing twice, once to count the nonzeros, allocates the stored
-        # maps once at their size, back to back in one buffer: growing
-        # them leaves a fragmented heap that costs more resident memory
-        # than the maps themselves.
-        n = self.grid.ndim
-        counts = np.zeros(len(fieldalg.pairs(n)) + n + 1, dtype=int)
-        for _, values in probes():
-            counts += [np.count_nonzero(v) for v in values]
-        stored = np.cumsum(counts)
-        position = np.empty(stored[-1], dtype=np.int32)
-        data = np.empty(stored[-1])
-        filled = stored - counts
-        for entries, values in probes():
-            for m, v in enumerate(values):
-                keep = v != 0.0
-                start, end = filled[m], filled[m] + np.count_nonzero(keep)
-                position[start:end] = entries[keep]
-                data[start:end] = v[keep]
-                filled[m] = end
-        return DerivativeMatrices(shape, indptr, indices, rows,
-                                  (position, data, stored))
-
-    def _coupling_table(self):
-        """The columns each node couples to in hessian_components and
-        frame_gradient, repeats allowed, as a (nodes, K) table. pad applied
-        to the grid of node indices names each stencil's source nodes,
-        periodic wraps and pole ghosts included; on polar axes the pole
-        antipodes of the divergence-form defect are added."""
-        n = self.grid.ndim
-        index = np.arange(self.grid.total_points,
-                          dtype=np.int32).reshape(self.grid.shape)
-
-        def shifts(axis, width):
-            p = self.pad(index, axis, width)
-            m = self.grid.shape[axis]
-            return [_slice_axis(p, axis, slice(width + s, width + s + m))
-                    .reshape(-1) for s in range(-width, width + 1)]
-
-        first = [shifts(a, self.fd_order // 2) for a in range(n)]
-        columns = [c for cols in first for c in cols]
-        for a in range(n):
-            if a in self._polar:
-                antipode = self._kernel["polar"][a][1].reshape(-1)
-                for c in shifts(a, self._polar[a].width):
-                    columns += [c, c[antipode]]
-            for b in range(a + 1, n):
-                # the mixed entry (a, b) differences along b, then along a
-                columns += [cb[ca] for ca in first[a] for cb in first[b]]
-        return np.stack(columns, axis=1)
+        width = width or self.fd_order // 2
+        source = self.pad(np.arange(size, dtype=np.int32).reshape(shape),
+                          axis, width)
+        sign = self.pad(np.ones(shape), axis, width, comp)
+        at = lambda p, s: _slice_axis(p, axis, slice(width + s,
+                                                     width + s + shape[axis]))
+        return [(at(source, s).reshape(-1), (at(sign, s) * w).reshape(-1))
+                for s, w in weights.items()]
 
     # --------------------------------------------------------- integration
 

@@ -1,15 +1,13 @@
-"""The matrix-free Frechet derivative, the numpy column colouring and the
-J-based two-level preconditioner, as oracles for eigen's assembled
-Jacobian, geometry's bit-mask colouring and eigen's J Z coarse correction.
+"""The matrix-free Frechet derivative and the J-based two-level
+preconditioner, as oracles for eigen's assembled Jacobian and its J Z
+coarse correction.
 
 frechet_apply applies the derivative through the stencils, forming
 dW(rho) from rho's Hessian and gradient; the package combines the chart's
-derivative matrices with the state's linearization weights, so the two
-share no formula for dW.
+derivative matrices, built from shift matrices apart from the stencil
+code, with the state's linearization weights, so the two share no formula
+for dW.
 
-greedy_colouring marks the colours taken in a column's rows in a boolean
-array per column; the package keeps them as one bit mask per row. Both
-are first fit in column order, so the colours must be identical.
 two_level applies the coarse correction through J itself: the coarse
 solution Z c is formed on the grid and multiplied by J. The package
 multiplies c by the count-column matrix J Z instead, which is the same
@@ -52,25 +50,6 @@ def frechet_apply(problem, u, rho):
         dw = h_ab + grad_u[a] * grad_r[b] + grad_r[a] * grad_u[b]
         inner = inner + (t_ab * (dw - dot) if a == b else 2.0 * t_ab * dw)
     return prefac * inner - zeroth * rho
-
-
-def greedy_colouring(table, rows, indices):
-    """Colour the columns of a sparse pattern so that no row holds two
-    columns of one colour; returns one colour per column. table lists
-    each row's columns (repeats allowed), rows and indices are the
-    pattern's entries."""
-    size = len(table)
-    holders = rows[np.argsort(indices, kind="stable")]
-    ends = np.cumsum(np.bincount(indices, minlength=size))
-    colour = np.full(size, -1, dtype=np.int32)
-    start = 0
-    for j, end in enumerate(ends):
-        taken = colour[table[holders[start:end]]].reshape(-1)
-        free = np.ones(len(taken) + 1, dtype=bool)
-        free[taken[taken >= 0]] = False
-        colour[j] = np.argmax(free)
-        start = end
-    return colour
 
 
 def aggregates(grid, block):

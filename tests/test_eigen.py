@@ -129,7 +129,7 @@ def jacobian_chart(name, fd_order):
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_assembled_jacobian_matches_linearize_apply(name, fd_order, seed):
-    # J is assembled from the probed Hessian and gradient matrices with
+    # J is assembled from the chart's Hessian and gradient matrices with
     # pointwise weights; applied to any rho it must agree with the
     # matrix-free derivative to rounding (measured 4e-16). u is a random
     # combination of first harmonics (x_0, x_2 on S^3; the circle and the
@@ -278,7 +278,6 @@ def test_continuation_hits_constant_target():
     geom = build_round_sphere(3, 16)
     lam = 0.3
     state = continuation_run(AuxiliaryProblem(geom, 2), lam)
-    assert state.t == 1.0
     expected = math.log(S_OF_K[2] - lam)
     assert abs(float(np.max(state.u)) - expected) <= 1e-12
     assert float(np.ptp(state.u)) <= 1e-12
@@ -508,5 +507,5 @@ def test_lambda_star_search_validation():
 
 
 def test_continuation_state_defaults():
-    st = ContinuationState(t=0.0, u=np.zeros(3), lam=0.5)
+    st = ContinuationState(u=np.zeros(3), lam=0.5)
     assert st.bounds == (None, None)

@@ -126,8 +126,9 @@ def smooth_u(geom, a, b):
 
 def test_work_buffers_alias_no_result():
     # Two states built back to back keep their own fields, nothing a call
-    # returns lives in a work buffer, and the probed derivative matrices
-    # do not depend on what the buffers held before.
+    # returns lives in a work buffer, and the derivative matrices, whose
+    # shift matrices pad builds, do not depend on what the buffers held
+    # before.
     geom = build_round_sphere(3, 16, fd_order=4)
     s1 = ConformalState(geom, smooth_u(geom, 0.05, 0.04), 2)
     kept = [np.copy(x) for x in s1.w_components() + s1.frame_gradient()
