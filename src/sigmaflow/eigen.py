@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 
 from .conformal import ConformalState, admissible_state
@@ -139,8 +138,10 @@ class AuxiliaryProblem:
 
 def _two_level(maps, jac):
     """x = M^{-1} y: an exact solve on the span of the aggregate
-    indicators Z (the coarse matrix Z^T J Z factored densely), then one
-    Jacobi sweep with J's diagonal.
+    indicators Z (the coarse matrix Z^T J Z inverted densely by
+    numpy.linalg once per Newton step, a few dozen rows), then one Jacobi
+    sweep with J's diagonal. An exactly singular coarse matrix raises
+    NonconvergenceError, as a non-finite Newton direction does.
 
     Near lambda* J tends to c Lap_h, whose smooth low modes Jacobi alone
     cannot resolve; the piecewise constants of Z carry them (a coarse
@@ -154,12 +155,16 @@ def _two_level(maps, jac):
     coarse = np.bincount(entry, weights=jz,
                          minlength=count * count).reshape(count, count)
     jz = sparse.csr_array((jz, indices, indptr), shape=(maps.size, count))
-    lu = scipy.linalg.lu_factor(coarse)
+    try:
+        coarse_inv = np.linalg.inv(coarse)
+    except np.linalg.LinAlgError as err:
+        raise NonconvergenceError(
+            "coarse matrix Z^T J Z is singular (singular linearization)",
+            diagnostics={"coarse_size": count}) from err
     inv_diag = 1.0 / jac.data[maps.diagonal]
 
     def apply(y):
-        rhs = np.bincount(agg, weights=y, minlength=count)
-        c = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        c = coarse_inv @ np.bincount(agg, weights=y, minlength=count)
         return c[agg] + (y - jz @ c) * inv_diag
 
     return apply

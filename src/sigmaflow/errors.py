@@ -4,8 +4,9 @@ Each class carries the process exit code the CLI maps it to:
 
     2  usage / configuration problems
     3  cone violations (the state left the admissible set)
-    4  nonconvergence (flow step-size underflow, Newton stall, continuation)
-    5  internal numeric errors (non-finite values, failed decompositions)
+    4  nonconvergence (flow step-size underflow, Newton stall or singular
+       linearization, continuation)
+    5  internal numeric errors (non-finite output, failed self-checks)
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class ConeViolationError(SigmaFlowError):
 
 
 class NonconvergenceError(SigmaFlowError):
-    """An iteration gave up: Newton stall, dt underflow, continuation failure."""
+    """An iteration gave up: Newton stall or singular linearization, dt
+    underflow, continuation failure."""
 
     exit_code = 4
 
@@ -63,6 +65,11 @@ class ContinuationFailureError(NonconvergenceError):
 
 
 class NumericError(SigmaFlowError):
-    """Non-finite values or a failed matrix decomposition."""
+    """Non-finite output or a failed self-check.
+
+    A singular Newton linearization (a non-finite direction, or a coarse
+    matrix numpy.linalg cannot invert) is a NonconvergenceError instead:
+    continuation halves its step on it like on any Newton failure.
+    """
 
     exit_code = 5

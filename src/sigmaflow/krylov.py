@@ -7,8 +7,10 @@ matrix-vector products against the basis per pass instead of one small
 product per basis vector, which keeps the number of numpy calls per inner
 iteration fixed. The least-squares residual of the Hessenberg problem is
 tracked by Givens rotations in scalar arithmetic. A cycle ends on that
-estimate; the residual b - A x is then formed with one product by A and
-is what decides convergence, seeds the next cycle and is returned.
+estimate and solves the triangular system of its rotated Hessenberg
+matrix with numpy.linalg, so the module needs numpy alone. The residual
+b - A x is then formed with one product by A and is what decides
+convergence, seeds the next cycle and is returned.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 EPS = np.finfo(float).eps
 
@@ -77,8 +78,10 @@ def gmres(A, b, rtol=1e-5, restart=20, maxiter=1, callback=None):
             if abs(g[size]) <= target or hnorm == 0.0:
                 break
             np.multiply(w, 1.0 / hnorm, out=basis[size])
-        y = scipy.linalg.solve_triangular(hess[:size, :size], g[:size],
-                                          check_finite=False)
+        # hess[:size, :size] is upper triangular with a positive diagonal
+        # (singular columns are left out), so LAPACK's pivoted LU inside
+        # np.linalg.solve swaps no rows and is back substitution
+        y = np.linalg.solve(hess[:size, :size], g[:size])
         x += y @ basis[:size]
         r = b - A.matvec(x)
         rnorm = float(np.linalg.norm(r))

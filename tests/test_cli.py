@@ -280,6 +280,26 @@ def test_module_entry_point_and_thread_env(tmp_path):
     assert "SIGMAFLOW_THREADS" in result.stderr
 
 
+def test_eigen_run_does_not_load_scipy_linalg(tmp_path):
+    # The dense solves of eigen and krylov run on numpy.linalg, so a run
+    # loads scipy.sparse alone (about 8 MB less resident memory). Checked
+    # in a fresh interpreter after a whole eigen run, which catches lazy
+    # imports on the solve path; this test process itself has loaded
+    # scipy.linalg through the test oracles.
+    script = (
+        "import sys\n"
+        "from sigmaflow import cli\n"
+        "code = cli.main(['eigen', 'chart=round_sphere', 'n=3', 'k=1',\n"
+        "                 'resolution=16', 'tolerance=0.2', 'amplitude=0',\n"
+        f"                 'output_dir={tmp_path / 'eig'}'])\n"
+        "print(code, 'scipy.sparse' in sys.modules,\n"
+        "      sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 True []"
+
+
 def test_unknown_subcommand_exits_two():
     result = subprocess.run(
         [sys.executable, "-m", "sigmaflow", "simulate"],

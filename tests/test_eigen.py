@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -178,16 +177,16 @@ def admissible_jacobian(name):
 def test_two_level_matches_the_j_based_apply(name, monkeypatch):
     # The coarse correction reads J Z where the oracle forms Z c on the
     # grid and multiplies by J; the two differ by rounding only (measured
-    # 9e-14 and 3e-14 relative). The coarse matrix handed to the LU factor
-    # must be Z^T J Z (measured equal), and the preconditioner must
+    # 9e-14 and 3e-14 relative). The coarse matrix handed to the dense
+    # inverse must be Z^T J Z (measured equal), and the preconditioner must
     # reproduce the coarse space: M^{-1} J Z c = Z c (measured 8e-15 and
     # 2e-15 relative).
     geom, jac = admissible_jacobian(name)
     factored = []
-    lu_factor = scipy.linalg.lu_factor
+    inv = np.linalg.inv
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "lu_factor",
-                      lambda a: factored.append(a.copy()) or lu_factor(a))
+        patch.setattr(np.linalg, "inv",
+                      lambda a: factored.append(a.copy()) or inv(a))
         apply = eigen._two_level(geom.derivative_matrices(), jac)
     want = ref.two_level(geom.grid, jac, eigen.COARSE_BLOCK)
     rng = np.random.default_rng(11)
@@ -206,6 +205,24 @@ def test_two_level_matches_the_j_based_apply(name, monkeypatch):
     assert np.max(np.abs(factored[0] - ztjz)) <= 1e-14 * np.max(np.abs(ztjz))
     zc = z @ rng.standard_normal(count)
     assert np.max(np.abs(apply(jac @ zc) - zc)) <= 1e-12 * np.max(np.abs(zc))
+
+
+def test_singular_coarse_matrix_is_a_nonconvergence(monkeypatch):
+    # numpy.linalg raises LinAlgError on an exactly singular Z^T J Z; the
+    # Newton solve must end as the typed failure (CLI exit code 4), as a
+    # non-finite direction does, and not as an untyped traceback.
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    geom = build_round_sphere(3, 16)
+    prob = AuxiliaryProblem(geom, 2)
+    rhs = constant(geom, S_OF_K[2] - 1.0)
+    guess = zonal(geom, lambda t: 0.05 * np.cos(t))
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(NonconvergenceError, match="singular") as failure:
+        newton_solve(prob, rhs, guess)
+    assert failure.value.exit_code == 4
+    assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_coarse_space_is_built_once_per_chart(monkeypatch):
@@ -389,6 +406,22 @@ def test_lambda_star_search_brackets_the_sharp_value():
     assert stats["bisections"] == 5
     assert stats["newton_iterations"] > 0
     assert stats["krylov_iterations"] > 0
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_lambda_star_is_sigma_k_of_s0_for_non_constant_h(k):
+    # S0 is constant on the round chart, so constants are sub- and
+    # super-solutions for every lambda below sigma_k^{1/k}(S0) whatever
+    # h > 0 is: lambda* = sigma_k^{1/k}(S0) exactly, in the discrete
+    # problem too (measured errors -4.12e-5 for k = 1, -4.76e-5 for k = 2).
+    geom = build_round_sphere(3, 16)
+    h = 1.0 + 0.5 * zonal(geom, np.cos)
+    stats = {}
+    _, lam = lambda_star_search(AuxiliaryProblem(geom, k, h=h), 1e-4,
+                                stats=stats)
+    lo, hi = stats["bracket"]
+    assert abs(lam - S_OF_K[k]) <= 1e-4
+    assert lo < S_OF_K[k] <= hi and hi - lo <= 1e-4
 
 
 def test_lambda_star_search_bracket_and_linear_solves():
