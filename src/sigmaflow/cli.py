@@ -39,6 +39,8 @@ from .errors import NumericError, SigmaFlowError, UsageError
 from .errors import ConeViolationError
 from .flow import FlowConfig, flow_speed, run, step, write_monitor_csv
 from .geometry import (
+    PERIODIC,
+    background_schouten,
     build_hopf_product,
     build_round_sphere,
     build_synthetic,
@@ -152,14 +154,6 @@ def _typed(key, raw):
             f"key '{key}': expected {kind.__name__}, got {raw!r}") from err
 
 
-def _background_spectrum(cfg):
-    if cfg.chart == "round_sphere":
-        return (0.5,) * cfg.n
-    if cfg.chart == "hopf_product":
-        return (-0.5,) + (0.5,) * (cfg.n - 1)
-    return cfg.s0_diag
-
-
 def parse_config(subcommand, pairs):
     """Validate a merged key=value mapping into a RunConfig.
 
@@ -221,11 +215,11 @@ def parse_config(subcommand, pairs):
 
     cfg = RunConfig(subcommand=subcommand, **values)
     if subcommand in ("flow", "eigen"):
-        spectrum = _background_spectrum(cfg)
-        label = symfun.cone_test(np.array(spectrum), cfg.k)
+        spectrum = np.diag(background_schouten(cfg.chart, cfg.n, cfg.s0_diag))
+        label = symfun.cone_test(spectrum, cfg.k)
         if not label.inside:
             j = label.first_failing_j
-            value = symfun.sigma_all(np.array(spectrum), j)[j]
+            value = symfun.sigma_all(spectrum, j)[j]
             listed = ", ".join("%g" % s for s in spectrum)
             raise ConeViolationError(
                 f"chart {cfg.chart} background spectrum ({listed}) is outside "
@@ -238,14 +232,13 @@ def parse_config(subcommand, pairs):
 # ------------------------------------------------------------ dispatch
 
 def _build_geometry(cfg):
+    # each builder holds its chart's default difference order
+    order = {} if cfg.fd_order is None else {"fd_order": cfg.fd_order}
     if cfg.chart == "round_sphere":
-        return build_round_sphere(cfg.n, cfg.resolution,
-                                  fd_order=cfg.fd_order or 2)
+        return build_round_sphere(cfg.n, cfg.resolution, **order)
     if cfg.chart == "hopf_product":
-        return build_hopf_product(cfg.n, cfg.radius, cfg.resolution,
-                                  fd_order=cfg.fd_order or 2)
-    return build_synthetic(cfg.n, np.array(cfg.s0_diag), cfg.resolution,
-                           fd_order=cfg.fd_order or 4)
+        return build_hopf_product(cfg.n, cfg.radius, cfg.resolution, **order)
+    return build_synthetic(cfg.n, cfg.s0_diag, cfg.resolution, **order)
 
 
 def _seeded_initial(geom, amplitude, seed):
@@ -261,7 +254,7 @@ def _seeded_initial(geom, amplitude, seed):
     eta = float(np.random.default_rng(seed).uniform(-0.5, 0.5))
     x = grid.coordinates(0)
     period = grid.shape[0] * grid.spacing[0]
-    q = 2.0 * math.pi / period if grid.axis_kind[0] == "periodic" else 1.0
+    q = 2.0 * math.pi / period if grid.axis_kind[0] == PERIODIC else 1.0
     u = amplitude * (np.cos(q * x) + eta * np.cos(2.0 * q * x))
     return np.broadcast_to(grid.axis_vector(0, u), grid.shape).copy()
 

@@ -57,7 +57,8 @@ class NonconvergenceError(SigmaFlowError):
 
 
 class FlowFailureError(NonconvergenceError):
-    """Time stepper rejected a step 30 times in a row (dt underflow)."""
+    """Time stepper rejected a step max_halvings + 1 times in a row (31 by
+    default): dt and each of its max_halvings halvings failed (dt underflow)."""
 
 
 class ContinuationFailureError(NonconvergenceError):

@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .geometry import PERIODIC, POLE
 
 FORMAT_TAG = "sigmaflow-field"
 FORMAT_VERSION = 1
@@ -55,17 +56,20 @@ def _parse_header(line):
     tag = parts[0].split()
     if len(tag) != 2 or tag[0] != FORMAT_TAG or not tag[1].startswith("v"):
         raise ConfigurationError(f"not a field dump: bad header {line!r}")
-    version = int(tag[1][1:])
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported field dump version {version}")
+    if tag[1] != f"v{FORMAT_VERSION}":
+        raise ConfigurationError(f"unsupported field dump version {tag[1][1:]}")
     meta = {}
     for part in parts[1:]:
         key, _, value = part.partition("=")
         meta[key.strip()] = value.strip()
     if "dims" not in meta or "axis" not in meta or "chart" not in meta:
         raise ConfigurationError("field dump header is missing required keys")
-    meta["dims"] = tuple(int(d) for d in meta["dims"].split(","))
+    meta["dims"] = tuple(int(d) if d.strip().isdigit() else 0
+                         for d in meta["dims"].split(","))
     meta["axis"] = tuple(meta["axis"].split(","))
+    if (min(meta["dims"]) < 1 or len(meta["axis"]) != len(meta["dims"])
+            or not set(meta["axis"]) <= {POLE, PERIODIC}):
+        raise ConfigurationError(f"bad dims or axis kinds in header {line!r}")
     return meta
 
 

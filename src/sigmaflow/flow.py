@@ -197,9 +197,9 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     """One accepted explicit step from an admissible state.
 
     Returns (new_state, dt_used, n_rejected). A candidate leaving the cone
-    or producing non-finite values is rejected and dt halved; after
-    max_halvings consecutive rejections the step gives up and reports the
-    last valid state in the error diagnostics.
+    or producing non-finite values is rejected and dt halved; at the
+    (max_halvings + 1)-th rejection in a row the step gives up and reports
+    the last valid state in the error diagnostics.
     """
     if scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")

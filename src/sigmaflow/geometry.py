@@ -1,6 +1,8 @@
 """Structured grids and background geometries for the model charts.
 
-Three chart families, all with diagonal background metrics in coordinates:
+Three chart families, all with diagonal background metrics in coordinates.
+Each is a nested-sine chart, described by its axis kinds (polar or
+periodic) and the radius of axis 0; BackgroundGeometry derives the rest.
 
   round_sphere  hyperspherical chart on S^n: polar angles theta_1..theta_{n-1}
                 in (0, pi), azimuth phi in [0, 2pi). Lame factors
@@ -165,10 +167,13 @@ class DerivativeMatrices:
             union = union + (stored != 0)
             counts.append(stored.nnz)
         self.count = len(counts) - 1
-        self.indptr, self.indices = union.indptr, union.indices
+        # int32 like the positions below: scipy's index dtype for the sum
+        # varies from build to build, and int64 slows every J product
+        self.indptr, self.indices = (union.indptr.astype(np.int32),
+                                     union.indices.astype(np.int32))
         slots = sparse.csr_array(  # each pattern entry holds its position
-            (np.arange(union.nnz, dtype=np.int32), union.indices,
-             union.indptr), shape=union.shape)
+            (np.arange(union.nnz, dtype=np.int32), self.indices,
+             self.indptr), shape=union.shape)
         self.diagonal = slots.diagonal()
         ends = np.cumsum(counts)
         position = np.empty(ends[-1], dtype=np.int32)
@@ -230,27 +235,36 @@ class DerivativeMatrices:
 
 
 class BackgroundGeometry:
-    """A chart: grid + diagonal metric + connection + curvature data.
+    """A nested-sine chart: grid + diagonal metric + connection + curvature
+    data, all derived from the axis kinds.
 
-    lame[a] holds the Lame factor H_a (sqrt of the metric diagonal) as a
-    broadcastable array; dlog[a][b] holds d_b H_a / H_a, None where it
-    vanishes identically (always for b = a). schouten0 is the constant frame
-    Schouten tensor of the background, scalar_curv0 its scalar curvature.
+    kinds gives each axis as POLE (a polar angle theta in (0, pi), spacing
+    pi/points) or PERIODIC (spacing 2 pi/points). The Lame factor H_a (sqrt
+    of the metric diagonal) is radius on axis 0 and 1 elsewhere, times
+    sin(theta_b) for every polar axis b < a (lame_at); lame[a] holds it on
+    the grid as a broadcastable array. dlog[a][b] holds d_b H_a / H_a,
+    cot(theta_b) for those pairs and None elsewhere. schouten0 is the
+    constant frame Schouten tensor of the background (background_schouten).
     """
 
-    def __init__(self, name, grid, lame, dlog, schouten0, scalar_curv0,
-                 lame_fn, fd_order=2, variational=True):
-        self.name = name
-        self.grid = grid
-        self.lame = lame
-        self.dlog = dlog
-        self.schouten0 = np.asarray(schouten0, dtype=float)
-        self.scalar_curv0 = float(scalar_curv0)
-        self.lame_fn = lame_fn
-        self.fd_order = fd_order
-        self.variational = variational
+    def __init__(self, name, kinds, points, schouten0, radius=1.0,
+                 fd_order=2, variational=True):
         if fd_order not in (2, 4):
             raise ConfigurationError("difference order must be 2 or 4")
+        self.name = name
+        self.grid = grid = Grid(
+            shape=(points,) * len(kinds), axis_kind=tuple(kinds),
+            spacing=tuple((math.pi if kind == POLE else 2.0 * math.pi) / points
+                          for kind in kinds))
+        self.radius = radius
+        self.schouten0 = np.asarray(schouten0, dtype=float)
+        self.fd_order = fd_order
+        self.variational = variational
+        x = [grid.axis_vector(a, grid.coordinates(a)) for a in range(grid.ndim)]
+        self.lame = lame = self.lame_at(x)
+        self.dlog = dlog = [[np.cos(x[b]) / np.sin(x[b])
+                             if b < a and kinds[b] == POLE else None
+                             for b in range(grid.ndim)] for a in range(grid.ndim)]
         w = np.ones((1,) * grid.ndim)
         for h_a in lame:
             w = w * h_a
@@ -275,6 +289,18 @@ class BackgroundGeometry:
                          math.prod(grid.shape[a + 1:])) for a in range(grid.ndim)]
         self._derivative_matrices = None
 
+    def lame_at(self, x):
+        """The Lame factors at coordinates x, one broadcastable array per
+        axis as Grid.axis_vector shapes them."""
+        out = []
+        for a in range(self.grid.ndim):
+            h = np.full((1,) * self.grid.ndim, self.radius if a == 0 else 1.0)
+            for b in range(a):
+                if self.grid.axis_kind[b] == POLE:
+                    h = h * np.sin(x[b])
+            out.append(h)
+        return out
+
     @functools.cached_property
     def _kernel(self):
         """Stencil tables, built on first use: per polar axis the flux
@@ -298,11 +324,9 @@ class BackgroundGeometry:
         axis (see _polar_defect), as arrays broadcast along the axis."""
         grid = self.grid
         n, h = grid.shape[axis], grid.spacing[axis]
-        later = [self.dlog[a][axis] for a in range(grid.ndim)
-                 if a != axis and self.dlog[a][axis] is not None]
+        # every later axis carries sin(theta) in its Lame factor
+        later = [self.dlog[a][axis] for a in range(axis + 1, grid.ndim)]
         m = len(later)
-        if m == 0 or self.dlog[axis][axis] is not None:
-            raise ConfigurationError(f"axis {axis} is not a polar axis")
         theta = np.arange(n + 1) * h
         s, s1, s2, s3, s4 = _sine_power_derivatives(m, theta, 5)
         c1, c2 = h / 24.0 * s1, h * h / 24.0 * s2
@@ -317,8 +341,7 @@ class BackgroundGeometry:
             # the next Euler-Maclaurin term, (7 h^4/5760)(s u')''''
             extra = tuple(7.0 / 5760.0 * b * d for b, d in
                           zip((1.0, 4.0, 6.0, 4.0, 1.0), (s, s1, s2, s3, s4)))
-        earlier = any(self.dlog[axis][b] is not None for b in range(axis))
-        if m >= 3 or (m == 2 and earlier):
+        if m >= 3 or (m == 2 and POLE in grid.axis_kind[:axis]):
             # Next to a pole the h^5 terms are not small against the
             # node's weight O(h^(m+1)): without them the first row is off
             # by 0.14 h^2 relative at m = 2, 0.7 h^2 at m = 3 and O(1) at
@@ -338,9 +361,7 @@ class BackgroundGeometry:
         for c in coef:
             if np.ndim(c):
                 c[[0, n]] = 0.0          # no flux through a pole
-        kappa = later[0]
-        for arr in later[1:]:
-            kappa = kappa + arr
+        kappa = sum(later[1:], later[0])
         weight = np.ones(n)
         weight[[0, -1]] = {1: 11.0 / 12.0, 3: 127.0 / 120.0}.get(m, 1.0)
         nodes = np.sin(grid.coordinates(axis)) ** m * weight
@@ -702,32 +723,23 @@ def _check_resolution(points, minimum):
             "half a period)")
 
 
-def _nested_sine_chart(grid, polar_axes, const=1.0):
-    """(lame_fn, lame, dlog) for a nested-sine chart.
-
-    polar_axes maps each axis to the list of earlier polar axes whose sines
-    multiply into its Lame factor; const scales axis 0 (circle radius).
-    dlog[a][b] = cot(theta_b) for each such pair, None elsewhere. With no
-    polar axes (and const 1) this is the flat box of build_synthetic.
-    """
-    n = grid.ndim
-
-    def lame_fn(coords):
-        out = []
-        for a in range(n):
-            h = np.full((1,) * n, const if a == 0 else 1.0)
-            for j in polar_axes[a]:
-                h = h * np.sin(grid.axis_vector(j, coords[j]))
-            out.append(h)
-        return out
-
-    coords = [grid.coordinates(a) for a in range(n)]
-    dlog = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in polar_axes[a]:
-            theta = grid.axis_vector(b, coords[b])
-            dlog[a][b] = np.cos(theta) / np.sin(theta)
-    return lame_fn, lame_fn(coords), dlog
+def background_schouten(chart, n, s0=None):
+    """The constant frame Schouten tensor of a chart: I/2 on the round S^n,
+    diag(-1/2, 1/2, ...) on S^1(r) x S^{n-1} for every r, and on the
+    synthetic box its override s0, a length-n diagonal or a symmetric
+    n x n matrix."""
+    if chart == "round_sphere":
+        return 0.5 * np.eye(n)
+    if chart == "hopf_product":
+        return np.diag([-0.5] + [0.5] * (n - 1))
+    s0 = np.asarray(s0, dtype=float)
+    if s0.ndim == 1:
+        if s0.shape != (n,):
+            raise ConfigurationError("synthetic s0 diagonal must have length n")
+        s0 = np.diag(s0)
+    if s0.shape != (n, n) or not np.allclose(s0, s0.T):
+        raise ConfigurationError("synthetic s0 must be a symmetric n x n matrix")
+    return s0
 
 
 def build_round_sphere(n, points_per_axis, fd_order=2):
@@ -735,18 +747,9 @@ def build_round_sphere(n, points_per_axis, fd_order=2):
     if n not in (3, 4, 5):
         raise ConfigurationError(f"round_sphere supports n in 3..5, got {n}")
     _check_resolution(points_per_axis, 16)
-    N = points_per_axis
-    kinds = tuple([POLE] * (n - 1) + [PERIODIC])
-    spacing = tuple([math.pi / N] * (n - 1) + [2.0 * math.pi / N])
-    grid = Grid(shape=(N,) * n, spacing=spacing, axis_kind=kinds)
-
-    # all earlier axes are polar
-    lame_fn, lame, dlog = _nested_sine_chart(
-        grid, [list(range(a)) for a in range(n)])
     return BackgroundGeometry(
-        name="round_sphere", grid=grid, lame=lame, dlog=dlog,
-        schouten0=0.5 * np.eye(n), scalar_curv0=n * (n - 1),
-        lame_fn=lame_fn, fd_order=fd_order)
+        "round_sphere", (POLE,) * (n - 1) + (PERIODIC,), points_per_axis,
+        background_schouten("round_sphere", n), fd_order=fd_order)
 
 
 def build_hopf_product(n, circle_radius=1.0, points_per_axis=16, fd_order=2):
@@ -761,22 +764,10 @@ def build_hopf_product(n, circle_radius=1.0, points_per_axis=16, fd_order=2):
     if circle_radius <= 0.0:
         raise ConfigurationError("circle_radius must be positive")
     _check_resolution(points_per_axis, 8)
-    N = points_per_axis
-    kinds = tuple([PERIODIC] + [POLE] * (n - 2) + [PERIODIC])
-    spacing = tuple([2.0 * math.pi / N] + [math.pi / N] * (n - 2)
-                    + [2.0 * math.pi / N])
-    grid = Grid(shape=(N,) * n, spacing=spacing, axis_kind=kinds)
-
-    # sphere-factor polar angles occupy axes 1..n-2
-    lame_fn, lame, dlog = _nested_sine_chart(
-        grid, [[]] + [list(range(1, a)) for a in range(1, n)],
-        const=circle_radius)
-    schouten0 = 0.5 * np.eye(n)
-    schouten0[0, 0] = -0.5
     return BackgroundGeometry(
-        name="hopf_product", grid=grid, lame=lame, dlog=dlog,
-        schouten0=schouten0, scalar_curv0=(n - 1) * (n - 2),
-        lame_fn=lame_fn, fd_order=fd_order)
+        "hopf_product", (PERIODIC,) + (POLE,) * (n - 2) + (PERIODIC,),
+        points_per_axis, background_schouten("hopf_product", n),
+        radius=circle_radius, fd_order=fd_order)
 
 
 def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
@@ -789,22 +780,10 @@ def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
     if n < 3:
         raise ConfigurationError(f"synthetic chart needs n >= 3, got {n}")
     _check_resolution(points_per_axis, 8)
-    N = points_per_axis
-    s0 = np.asarray(s0, dtype=float)
-    if s0.ndim == 1:
-        if s0.shape != (n,):
-            raise ConfigurationError("synthetic s0 diagonal must have length n")
-        s0 = np.diag(s0)
-    if s0.shape != (n, n) or not np.allclose(s0, s0.T):
-        raise ConfigurationError("synthetic s0 must be a symmetric n x n matrix")
-    grid = Grid(shape=(N,) * n, spacing=(2.0 * math.pi / N,) * n,
-                axis_kind=(PERIODIC,) * n)
-
-    lame_fn, lame, dlog = _nested_sine_chart(grid, [[]] * n)
     return BackgroundGeometry(
-        name="synthetic", grid=grid, lame=lame, dlog=dlog,
-        schouten0=s0, scalar_curv0=2.0 * (n - 1) * float(np.trace(s0)),
-        lame_fn=lame_fn, fd_order=fd_order, variational=False)
+        "synthetic", (PERIODIC,) * n, points_per_axis,
+        background_schouten("synthetic", n, s0), fd_order=fd_order,
+        variational=False)
 
 
 # -------------------------------------------------------- curvature oracle
@@ -829,13 +808,14 @@ def curvature_oracle(geom):
     """
     grid = geom.grid
     n = grid.ndim
-    ext2 = [grid.coordinates(a, extension=2) for a in range(n)]
+    ext2 = [grid.axis_vector(a, grid.coordinates(a, extension=2))
+            for a in range(n)]
     shape2 = tuple(s + 4 for s in grid.shape)
     shape1 = tuple(s + 2 for s in grid.shape)
     shape0 = grid.shape
 
     H2 = [np.ascontiguousarray(np.broadcast_to(h, shape2), dtype=float)
-          for h in geom.lame_fn(ext2)]
+          for h in geom.lame_at(ext2)]
 
     def cdiff(arr, axis):
         h = grid.spacing[axis]
@@ -855,15 +835,10 @@ def curvature_oracle(geom):
             coeff[b] = -_crop_to(cdiff(H2[b], a), shape1) / H1[a]
             omega1[(a, b)] = coeff
 
-    omega0 = {key: [_crop_to(c, shape0) for c in coeff]
-              for key, coeff in omega1.items()}
-
-    def omega0_signed(a, b):
-        if a == b:
-            return None
-        if a < b:
-            return omega0[(a, b)], 1.0
-        return omega0[(b, a)], -1.0
+    omega0 = {}  # both orders: omega_ba = -omega_ab
+    for (a, b), coeff in omega1.items():
+        omega0[a, b] = [_crop_to(c, shape0) for c in coeff]
+        omega0[b, a] = [-c for c in omega0[a, b]]
 
     # curvature 2-forms Omega_ab = d omega_ab + sum_c omega_ac ^ omega_cb
     curv = {}
@@ -876,12 +851,9 @@ def curvature_oracle(geom):
                     val = (_crop_to(cdiff(w1[d], c), shape0)
                            - _crop_to(cdiff(w1[c], d), shape0))
                     for m in range(n):
-                        left = omega0_signed(a, m)
-                        right = omega0_signed(m, b)
-                        if left is None or right is None:
-                            continue
-                        (lc, ls), (rc, rs) = left, right
-                        val = val + ls * rs * (lc[c] * rc[d] - lc[d] * rc[c])
+                        if m != a and m != b:
+                            lc, rc = omega0[a, m], omega0[m, b]
+                            val = val + (lc[c] * rc[d] - lc[d] * rc[c])
                     coeff[(c, d)] = val
             curv[(a, b)] = coeff
 

@@ -10,11 +10,12 @@ both in-process and through the module entry point.
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sigmaflow import cli, fieldio
+from sigmaflow import cli, fieldio, geometry
 from sigmaflow.cli import RunConfig, main, parse_config
 from sigmaflow.conformal import ConformalState
 from sigmaflow.errors import (
@@ -95,6 +96,24 @@ def test_parse_hopf_k2_rejected_on_cone_grounds():
         parse_config("flow", pairs)
     assert err.value.exit_code == 3
     assert err.value.label.first_failing_j == 2
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("chart", cli.CHARTS)
+def test_cone_check_reads_the_built_charts_schouten(chart, n):
+    # parse_config's cone check and the builders read one description of
+    # the background Schouten tensor; 8 points keep S^5 small (the
+    # builders' floor is about accuracy, which chart data do not need)
+    pairs = {"chart": chart, "n": str(n), "k": "1", "resolution": "8",
+             "t_end": "1", "s0_diag": ",".join(["0.5", "-0.2", "0.7", "0.1",
+                                                "0.3"][:n])}
+    with mock.patch.object(cli.symfun, "cone_test",
+                           wraps=cli.symfun.cone_test) as cone_test:
+        cfg = parse_config("flow", pairs)
+    spectrum = cone_test.call_args.args[0]
+    with mock.patch.object(geometry, "_check_resolution", lambda *a: None):
+        geom = cli._build_geometry(cfg)
+    assert np.array_equal(spectrum, np.diag(geom.schouten0))
 
 
 def test_parse_synthetic_needs_s0_and_rejects_zero():

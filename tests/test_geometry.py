@@ -99,7 +99,6 @@ def test_round_sphere_metadata():
     for n in (3, 4, 5):
         geom = build_round_sphere(n, 16)
         assert np.array_equal(geom.schouten0, 0.5 * np.eye(n))
-        assert geom.scalar_curv0 == n * (n - 1)
         assert geom.variational
         label = symfun.cone_test(np.full(n, 0.5), n)
         assert label.inside
@@ -111,7 +110,6 @@ def test_hopf_metadata():
     geom = build_hopf_product(3, circle_radius=1.0, points_per_axis=8)
     eigs = np.linalg.eigvalsh(geom.schouten0)
     assert np.allclose(np.sort(eigs), [-0.5, 0.5, 0.5])
-    assert geom.scalar_curv0 == 2.0
     assert symfun.cone_test(eigs, 1).inside
     bad = symfun.cone_test(eigs, 2)
     assert not bad.inside and bad.first_failing_j == 2
@@ -126,10 +124,64 @@ def test_synthetic_metadata():
     s0 = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]])
     geom = build_synthetic(3, s0, 8)
     assert np.array_equal(geom.schouten0, s0)
-    assert abs(geom.scalar_curv0 - 2.0 * 2.0 * 1.0) < 1e-15
     assert not geom.variational
     diag = build_synthetic(4, [0.5, 0.5, 0.5, 0.5], 8)
     assert np.array_equal(diag.schouten0, 0.5 * np.eye(4))
+
+
+def nested_sines(kinds, points, radius):
+    """The closed form of a nested-sine chart: spacing pi/N on polar axes
+    and 2 pi/N on periodic ones; H_0 = radius, and H_a is H_(a-1) (1 for
+    a = 1) times sin theta_(a-1) when axis a-1 is polar; d_b H_a / H_a =
+    cos theta_b / sin theta_b for each polar b < a."""
+    n = len(kinds)
+    spacing = tuple((math.pi if k == geometry.POLE else 2.0 * math.pi) / points
+                    for k in kinds)
+    theta = [((np.arange(points) + 0.5) * h).reshape(
+        [points if a == b else 1 for a in range(n)])
+        for b, h in enumerate(spacing)]
+    lame = [np.full((1,) * n, radius)]
+    for a in range(1, n):
+        below = lame[a - 1] if a > 1 else np.ones((1,) * n)
+        lame.append(below * np.sin(theta[a - 1])
+                    if kinds[a - 1] == geometry.POLE else below)
+    dlog = [[np.cos(theta[b]) / np.sin(theta[b])
+             if b < a and kinds[b] == geometry.POLE else None
+             for b in range(n)] for a in range(n)]
+    return spacing, lame, dlog
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("name", ("S3", "S4", "S5", "S1xS2", "S1xS3", "box"))
+def test_chart_is_derived_from_its_axis_kinds(name, fd_order):
+    # Each builder gives only its axis kinds and radius; the grid, Lame
+    # factors and log derivatives must be the nested sines, bit for bit.
+    pole, periodic = geometry.POLE, geometry.PERIODIC
+    hopf = functools.partial(build_hopf_product, circle_radius=1.3)
+    box = functools.partial(build_synthetic, s0=[0.5, -0.2, 0.7])
+    build, kinds, radius = {
+        "S3": (build_round_sphere, (pole, pole, periodic), 1.0),
+        "S4": (build_round_sphere, (pole, pole, pole, periodic), 1.0),
+        "S5": (build_round_sphere, (pole, pole, pole, pole, periodic), 1.0),
+        "S1xS2": (hopf, (periodic, pole, periodic), 1.3),
+        "S1xS3": (hopf, (periodic, pole, pole, periodic), 1.3),
+        "box": (box, (periodic,) * 3, 1.0)}[name]
+    points = 8
+    with mock.patch.object(geometry, "_check_resolution", lambda *a: None):
+        geom = build(len(kinds), points_per_axis=points, fd_order=fd_order)
+    spacing, lame, dlog = nested_sines(kinds, points, radius)
+    assert geom.grid.axis_kind == kinds
+    assert geom.grid.spacing == spacing
+    for got, want in zip(geom.lame, lame, strict=True):
+        assert got.shape == want.shape and np.array_equal(
+            got.view(np.uint64), want.view(np.uint64))
+    for got_row, want_row in zip(geom.dlog, dlog, strict=True):
+        for got, want in zip(got_row, want_row, strict=True):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and np.array_equal(
+                    got.view(np.uint64), want.view(np.uint64))
 
 
 # ------------------------------------------------------------ integration
@@ -358,6 +410,28 @@ def test_derivative_matrices_reproduce_the_stencils(name, n, fd_order, seed):
         assert np.max(np.abs(got - out)) <= 1e-13 * np.max(np.abs(out))
 
 
+def test_derivative_pattern_is_int32_on_every_chart():
+    # scipy picks the index dtype of a sparse sum from buffer contents that
+    # vary with the process's heap, so charts built back to back in one
+    # process came out int32 or int64 from build to build; int64 indices
+    # slow every product with a combined Jacobian
+    rng = np.random.default_rng(0)
+    builds = (lambda o: build_round_sphere(3, 16, fd_order=o),
+              lambda o: build_round_sphere(4, 8, fd_order=o),
+              lambda o: build_round_sphere(5, 6, fd_order=o),
+              lambda o: build_hopf_product(3, 1.3, 16, fd_order=o),
+              lambda o: build_hopf_product(4, 1.3, 8, fd_order=o),
+              lambda o: build_synthetic(3, [0.5, -0.2, 0.7], 8, fd_order=o))
+    with mock.patch.object(geometry, "_check_resolution", lambda *a: None):
+        for fd_order in (2, 4, 2):
+            for build in builds:
+                maps = build(fd_order).derivative_matrices()
+                jac = maps.combine(rng.standard_normal((maps.count, maps.size)))
+                for index in (maps.indices, maps.indptr, jac.indices,
+                              jac.indptr):
+                    assert index.dtype == np.int32
+
+
 def test_laplacian_converges_next_to_poles():
     # Fields with a nonzero second derivative through a pole, at fd4.
     # cos(theta) on the S^2 factor of S^1 x S^2 and sin t1 cos t2 on S^3
@@ -525,4 +599,14 @@ def test_dump_rejects_garbage(tmp_path):
         bad = tmp_path / f"{entry}.dump"
         bad.write_text("\n".join(lines[:3] + [entry] + lines[4:]) + "\n")
         with pytest.raises(ConfigurationError, match=f"row 3 holds '{entry}'"):
+            fieldio.read_field(bad)
+    # headers whose version, dims or axis kinds do not parse or agree
+    for header, rows in (("sigmaflow-field vX; dims=2; axis=periodic", 2),
+                         ("sigmaflow-field v1; dims=2,a; axis=periodic,periodic", 2),
+                         ("sigmaflow-field v1; dims=0; axis=periodic", 0),
+                         ("sigmaflow-field v1; dims=2; axis=periodic,periodic", 2),
+                         ("sigmaflow-field v1; dims=2; axis=polar", 2)):
+        bad = tmp_path / "header.dump"
+        bad.write_text(f"{header}; chart=x\n" + "0\n" * rows)
+        with pytest.raises(ConfigurationError):
             fieldio.read_field(bad)
