@@ -39,43 +39,63 @@ class ConeReport:
     n_violations: int
 
 
-def w_components(geom, u):
+def w_components(geom, u, out=None, tmp=None):
     """W(u) in the orthonormal frame as fieldalg components, with the frame
     gradient components and |grad u|^2 it is built from.
 
-    The one place W is assembled.
+    The one place W is assembled. out, when given, is an earlier result on
+    the same chart whose arrays are overwritten instead of allocating; tmp,
+    when given, is a grid array the products are formed in.
     """
     u = np.asarray(u, dtype=float)
-    jet = geom.scalar_jet(u)
-    w = geom.hessian_components(u, jet=jet)
-    grad, norm2 = geom.frame_gradient(jet[0])
-    tmp = np.empty_like(norm2)
-    half = 0.5 * norm2
-    for (a, b), w_ab in zip(fieldalg.pairs(geom.grid.ndim), w):
+    pairs = fieldalg.pairs(geom.grid.ndim)
+    jet_out = w_out = norm2_out = None
+    if out is not None:
+        w_out, grad_out, norm2_out = out
+        # the diagonal of W is formed in the second differences, and
+        # norm2's array holds the Laplacian defect until the gradient
+        jet_out = (grad_out, [w_out[m] for m, (a, b) in enumerate(pairs)
+                              if a == b], norm2_out)
+    jet = geom.scalar_jet(u, out=jet_out)
+    w = geom.hessian_components(u, jet=jet, out=w_out)
+    grad, norm2 = geom.frame_gradient(jet[0], out=norm2_out)
+    tmp = np.empty_like(norm2) if tmp is None else tmp
+    for (a, b), w_ab in zip(pairs, w):
         w_ab += np.multiply(grad[a], grad[b], out=tmp)
         if a == b:
-            w_ab -= half
+            w_ab -= np.multiply(norm2, 0.5, out=tmp)
         if geom.schouten0[a, b] != 0.0:
             w_ab += geom.schouten0[a, b]
     return w, grad, norm2
 
 
-def admissible_state(geom, u, k):
+def admissible_state(geom, u, k, arrays=None):
     """The state at a trial u, or None when u is not finite or W(u) leaves
-    the Gamma_k+ cone; trial steps of the flow and of Newton use it."""
+    the Gamma_k+ cone; trial steps of the flow and of Newton use it.
+    arrays is passed on to the state (see ConformalState)."""
     if not np.all(np.isfinite(u)):
         return None
-    state = ConformalState(geom, u, k, finite=True)
+    state = ConformalState(geom, u, k, finite=True, arrays=arrays)
     if not state.cone_report().label.inside:
         return None
     return state
 
 
+# the cached fields whose arrays a state hands on (take_arrays)
+_RECYCLED = ("w", "etable", "newton", "log_sigma", "sigma", "weight")
+
+
 class ConformalState:
     """u plus lazily cached derived fields; a new u makes a new state."""
 
-    def __init__(self, geom, u, k, finite=False):
-        """finite=True skips the check of u for a caller that made it."""
+    def __init__(self, geom, u, k, finite=False, arrays=None):
+        """finite=True skips the check of u for a caller that made it.
+
+        arrays, from take_arrays of a state on the same chart and k, are
+        overwritten with this state's fields instead of allocating new
+        ones. States built from the same arrays share them: only the one
+        built last may be read.
+        """
         n = geom.grid.ndim
         if not 1 <= k <= n:
             raise ConfigurationError(f"curvature order k={k} outside 1..{n}")
@@ -87,6 +107,29 @@ class ConformalState:
         self.u = np.ascontiguousarray(np.broadcast_to(u, geom.grid.shape),
                                       dtype=float)
         self._cache = {}
+        self._arrays = {} if arrays is None else arrays
+
+    def take_arrays(self):
+        """Hand over the arrays of this state's recycled fields (W with its
+        gradient, the sigma table, T_{k-1}, log sigma_k(g), sigma_k(g),
+        the conformal weight) and a scratch array, for a new state to
+        overwrite, and empty the cache: later reads recompute, bitwise the
+        same, into new arrays. Other entries a caller put in the dict it
+        passed as arrays are handed on as they are."""
+        arrays = dict(self._arrays)
+        arrays.update((key, self._cache[key]) for key in _RECYCLED
+                      if key in self._cache)
+        if "scratch" not in arrays:
+            arrays["scratch"] = np.empty(self.u.shape)
+        self._cache.clear()
+        self._arrays = {}
+        return arrays
+
+    def scratch(self):
+        """A grid array for temporaries, handed on with the recycled
+        arrays; None on a state not built from handed arrays (its callers
+        allocate as usual). Any call that is passed it may overwrite it."""
+        return self._arrays.get("scratch")
 
     # ------------------------------------------------------------ assembly
 
@@ -96,7 +139,9 @@ class ConformalState:
         return self._cache[key]
 
     def _w(self):
-        return self._cached("w", lambda: w_components(self.geometry, self.u))
+        return self._cached("w", lambda: w_components(
+            self.geometry, self.u, out=self._arrays.get("w"),
+            tmp=self.scratch()))
 
     def w_components(self):
         """W(u) as fieldalg components (upper triangle)."""
@@ -115,7 +160,8 @@ class ConformalState:
     def sigma_w_table(self):
         """Elementary symmetric functions e_0..e_k of W, (..., k+1)."""
         return self._cached("etable", lambda: fieldalg.sigma_table(
-            self.w_components(), self.geometry.grid.ndim, self.k))
+            self.w_components(), self.geometry.grid.ndim, self.k,
+            out=self._arrays.get("etable")))
 
     # ---------------------------------------------------------- cone tests
 
@@ -149,13 +195,15 @@ class ConformalState:
         """log sigma_k(g) = 2k u + log sigma_k(W); requires admissibility."""
         if "log_sigma" not in self._cache:
             self.require_admissible()
-            log_sigma = np.log(self.sigma_w_table()[..., self.k])
-            log_sigma += 2.0 * self.k * self.u
+            log_sigma = np.log(self.sigma_w_table()[..., self.k],
+                               out=self._arrays.get("log_sigma"))
+            log_sigma += np.multiply(self.u, 2.0 * self.k, out=self.scratch())
             self._cache["log_sigma"] = log_sigma
         return self._cache["log_sigma"]
 
     def sigma_field(self):
-        return self._cached("sigma", lambda: np.exp(self.log_sigma_field()))
+        return self._cached("sigma", lambda: np.exp(
+            self.log_sigma_field(), out=self._arrays.get("sigma")))
 
     def min_sigma(self):
         return float(np.min(self.sigma_field()))
@@ -165,7 +213,7 @@ class ConformalState:
         CFL bounds and the linearization."""
         return self._cached("newton", lambda: fieldalg.newton_components(
             self.w_components(), self.geometry.grid.ndim, self.sigma_w_table(),
-            self.k - 1))
+            self.k - 1, out=self._arrays.get("newton")))
 
     def linearization_weights(self):
         """The weights of d sigma_k(W) in DerivativeMatrices.combine order.
@@ -198,13 +246,17 @@ class ConformalState:
 
     def conformal_weight(self):
         """Density of dvol(g) against dvol(g0): e^{-n u}."""
-        return self._cached("weight", lambda: np.exp(
-            -float(self.geometry.grid.ndim) * self.u))
+        def build():
+            scaled = np.multiply(self.u, -float(self.geometry.grid.ndim),
+                                 out=self._arrays.get("weight"))
+            return np.exp(scaled, out=scaled)
+
+        return self._cached("weight", build)
 
     def volume(self):
         return self._cached("volume", lambda: self.geometry.integrate(
             np.ones((1,) * self.geometry.grid.ndim),
-            weight=self.conformal_weight()))
+            weight=self.conformal_weight(), out=self.scratch()))
 
     def log_target(self, l=None):
         """log of the flow's driven quantity: sigma_k(g), or
@@ -224,7 +276,8 @@ class ConformalState:
         """Mean of log_target(l) under dvol(g), computed once per state;
         the flow speed and the monitor row share it."""
         return self._cached(("log_mean", l), lambda: self.geometry.integrate(
-            self.log_target(l), weight=self.conformal_weight()) / self.volume())
+            self.log_target(l), weight=self.conformal_weight(),
+            out=self.scratch()) / self.volume())
 
     def r_k(self):
         """Geometric mean of sigma_k(g) under dvol(g)."""
@@ -234,7 +287,8 @@ class ConformalState:
         """Scale-normalized integral vol^{-(n-2k)/n} * int sigma_k dvol(g)."""
         n = self.geometry.grid.ndim
         total = self.geometry.integrate(self.sigma_field(),
-                                        weight=self.conformal_weight())
+                                        weight=self.conformal_weight(),
+                                        out=self.scratch())
         return self.volume() ** (-(n - 2.0 * self.k) / n) * total
 
     def harnack_quantity(self):

@@ -59,9 +59,11 @@ def _minor3(w, idx, a, b, c):
             + wac * (wab * wbc - wbb * wac))
 
 
-def sigma_table(w, n, kmax):
+def sigma_table(w, n, kmax, out=None):
     """e_0..e_kmax of the spectrum at every node, indexed on the last axis
     (a view whose e[..., j] slabs are contiguous); w is a component list.
+    out, when given, is an earlier result of the same shape to overwrite.
+    e[0] holds the products of e_2 until it is set to 1.
 
     e_1..e_3 are the sums of principal 1-, 2- and 3-minors. Beyond that,
     Newton's identities j e_j = sum_{i=1..j} (-1)^(i-1) e_{j-i} p_i with
@@ -71,14 +73,13 @@ def sigma_table(w, n, kmax):
         raise ValueError(f"kmax={kmax} out of range for n={n}")
     idx = _index(n)
     shape = np.broadcast_shapes(*(np.shape(c) for c in w))
-    e = np.empty((kmax + 1,) + shape)
-    e[0] = 1.0
+    e = np.empty((kmax + 1,) + shape) if out is None else np.moveaxis(out, -1, 0)
     if kmax >= 1:
         e[1] = w[idx[0, 0]]
         for a in range(1, n):
             e[1] += w[idx[a, a]]
     if kmax >= 2:
-        tmp = np.empty(shape)
+        tmp = e[0]
         e[2] = 0.0
         for a, b in itertools.combinations(range(n), 2):
             e[2] += np.multiply(w[idx[a, a]], w[idx[b, b]], out=tmp)
@@ -87,6 +88,7 @@ def sigma_table(w, n, kmax):
         e[3] = 0.0
         for a, b, c in itertools.combinations(range(n), 3):
             e[3] += _minor3(w, idx, a, b, c)
+    e[0] = 1.0
     if kmax >= 4:
         p = power_sums(w, n, kmax)
         for j in range(4, kmax + 1):
@@ -94,7 +96,7 @@ def sigma_table(w, n, kmax):
             for i in range(1, j + 1):
                 acc = acc + (-1.0) ** (i - 1) * e[j - i] * p[i - 1]
             e[j] = acc / j
-    return np.moveaxis(e, 0, -1)
+    return np.moveaxis(e, 0, -1) if out is None else out
 
 
 def power_sums(w, n, kmax):
@@ -121,19 +123,24 @@ def power_sums(w, n, kmax):
     return p
 
 
-def newton_components(w, n, e, k):
+def newton_components(w, n, e, k, out=None):
     """T_k at every node as components, from e = sigma_table(w, >= k).
 
     Recurrence T_j = e_j I - w T_{j-1} with T_0 = I; every T_j is a
-    polynomial in w, so each product stays symmetric.
+    polynomial in w, so each product stays symmetric. out, when given, is
+    an earlier result (a component list) to overwrite.
     """
     diag = [a == b for a, b in pairs(n)]
     if k == 0:
-        return [np.full(e.shape[:-1], 1.0 if d else 0.0) for d in diag]
-    t = [(e[..., 1] - c) if d else -c for c, d in zip(w, diag)]
-    for j in range(2, k + 1):
-        t = [(e[..., j] - c) if d else -c
-             for c, d in zip(sym_product(w, t, n), diag)]
+        t = [np.empty(e.shape[:-1]) for _ in diag] if out is None else out
+        for c, d in zip(t, diag):
+            c[...] = 1.0 if d else 0.0
+        return t
+    for j in range(1, k + 1):
+        prod = w if j == 1 else sym_product(w, t, n)
+        dest = out if j == k and out is not None else [None] * len(diag)
+        t = [np.subtract(e[..., j], c, out=o) if d else np.negative(c, out=o)
+             for c, d, o in zip(prod, diag, dest)]
     return t
 
 
@@ -161,7 +168,7 @@ def worst_violation(e, k):
     return None
 
 
-def lambda_max_components(t, n):
+def lambda_max_components(t, n, out=None):
     """Upper bound on the largest eigenvalue of each symmetric matrix of a
     component field, from its first two trace moments.
 
@@ -173,9 +180,24 @@ def lambda_max_components(t, n):
     s (n - 2) / sqrt(n - 1) above lam_max. s comes from the deviatoric
     components, because |T|_F^2 / n - m^2 cancels when T is nearly
     isotropic. An overestimate, so time-step bounds built from it err on
-    the safe side.
+    the safe side. out, when given, is the grid array the bound is
+    written into.
     """
     diag = [c for (a, b), c in zip(pairs(n), t) if a == b]
-    m = sum(diag[1:], diag[0]) / n
-    dev = [c - m if a == b else c for (a, b), c in zip(pairs(n), t)]
-    return m + np.sqrt(frobenius2(dev, n) * ((n - 1.0) / n))
+    m = diag[0]
+    for c in diag[1:]:
+        m = np.add(m, c, out=out)
+    m = np.divide(m, n, out=out)
+    # frobenius2 of the deviatoric components, one component at a time
+    shape = np.broadcast_shapes(*(np.shape(c) for c in t))
+    acc, sq = np.zeros(shape), np.empty(shape)
+    for (a, b), c in zip(pairs(n), t):
+        if a == b:
+            np.subtract(c, m, out=sq)
+            sq *= sq
+        else:
+            np.multiply(c, 2.0, out=sq)
+            sq *= c
+        acc += sq
+    acc *= (n - 1.0) / n
+    return np.add(m, np.sqrt(acc, out=acc), out=acc if out is None else out)

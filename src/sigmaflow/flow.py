@@ -134,10 +134,13 @@ class PositivityReport:
 
 # ----------------------------------------------------------------- speed
 
-def flow_speed(state, quotient_l=None):
-    """Pointwise du/dt; mean-zero against dvol(g) by construction."""
-    return 0.5 * (state.log_target(quotient_l)
-                  - state.log_target_mean(quotient_l))
+def flow_speed(state, quotient_l=None, out=None):
+    """Pointwise du/dt; mean-zero against dvol(g) by construction. out,
+    when given, is the grid array it is written into."""
+    speed = np.subtract(state.log_target(quotient_l),
+                        state.log_target_mean(quotient_l), out=out)
+    speed *= 0.5
+    return speed
 
 
 # ------------------------------------------------------------- step size
@@ -153,10 +156,12 @@ def diffusion_bound(state):
     below the true value, and exact where T_{k-1} is isotropic.
     """
     state.require_admissible()
+    n = state.geometry.grid.ndim
     etable = state.sigma_w_table()
-    bound = fieldalg.lambda_max_components(state.newton_components(),
-                                           state.geometry.grid.ndim)
-    return float(np.max(bound / (2.0 * etable[..., state.k])))
+    bound = fieldalg.lambda_max_components(state.newton_components(), n,
+                                           out=state.scratch())
+    bound /= 2.0 * etable[..., state.k]
+    return float(np.max(bound))
 
 
 def cfl_dt(state, cfl_safety=0.4):
@@ -200,26 +205,40 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     or producing non-finite values is rejected and dt halved; at the
     (max_halvings + 1)-th rejection in a row the step gives up and reports
     the last valid state in the error diagnostics.
+
+    The step takes over the derived arrays of the state it steps from
+    (ConformalState.take_arrays): its trials, the midpoint's half step
+    and the new state are written into them, so a steady run allocates no
+    new fields. Arrays read from that state before the step are
+    overwritten; its values are recomputed on demand, bitwise the same.
     """
     if scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if not dt > 0:
         raise ConfigurationError(f"step size dt={dt} must be positive")
-    geom = state.geometry
+    geom, u, k = state.geometry, state.u, state.k
     s0 = flow_speed(state, quotient_l)
+    arrays = state.take_arrays()
+    # u + h * speed into a new array per step, as states and callers keep
+    # u; the half step's u is overwritten by the trial's
+    u_new = np.empty_like(u)
+    advance = lambda h, speed: np.add(u, np.multiply(speed, h, out=u_new),
+                                      out=u_new)
+    if scheme == "midpoint" and "s_mid" not in arrays:
+        arrays["s_mid"] = np.empty_like(u)  # handed on with the fields
     rejected = 0
     trial_dt = float(dt)
     while True:
         trial = None
         if scheme == "euler":
-            trial = admissible_state(geom, state.u + trial_dt * s0, state.k)
+            trial = admissible_state(geom, advance(trial_dt, s0), k, arrays)
         else:
-            half = admissible_state(
-                geom, state.u + 0.5 * trial_dt * s0, state.k)
+            half = admissible_state(geom, advance(0.5 * trial_dt, s0), k,
+                                    arrays)
             if half is not None:
-                s_mid = flow_speed(half, quotient_l)
-                trial = admissible_state(
-                    geom, state.u + trial_dt * s_mid, state.k)
+                s_mid = flow_speed(half, quotient_l, out=arrays["s_mid"])
+                trial = admissible_state(geom, advance(trial_dt, s_mid), k,
+                                         arrays)
         if trial is not None:
             return trial, trial_dt, rejected
         rejected += 1
@@ -244,9 +263,12 @@ def _residual(state, quotient_l):
     r_flow = math.exp(state.log_target_mean(quotient_l))
     target = (state.sigma_field() if not quotient_l
               else np.exp(state.log_target(quotient_l)))
-    diff = target - r_flow
-    l2_diff = math.sqrt(geom.integrate(diff * diff, weight=weight))
-    l2_target = math.sqrt(geom.integrate(target * target, weight=weight))
+    buf = state.scratch()
+    diff = np.subtract(target, r_flow, out=buf)
+    l2_diff = math.sqrt(geom.integrate(np.multiply(diff, diff, out=buf),
+                                       weight=weight, out=buf))
+    l2_target = math.sqrt(geom.integrate(np.multiply(target, target, out=buf),
+                                         weight=weight, out=buf))
     return r_flow, l2_diff, l2_target, l2_diff / l2_target
 
 

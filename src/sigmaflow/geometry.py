@@ -30,6 +30,7 @@ and gradient of a scalar as sparse matrices, built from pad's shifts.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -305,15 +306,15 @@ class BackgroundGeometry:
     def _kernel(self):
         """Stencil tables, built on first use: per polar axis the flux
         coefficients as tiles of the padded layout (zero past the faces)
-        and each node's antipode; pad's ghost sources by (axis, width); and
-        the work buffers every stencil call reuses and no result aliases."""
+        and the antipode as view blocks; pad's ghost sources by (axis,
+        width); and the work buffers every stencil call reuses and no
+        result aliases."""
         polar = {}
         for a, c in self._polar.items():
             pre, n, st = self._layout[a]
             tiles = np.zeros((len(c.flux), 1, n + 2 * c.width, st))
             tiles[:, 0, :n + 1] = [coef.reshape(-1, 1) for _, coef in c.flux]
-            polar[a] = tiles, np.ravel_multi_index(
-                np.ix_(*self._antipode_maps(a)), self.grid.shape)
+            polar[a] = tiles, self._antipode_blocks(a)
         # a padded field and its shifts, at most 3 ghost layers
         length = max((pre * (n + 6) + 6) * st for pre, n, st in self._layout)
         return {"polar": polar, "ghosts": {},
@@ -379,6 +380,26 @@ class BackgroundGeometry:
                 else (np.arange(m) + m // 2) % m for b, (m, kind)
                 in enumerate(zip(self.grid.shape, self.grid.axis_kind))]
 
+    def _antipode_blocks(self, axis):
+        """The map of _antipode_maps as view copies out[dst] = f[src], one
+        (dst, src) index pair per block: later polar axes reversed, each
+        later periodic axis cut into its two half-period blocks."""
+        shape, kinds = self.grid.shape, self.grid.axis_kind
+        later = range(axis + 1, len(shape))
+        rolls = [b for b in later if kinds[b] == PERIODIC]
+        blocks = []
+        for upper in itertools.product((False, True), repeat=len(rolls)):
+            dst = [slice(None)] * len(shape)
+            src = [slice(None, None, -1) if b in later and kinds[b] == POLE
+                   else slice(None) for b in range(len(shape))]
+            for b, up in zip(rolls, upper):
+                half = shape[b] // 2
+                cut = shape[b] - half
+                dst[b] = slice(cut, None) if up else slice(0, cut)
+                src[b] = slice(0, half) if up else slice(half, None)
+            blocks.append((tuple(dst), tuple(src)))
+        return blocks
+
     def pad(self, f, axis, width, comp=None, out=None):
         """Extend f by ghost layers along one axis; out, when given, is a
         flat buffer of the padded size to fill.
@@ -415,10 +436,12 @@ class BackgroundGeometry:
 
     # ----------------------------------------------------------- stencils
 
-    def _stencil(self, f, axis, comp=None, second=False):
+    def _stencil(self, f, axis, comp=None, second=False, out=None):
         """Centered first difference along an axis; with second=True also
         the second difference and, on polar axes, the divergence-form
-        Laplacian defect of _polar_defect (None elsewhere).
+        Laplacian defect of _polar_defect (None elsewhere). out, when
+        given, holds the grid arrays the results are written into: the
+        first difference, or (first, second, defect) with second=True.
 
         Every stencil is a sum of differences between nodes, so fields
         constant along the axis difference to bitwise zero; a plain
@@ -426,7 +449,7 @@ class BackgroundGeometry:
         that dust seeds stiff rows that an explicit step then amplifies.
         A shift by s nodes is a flat shift by s strides of the padded buffer,
         so every operand is a contiguous run of a work buffer; the last
-        operation of each chain takes the interior out into a new array.
+        operation of each chain takes the interior out into a result array.
         """
         h = self.grid.spacing[axis]
         pre, n, st = self._layout[axis]
@@ -438,21 +461,26 @@ class BackgroundGeometry:
         self.pad(f, axis, width, comp, out=p[:size])
         one, two, tmp = (buf[:size] for buf in work[1:4])
         take = lambda s: p[(width + s) * st:(width + s) * st + size]
-        interior = lambda buf, scale: np.multiply(
-            buf.reshape(pre, -1, st)[:, :n], scale,
-            out=np.empty((pre, n, st))).reshape(self.grid.shape)
+        dest = (out if second else (out,)) if out is not None else (None,) * 3
+
+        def interior(buf, scale, result):
+            result = np.empty(self.grid.shape) if result is None else result
+            np.multiply(buf.reshape(pre, -1, st)[:, :n], scale,
+                        out=result.reshape(pre, n, st))
+            return result
+
         first = np.subtract(take(1), take(-1), out=one)
         if self.fd_order == 2:
-            first = interior(first, 0.5 / h)
+            first = interior(first, 0.5 / h, dest[0])
             if not second:
                 return first
             d2 = np.subtract(take(-1), take(0), out=two)
             d2 += np.subtract(take(1), take(0), out=tmp)
-            d2 = interior(d2, 1.0 / (h * h))
+            d2 = interior(d2, 1.0 / (h * h), dest[1])
         else:
             first *= 8.0
             first += np.subtract(take(-2), take(2), out=tmp)
-            first = interior(first, 1.0 / (12.0 * h))
+            first = interior(first, 1.0 / (12.0 * h), dest[0])
             if not second:
                 return first
             t0 = take(0)
@@ -461,13 +489,14 @@ class BackgroundGeometry:
             d2 *= 16.0
             d2 -= np.subtract(take(-2), t0, out=tmp)
             d2 -= np.subtract(take(2), t0, out=tmp)
-            d2 = interior(d2, 1.0 / (12.0 * h * h))
-        defect = self._polar_defect(p, first, d2, axis) if polar else None
+            d2 = interior(d2, 1.0 / (12.0 * h * h), dest[1])
+        defect = (self._polar_defect(p, first, d2, axis, out=dest[2])
+                  if polar else None)
         return first, d2, defect
 
-    def _polar_defect(self, p, first, d2, axis):
+    def _polar_defect(self, p, first, d2, axis, out=None):
         """Divergence-form minus pointwise Laplacian part of a polar axis,
-        even part.
+        even part, written into out when given.
 
         Along a polar axis the Laplacian carries (1/s)(s u')' with density
         s = sin^m(theta) (m later axes carry sin(theta) in their Lame
@@ -529,19 +558,22 @@ class BackgroundGeometry:
         np.multiply(coef, face(k), out=flux)
         for k, coef in rest:
             flux += np.multiply(coef, face(k), out=tmp[:size].reshape(flux.shape))
-        out = np.empty(self.grid.shape)
+        out = np.empty(self.grid.shape) if out is None else out
         np.subtract(flux[:, 1:n + 1], flux[:, :n], out=out.reshape(pre, n, st))
         out /= c.hs
         out -= d2
         tmp = tmp[:out.size].reshape(out.shape)
         out -= np.multiply(c.kappa, first, out=tmp)
-        out += np.take(out, antipode, out=tmp, mode="clip")
+        for dst, src in antipode:
+            tmp[dst] = out[src]
+        out += tmp
         out *= 0.5
         return out
 
-    def d1(self, f, axis, comp=None):
-        """Centered first difference along a coordinate axis."""
-        return self._stencil(f, axis, comp)
+    def d1(self, f, axis, comp=None, out=None):
+        """Centered first difference along a coordinate axis (into out,
+        when given)."""
+        return self._stencil(f, axis, comp, out=out)
 
     # ------------------------------------------------------- differential ops
 
@@ -550,36 +582,46 @@ class BackgroundGeometry:
         u = np.asarray(u, dtype=float)
         return [self.d1(u, a) for a in range(self.grid.ndim)]
 
-    def scalar_jet(self, u):
+    def scalar_jet(self, u, out=None):
         """First and second differences per axis, one extension each.
 
         Returns (parts, seconds, defect): the per-axis lists, and the
         amount by which the divergence-form Laplacian exceeds the trace of
         the pointwise Hessian (0.0 on charts without polar axes). Sharing
         this between the Hessian and the gradient halves the number of
-        ghost-layer passes.
+        ghost-layer passes. out, when given, is a (parts, seconds, defect)
+        of grid arrays to write into; a defect stays 0.0 without polar
+        axes.
         """
         u = np.asarray(u, dtype=float)
         parts, seconds, defect = [], [], 0.0
         for a in range(self.grid.ndim):
-            first, second, extra = self._stencil(u, a, second=True)
+            dest = None
+            if out is not None:
+                # the first polar axis writes out's defect, a later one a
+                # work buffer that is then added to it
+                dest = (out[0][a], out[1][a], out[2] if np.isscalar(defect)
+                        else self._kernel["work"][4][:u.size].reshape(u.shape))
+            first, second, extra = self._stencil(u, a, second=True, out=dest)
             parts.append(first)
             seconds.append(second)
             if extra is not None:
                 extra *= self._inv_lame2[a]
-                defect = np.add(defect, extra, out=extra)
+                defect = np.add(defect, extra,
+                                out=extra if out is None else out[2])
         return parts, seconds, defect
 
-    def frame_gradient(self, parts):
-        """Frame gradient components (parts scaled in place), |grad u|^2 wrt g0."""
+    def frame_gradient(self, parts, out=None):
+        """Frame gradient components (parts scaled in place), |grad u|^2 wrt
+        g0 (into out, when given)."""
         grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, self._inv_lame)]
-        norm2 = grad[0] * grad[0]
+        norm2 = np.multiply(grad[0], grad[0], out=out)
         tmp = self._kernel["work"][4][:norm2.size].reshape(norm2.shape)
         for g in grad[1:]:
             norm2 += np.multiply(g, g, out=tmp)
         return grad, norm2
 
-    def hessian_components(self, u, jet=None):
+    def hessian_components(self, u, jet=None, out=None):
         """Frame components of the covariant Hessian of a scalar.
 
         (Hess u)_ab = d_a d_b u - Gamma^c_ab d_c u in coordinates, divided
@@ -592,32 +634,36 @@ class BackgroundGeometry:
         pole, where the part of u that is even under the pole
         identification can drop to second order (see _polar_defect).
         Pass jet from scalar_jet to reuse the differences; its second
-        differences and defect are overwritten, its partials kept.
+        differences and defect are overwritten, its partials kept. out,
+        when given, is a component list to write into; the diagonal then
+        goes to out rather than to the second differences.
         """
         n = self.grid.ndim
         parts, seconds, defect = jet if jet is not None else self.scalar_jet(u)
         iso = np.divide(defect, n, out=defect if np.ndim(defect) else None)
         tmp = self._kernel["work"][4][:seconds[0].size].reshape(seconds[0].shape)
-        out = []
-        for a, b in fieldalg.pairs(n):
+        comps = []
+        for m, (a, b) in enumerate(fieldalg.pairs(n)):
+            dest = None if out is None else out[m]
             if a == b:
                 # Each term has its frame factor divided out already: the
                 # coefficient of d_c u is dlog[a][c]/H_c^2, which does not
                 # depend on later coordinates. Fields constant along later
                 # axes then produce bitwise-constant output along them, so
                 # exact discrete symmetries of initial data survive stepping.
-                val = np.multiply(seconds[a], self._inv_lame2[a], out=seconds[a])
+                val = np.multiply(seconds[a], self._inv_lame2[a],
+                                  out=seconds[a] if dest is None else dest)
                 for c, coef in self._christoffel_diag[a]:
                     val += np.multiply(coef, parts[c], out=tmp)
                 val += iso
             else:
-                val = self.d1(parts[b], a, comp=b)
-                for c, d in ((a, b), (b, a)):
-                    if self.dlog[c][d] is not None:
-                        val -= np.multiply(self.dlog[c][d], parts[c], out=tmp)
+                # a nested-sine chart sets dlog[b][a] only (a < b)
+                val = self.d1(parts[b], a, comp=b, out=dest)
+                if self.dlog[b][a] is not None:
+                    val -= np.multiply(self.dlog[b][a], parts[b], out=tmp)
                 val *= self._inv_lame[a] * self._inv_lame[b]
-            out.append(val)
-        return out
+            comps.append(val)
+        return comps
 
     def derivative_matrices(self):
         """hessian_components and the frame_gradient components of a scalar
@@ -655,9 +701,8 @@ class BackgroundGeometry:
                 terms = [(col_b[col_a], val_a * val_b[col_a])
                          for col_a, val_a in d1(a, inv, comp=b)
                          for col_b, val_b in inner]
-                for c, d in ((a, b), (b, a)):
-                    if self.dlog[c][d] is not None:
-                        terms += d1(c, -self.dlog[c][d] * inv)
+                if self.dlog[b][a] is not None:
+                    terms += d1(b, -self.dlog[b][a] * inv)
             yield _sparse_sum(terms, size)
         for c in range(n):
             yield _sparse_sum(d1(c, self._inv_lame[c]), size)
@@ -675,7 +720,8 @@ class BackgroundGeometry:
             for s, v in parts:
                 defect[s] = defect.get(s, 0.0) + 0.5 * self._inv_lame2[a] * v
             axis = self._shift_terms(a, defect, c.width)
-            antipode = self._kernel["polar"][a][1].reshape(-1)
+            antipode = np.ravel_multi_index(np.ix_(*self._antipode_maps(a)),
+                                            self.grid.shape).reshape(-1)
             terms += axis + [(col[antipode], val[antipode]) for col, val in axis]
         yield _sparse_sum(terms, size)
 
@@ -696,15 +742,16 @@ class BackgroundGeometry:
 
     # --------------------------------------------------------- integration
 
-    def integrate(self, f, weight=None):
+    def integrate(self, f, weight=None, out=None):
         """Midpoint-rule integral of f against the background volume form.
 
         weight, when given, is an extra pointwise factor (e.g. a conformal
-        volume density).
+        volume density). out, when given, is a grid array the integrand is
+        formed in, in place of new arrays.
         """
-        values = np.asarray(f, dtype=float) * self.vol_weight
+        values = np.multiply(f, self.vol_weight, out=out)
         if weight is not None:
-            values = values * weight
+            values = np.multiply(values, weight, out=out)
         return float(np.sum(np.broadcast_to(values, self.grid.shape)))
 
     def volume(self):

@@ -10,13 +10,14 @@ from measured values, far below any plausible formula error.
 """
 
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sigmaflow.conformal import ConformalState
+from sigmaflow.conformal import ConformalState, admissible_state
 from sigmaflow.errors import (
     ConeViolationError,
     ConfigurationError,
@@ -30,6 +31,8 @@ from sigmaflow.flow import (
     cfl_dt,
     diffusion_bound,
     flow_speed,
+    _record,
+    _residual,
     positivity_monitor,
     run,
     step,
@@ -222,6 +225,83 @@ def test_step_input_validation():
         step(st, 1e-3, scheme="rk7")
 
 
+# ------------------------------------------------- handoff of derived arrays
+
+
+def fresh_step(geom, u, k, dt, scheme):
+    """step's arithmetic on fresh states only, none built from handed-over
+    arrays: the oracle for step. Returns (u, dt_used, rejected)."""
+    s0 = flow_speed(ConformalState(geom, u.copy(), k))
+    rejected = 0
+    while True:
+        if scheme == "euler":
+            trial = admissible_state(geom, u + dt * s0, k)
+        else:
+            half = admissible_state(geom, u + 0.5 * dt * s0, k)
+            trial = None if half is None else admissible_state(
+                geom, u + dt * flow_speed(half), k)
+        if trial is not None:
+            return trial.u, dt, rejected
+        rejected += 1
+        dt *= 0.5
+
+
+def same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ("euler", "midpoint"))
+@pytest.mark.parametrize("chart", ("S3", "S1xS2"))
+def test_run_matches_fresh_states_bitwise(chart, scheme):
+    # The states of a run write into the arrays of the states before them;
+    # its final u and every monitor row must carry the bits of fresh,
+    # independent states stepped by the same arithmetic.
+    if chart == "S3":
+        # zonal: non-zonal data drives the CFL bound down on S^3
+        geom, k = build_round_sphere(3, 16, fd_order=4), 2
+        u0 = zonal(geom, lambda t: 0.1 * np.cos(t) + 0.03 * np.cos(2 * t))
+    else:
+        geom, k = build_hopf_product(3, 1.3, 16, fd_order=4), 1
+        u0 = smooth_u(geom, 0.05, 11)
+    dt = 2.0 ** -12
+    cfg = FlowConfig(k=k, t_end=12 * dt, dt_initial=dt, monitor_every=1,
+                     convergence_tol=0.0, scheme=scheme)
+    flow, recs = run(geom, u0, cfg)
+    u, t, rows = u0.copy(), 0.0, []
+    while True:
+        fresh = ConformalState(geom, u.copy(), k)
+        rows.append(_record(fresh, t, None, _residual(fresh, None)))
+        if t >= cfg.t_end * (1.0 - 1e-12):
+            break
+        u, used, _ = fresh_step(geom, u, k, min(dt, cfg.t_end - t), scheme)
+        t += used
+    assert flow.step_count == 12 and flow.time == t
+    assert same_bits(flow.u, u)
+    assert [repr(astuple(r)) for r in recs] == [repr(astuple(r)) for r in rows]
+
+
+@pytest.mark.parametrize("scheme", ("euler", "midpoint"))
+def test_step_hands_over_arrays_and_recomputes_bitwise(scheme):
+    # A step that goes through rejections matches the fresh-state oracle.
+    # The new state is written into the arrays of the state stepped from,
+    # and that state, read again, recomputes its values bit for bit.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    st = ConformalState(geom, zonal(geom, lambda t: 0.3 * np.cos(t)), 1)
+    sigma = st.sigma_field()
+    w = st.w_components()
+    before = [sigma.copy()] + [c.copy() for c in w]
+    volume = st.volume()
+    new, dt_used, rejected = step(st, 1e4, scheme)
+    want_u, want_dt, want_rejected = fresh_step(geom, st.u, 1, 1e4, scheme)
+    assert rejected >= 1 and rejected == want_rejected
+    assert dt_used == want_dt and same_bits(new.u, want_u)
+    assert new.sigma_field() is sigma
+    assert all(x is y for x, y in zip(new.w_components(), w))
+    again = [st.sigma_field()] + st.w_components()
+    assert all(same_bits(x, y) for x, y in zip(again, before))
+    assert same_bits(st.volume(), volume)
+
+
 # ------------------------------------------------------------- conservation
 
 
@@ -373,6 +453,31 @@ def test_detector_off_cadence_reads_the_residual_only(monkeypatch):
     every_row = {rec.time: rec for rec in recs1}
     for rec in recs:
         assert repr(astuple(rec)) == repr(astuple(every_row[rec.time]))
+
+
+def test_run_working_set_stays_small():
+    # 20 steady steps of a run, with one CFL refresh (step 25) and two kept
+    # rows, peak at 42.5 fields of traced memory on a 16^3 S^3 at fd4. A
+    # run that builds every state's fields anew, beside the fields of the
+    # state it steps from, peaks at 54.3.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
+    dt = 2.0 ** -11
+    cfg = FlowConfig(k=2, t_end=30 * dt, dt_initial=dt, monitor_every=10,
+                     convergence_tol=0.0)
+
+    def steady_from_step_10(flow, state, rec):
+        if flow.step_count == 10:
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        flow, _ = run(geom, u0, cfg, on_record=steady_from_step_10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flow.step_count == 30
+    assert peak <= 48 * geom.grid.total_points * 8
 
 
 def test_run_detects_fixed_point_immediately():

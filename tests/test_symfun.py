@@ -429,6 +429,38 @@ def test_lambda_max_bound_brackets_true_value():
             assert abs(bound[1] - hi - s[1] * (n - 2) / math.sqrt(n - 1)) <= tol
 
 
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_component_kernels_into_given_arrays_bitwise(n):
+    # sigma_table, newton_components and lambda_max_components write into
+    # given arrays with the bits of a fresh result; the trace-moment bound
+    # keeps the bits of m + sqrt(frobenius2(T - m I) (n - 1) / n).
+    rng = np.random.default_rng(40 + n)
+    w = components(np.stack([random_sym(rng, n) + 2.0 * np.eye(n)
+                             for _ in range(30)]).reshape(5, 6, n, n))
+    stale = components(np.stack([random_sym(rng, n)
+                                 for _ in range(30)]).reshape(5, 6, n, n))
+    bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+    e = fieldalg.sigma_table(w, n, n)
+    given = fieldalg.sigma_table(stale, n, n)
+    assert fieldalg.sigma_table(w, n, n, out=given) is given
+    assert np.array_equal(bits(given), bits(e))
+    for k in range(n):
+        t = fieldalg.newton_components(w, n, e, k)
+        buffers = fieldalg.newton_components(stale, n, e, (k + 1) % n)
+        got = fieldalg.newton_components(w, n, e, k, out=buffers)
+        for x, buf, want in zip(got, buffers, t):
+            assert x is buf and np.array_equal(bits(x), bits(want))
+        diag = [c for (a, b), c in zip(fieldalg.pairs(n), t) if a == b]
+        m = sum(diag[1:], diag[0]) / n
+        dev = [c - m if a == b else c for (a, b), c in zip(fieldalg.pairs(n), t)]
+        want = m + np.sqrt(fieldalg.frobenius2(dev, n) * ((n - 1.0) / n))
+        out = np.empty_like(want)
+        assert np.array_equal(bits(fieldalg.lambda_max_components(t, n)),
+                              bits(want))
+        assert fieldalg.lambda_max_components(t, n, out=out) is out
+        assert np.array_equal(bits(out), bits(want))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
        shift=st.floats(-10.0, 10.0))
