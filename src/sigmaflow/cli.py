@@ -5,6 +5,8 @@ One flat key=value vocabulary serves every subcommand; a config file
 the command line. Each subcommand reads the subset of keys it needs, so a
 single file can drive a flow run, the matching eigen solve, and the chart
 validation. Unknown keys are errors: there is no silent typo tolerance.
+The flow command always steps with explicit Euler; the midpoint scheme is
+reachable only through FlowConfig(scheme="midpoint").
 
 Exit codes: 0 success, 2 usage, 3 cone violation,
 4 nonconvergence, 5 internal numeric error.

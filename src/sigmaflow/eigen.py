@@ -2,18 +2,18 @@
 
 The equation solved is sigma_k^{1/k}(W(u)) - h e^u = rhs pointwise, with
 W(u) the deformed Schouten expression assembled by the conformal module.
-An auxiliary problem fixes (f, h); the continuation walks the right-hand
-side from f (where u identically delta_lo is an exact solution) to the
-constant lambda, warm-starting a damped Newton iteration. Each Newton step
-assembles the Frechet derivative as a sparse matrix: the chart's Hessian
-and gradient matrices, built once from its shift matrices, combined with
-the conformal state's weights of d sigma_k(W), scaled by
-sigma_k^{1/k-1}/k, minus h e^u. It solves with
-restarted GMRES (the krylov module) under a two-level preconditioner.
-lambda* is then the supremum of solvable lambda, located by bisection, and
-the eigenfunction is recovered by the renormalization phi = u - max u.
-Each bisection midpoint is first solved by Newton on the target equation
-from the last solvable u; only when that fails, or its result fails the
+An auxiliary problem fixes (k, h); the continuation walks the right-hand
+side from an f for which u identically delta_lo is an exact solution to
+the constant lambda, warm-starting a damped Newton iteration. Each
+Newton step assembles the Frechet derivative as a sparse matrix: the
+chart's Hessian and gradient matrices, built once from its shift
+matrices, combined with the conformal state's weights of d sigma_k(W),
+scaled by sigma_k^{1/k-1}/k, minus h e^u. It solves with restarted GMRES
+(the krylov module) under a two-level preconditioner. lambda* is then
+the supremum of solvable lambda, located by bisection, and the
+eigenfunction is recovered by the renormalization phi = u - max u. Each
+bisection midpoint is first solved by Newton on the target equation from
+the last solvable u; only when that fails, or its result fails the
 continuation's checks, is the continuation rerun from scratch for it.
 
 Admissibility (W(u) in the Gamma_k+ cone) is enforced on the initial
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,19 +62,13 @@ ESCAPE_FLOOR = -50.0
 
 @dataclass(frozen=True)
 class AuxiliaryProblem:
-    """sigma_k^{1/k}(W(u)) = h e^u + f on a background geometry.
-
-    f, when given, must be strictly positive; the pinch constant L with
-    1/L <= f <= L is recorded as `bound`. h >= 0 may be a scalar or a
-    field. Continuation builds its own path f, so f may be omitted for
-    problems that exist only to be fed to continuation_run.
+    """sigma_k^{1/k}(W(u)) = h e^u + rhs on a background geometry, the
+    right-hand side given per solve. h >= 0 may be a scalar or a field.
     """
 
     geometry: object
     k: int
-    f: np.ndarray | None = None
     h: np.ndarray | float = 1.0
-    bound: float = field(init=False, default=None)
 
     def __post_init__(self):
         n = self.geometry.grid.ndim
@@ -83,14 +77,6 @@ class AuxiliaryProblem:
         h = np.asarray(self.h, dtype=float)
         if not np.all(np.isfinite(h)) or np.any(h < 0.0):
             raise ConfigurationError("coefficient h must be finite and >= 0")
-        if self.f is not None:
-            f = np.asarray(self.f, dtype=float)
-            if not np.all(np.isfinite(f)) or not np.all(f > 0.0):
-                raise ConfigurationError(
-                    f"f must be strictly positive (min {np.min(f):.6g})")
-            object.__setattr__(self, "f", f)
-            object.__setattr__(self, "bound",
-                               float(max(np.max(f), 1.0 / np.min(f))))
         object.__setattr__(self, "h", h)
 
     def h_field(self):
@@ -341,14 +327,12 @@ def continuation_run(problem, lam, guess=None, stats=None):
     newton_solve the walk runs, failed attempts and a failed walk included.
     """
     bounds = _path_bounds(problem, lam)
-    geom = problem.geometry
     delta_lo = bounds[0]
     f = problem.s0 - problem.h_field() * math.exp(delta_lo)
-    path = AuxiliaryProblem(geom, problem.k, f=f, h=problem.h)
     stats = {} if stats is None else stats
-    start = np.full(geom.grid.shape, delta_lo) if guess is None \
+    start = np.full(problem.geometry.grid.shape, delta_lo) if guess is None \
         else np.asarray(guess, dtype=float)
-    u = newton_solve(path, f, start, stats=stats)
+    u = newton_solve(problem, f, start, stats=stats)
     _check_solution(u, 0.0, lam, bounds)
     t = 0.0
     dt = T_STEP
@@ -358,7 +342,7 @@ def continuation_run(problem, lam, guess=None, stats=None):
         rhs = t_try * lam + (1.0 - t_try) * f
         before = stats.get("newton_iterations", 0)
         try:
-            u_next = newton_solve(path, rhs, u, stats=stats)
+            u_next = newton_solve(problem, rhs, u, stats=stats)
         except NonconvergenceError:
             dt *= 0.5
             if dt < MIN_T_STEP:

@@ -114,7 +114,6 @@ class FlowState:
     time: float
     u: np.ndarray
     step_count: int = 0
-    last_dt: float = 0.0
     accepted: int = 0
     rejected: int = 0
     cfl_limited: int = 0
@@ -167,32 +166,12 @@ def diffusion_bound(state):
 def cfl_dt(state, cfl_safety=0.4):
     """Parabolic stability bound for the explicit step.
 
-    Second differences along axis a carry weight 1/(h_a H_a)^2. The frame
-    factor uses the rms of H_a over the grid (geometry.lame2_mean, fixed
-    per chart): the rows where H_a vanishes (polar axes near the poles)
-    only carry modes that the antipodal ghost identification keeps smooth,
-    so the rms, not the pointwise minimum, is the stiffness scale seen by
-    smooth data. The +k term accounts for the zeroth-order 2ku part of
+    Second differences along axis a carry weight 1/(h_a H_a)^2; the
+    chart's stiffness (geometry.stiffness, fixed per chart) sums them with
+    the rms of H_a. The +k term accounts for the zeroth-order 2ku part of
     log sigma_k(g).
     """
-    geom = state.geometry
-    # largest symbol of the second-difference stencil, halved by the 1/2
-    # in the flow speed: 4/h^2 at second order, 16/(3h^2) at fourth
-    # ((1, -2, 1) and (-1, 16, -30, 16, -1)/12 at the wavenumber pi). The
-    # divergence-form operator on the polar axes is exactly these stencils
-    # once its coefficients are frozen, so the constants carry over; its
-    # rows next to a pole lift the largest eigenvalue of the zonal
-    # Laplacian on the round S^3 to 4.41/h^2 at second order and 5.75/h^2
-    # at fourth (the pointwise stencils gave 4.04 and 5.40). On the last
-    # polar angle (the S^2 factor of S^1 x S^2) they reach 4.00/h^2 and
-    # 5.33/h^2 with the 11/12 pole weights, on the first polar angle of
-    # S^4 (density sin^3, h^5 flux terms, 127/120 pole weights) 5.11/h^2
-    # and 7.57/h^2 at 24 points. diffusion_bound is exact on isotropic
-    # T_{k-1}, as at the round fixed point, so it leaves no cushion: the
-    # lift of about 8-10% on S^3 is covered by cfl_safety alone.
-    coef = 2.0 if geom.fd_order == 2 else 8.0 / 3.0
-    stiffness = sum(coef / (h * h * mean2)
-                    for h, mean2 in zip(geom.grid.spacing, geom.lame2_mean))
+    stiffness = state.geometry.stiffness
     return cfl_safety / (state.k + diffusion_bound(state) * stiffness)
 
 
@@ -374,7 +353,6 @@ def run(geom, u0, config, on_record=None):
                                      config.quotient_l)
         flow.time += dt_used
         flow.step_count += 1
-        flow.last_dt = dt_used
         flow.accepted += 1
         flow.rejected += n_rej
         if dt == cfl:

@@ -274,9 +274,32 @@ class BackgroundGeometry:
                        if grid.axis_kind[axis] == POLE}
         for c in self._polar.values():
             self.vol_weight = self.vol_weight * c.weight
-        # grid mean of H_a^2 per axis: the frame stiffness scale of cfl_dt
-        self.lame2_mean = [float(np.mean(np.broadcast_to(h_a * h_a, grid.shape)))
-                           for h_a in lame]
+        # The stiffness of the frame Laplacian for flow.cfl_dt: sum over
+        # axes of the second difference's largest symbol, halved by the 1/2
+        # in the flow speed (4/h^2 at second order, 16/(3h^2) at fourth, at
+        # the wavenumber pi), over the grid mean of H_a^2. The rows where
+        # H_a vanishes (polar axes near the poles) only carry modes that
+        # the antipodal ghost identification keeps smooth, so the rms of
+        # H_a, not its pointwise minimum, is the scale smooth data see.
+        # The divergence-form operator on the polar axes is exactly these
+        # stencils once its coefficients are frozen, so the constants carry
+        # over; its rows next to a pole lift the largest eigenvalue of the
+        # zonal Laplacian on the round S^3 to 4.41/h^2 at second order and
+        # 5.75/h^2 at fourth (the pointwise stencils gave 4.04 and 5.40).
+        # On the last polar angle (the S^2 factor of S^1 x S^2) they reach
+        # 4.00/h^2 and 5.33/h^2 with the 11/12 pole weights, on the first
+        # polar angle of S^4 (density sin^3, h^5 flux terms, 127/120 pole
+        # weights) 5.11/h^2 and 7.57/h^2 at 24 points. flow.diffusion_bound
+        # is exact on isotropic T_{k-1}, as at the round fixed point, so it
+        # leaves no cushion: the lift of about 8-10% on S^3 is covered by
+        # cfl_dt's safety factor alone.
+        stencil, denominator = _DIFFERENCES[fd_order][1]
+        symbol = -0.5 * sum(w * (-1) ** s for s, w
+                            in zip(range(-2, 3), stencil)) / denominator
+        self.stiffness = sum(
+            symbol / (h * h * float(np.mean(np.broadcast_to(h_a * h_a,
+                                                            grid.shape))))
+            for h, h_a in zip(grid.spacing, lame))
         # frame factors of the Hessian and gradient, as small broadcast
         # arrays: 1/H_a, 1/H_a^2, and dlog[a][c]/H_c^2 for the Christoffel
         # terms of the diagonal (each depends only on axes <= c)
@@ -306,9 +329,10 @@ class BackgroundGeometry:
     def _kernel(self):
         """Stencil tables, built on first use: per polar axis the flux
         coefficients as tiles of the padded layout (zero past the faces)
-        and the antipode as view blocks; pad's ghost sources by (axis,
-        width); and the work buffers every stencil call reuses and no
-        result aliases."""
+        and the pole identification as view blocks (_antipode_blocks),
+        which pad, _polar_defect and _maps all cross the pole through;
+        and the work buffers every stencil call reuses and no result
+        aliases."""
         polar = {}
         for a, c in self._polar.items():
             pre, n, st = self._layout[a]
@@ -317,8 +341,7 @@ class BackgroundGeometry:
             polar[a] = tiles, self._antipode_blocks(a)
         # a padded field and its shifts, at most 3 ghost layers
         length = max((pre * (n + 6) + 6) * st for pre, n, st in self._layout)
-        return {"polar": polar, "ghosts": {},
-                "work": [np.zeros(length) for _ in range(5)]}
+        return {"polar": polar, "work": [np.zeros(length) for _ in range(5)]}
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar
@@ -371,19 +394,14 @@ class BackgroundGeometry:
         width = max(2, 1 + max(abs(k) for k, _ in flux))
         return _PolarAxis(flux, width, vec(h * h * nodes), kappa, vec(weight))
 
-    # ------------------------------------------------------------- ghosts
-
-    def _antipode_maps(self, axis):
-        """Per-axis source nodes of the pole identification across `axis`:
-        later polar angles reflect, later periodic axes shift half a period."""
-        return [np.arange(m) if b <= axis else m - 1 - np.arange(m) if kind == POLE
-                else (np.arange(m) + m // 2) % m for b, (m, kind)
-                in enumerate(zip(self.grid.shape, self.grid.axis_kind))]
+    # ---------------------------------------------------------- the poles
 
     def _antipode_blocks(self, axis):
-        """The map of _antipode_maps as view copies out[dst] = f[src], one
-        (dst, src) index pair per block: later polar axes reversed, each
-        later periodic axis cut into its two half-period blocks."""
+        """The pole identification across `axis` as view copies
+        out[dst] = f[src], one (dst, src) index pair per block: later polar
+        angles reflect (reversed), each later periodic axis shifts half a
+        period (cut into its two half-period blocks). Axes up to `axis`
+        are copied as they stand, so the blocks fit any extent there."""
         shape, kinds = self.grid.shape, self.grid.axis_kind
         later = range(axis + 1, len(shape))
         rolls = [b for b in later if kinds[b] == PERIODIC]
@@ -400,38 +418,43 @@ class BackgroundGeometry:
             blocks.append((tuple(dst), tuple(src)))
         return blocks
 
+    def _antipode(self, f, axis, out):
+        """out = f carried across the pole of polar `axis`; returns out."""
+        for dst, src in self._kernel["polar"][axis][1]:
+            out[dst] = f[src]
+        return out
+
     def pad(self, f, axis, width, comp=None, out=None):
         """Extend f by ghost layers along one axis; out, when given, is a
         flat buffer of the padded size to fill.
 
-        comp labels f as the comp-th partial derivative of a scalar (None
-        for plain scalars); pole ghosts of such components carry the parity
-        sign of the identification.
+        A periodic axis wraps: its ghost layers are the two end slabs. A
+        polar axis's are its edge rows mirrored about the pole and carried
+        across it by _antipode. comp labels f as the comp-th partial
+        derivative of a scalar (None for plain scalars); pole ghost layers
+        of such components carry the parity sign of the identification.
         """
-        f = np.asarray(f)
+        f = np.asarray(f).reshape(self.grid.shape)
         pre, n, st = self._layout[axis]
         shape = self.grid.shape[:axis] + (n + 2 * width,) + self.grid.shape[axis + 1:]
         p = np.empty(shape, f.dtype) if out is None else out.reshape(shape)
-        body = p.reshape(pre, n + 2 * width, st)
-        body[:, width:width + n] = f.reshape(pre, n, st)
-        pole = self.grid.axis_kind[axis] == POLE
-        ghosts = self._kernel["ghosts"]
-        if (axis, width) not in ghosts:  # source nodes of the two ghost slabs
-            maps = self._antipode_maps(axis if pole else self.grid.ndim)
-            ends = ((np.arange(width)[::-1], n - 1 - np.arange(width)) if pole
-                    else (np.arange(n - width, n), np.arange(width)))
-            ghosts[axis, width] = [np.ravel_multi_index(
-                np.ix_(*maps[:axis], end, *maps[axis + 1:]),
-                self.grid.shape).reshape(pre, width, st) for end in ends]
+        body, rows = p.reshape(pre, n + 2 * width, st), f.reshape(pre, n, st)
+        body[:, width:width + n] = rows
+        if self.grid.axis_kind[axis] == PERIODIC:
+            body[:, :width] = rows[:, n - width:]
+            body[:, width + n:] = rows[:, :width]
+            return p
         # d/dx_comp flips across the pole when comp is the axis itself or
         # a later polar angle (those reflect under the antipode)
-        flip = pole and comp is not None and (
+        flip = comp is not None and (
             comp == axis or comp > axis and self.grid.axis_kind[comp] == POLE)
-        for ghost, index in zip((body[:, :width], body[:, width + n:]),
-                                ghosts[axis, width]):
-            ghost[...] = np.take(f.reshape(-1), index)
+        for ghost, mirror in ((slice(0, width), slice(width - 1, None, -1)),
+                              (slice(width + n, None),
+                               slice(n - 1, n - 1 - width, -1))):
+            layers = self._antipode(_slice_axis(f, axis, mirror), axis,
+                                    _slice_axis(p, axis, ghost))
             if flip:
-                np.negative(ghost, out=ghost)
+                np.negative(layers, out=layers)
         return p
 
     # ----------------------------------------------------------- stencils
@@ -547,7 +570,7 @@ class BackgroundGeometry:
         criterion 7), so it goes without them.
         """
         c = self._polar[axis]
-        tiles, antipode = self._kernel["polar"][axis]
+        tiles = self._kernel["polar"][axis][0]
         pre, n, st = self._layout[axis]
         size = pre * (n + 2 * c.width) * st
         du, flux, tmp = self._kernel["work"][1:4]
@@ -564,9 +587,7 @@ class BackgroundGeometry:
         out -= d2
         tmp = tmp[:out.size].reshape(out.shape)
         out -= np.multiply(c.kappa, first, out=tmp)
-        for dst, src in antipode:
-            tmp[dst] = out[src]
-        out += tmp
+        out += self._antipode(out, axis, tmp)
         out *= 0.5
         return out
 
@@ -720,15 +741,15 @@ class BackgroundGeometry:
             for s, v in parts:
                 defect[s] = defect.get(s, 0.0) + 0.5 * self._inv_lame2[a] * v
             axis = self._shift_terms(a, defect, c.width)
-            antipode = np.ravel_multi_index(np.ix_(*self._antipode_maps(a)),
-                                            self.grid.shape).reshape(-1)
+            antipode = self._antipode(np.arange(size).reshape(self.grid.shape),
+                                      a, np.empty(self.grid.shape, int)).reshape(-1)
             terms += axis + [(col[antipode], val[antipode]) for col, val in axis]
         yield _sparse_sum(terms, size)
 
     def _shift_terms(self, axis, weights, width=None, comp=None):
         """The terms (columns, values) of sum_s diag(weights[s]) S_s, |s| <=
         width (fd_order / 2 by default): S_s shifts by s along the axis
-        through the ghosts with the parity sign of the comp-th partial, as
+        through the ghost layers with the parity sign of the comp-th partial, as
         pad gives them for the node indices and ones."""
         shape, size = self.grid.shape, self.grid.total_points
         width = width or self.fd_order // 2
@@ -766,8 +787,8 @@ def _check_resolution(points, minimum):
             f"resolution too small: need at least {minimum} points per axis")
     if points % 2:
         raise ConfigurationError(
-            "points per axis must be even (pole ghosts shift the azimuth by "
-            "half a period)")
+            "points per axis must be even (the pole identification shifts "
+            "the azimuth by half a period)")
 
 
 def background_schouten(chart, n, s0=None):

@@ -358,24 +358,13 @@ def test_continuation_validation():
 
 def test_auxiliary_problem_validation():
     geom = build_round_sphere(3, 16)
-    shape = geom.grid.shape
     with pytest.raises(ConfigurationError):
         AuxiliaryProblem(geom, 0)
     with pytest.raises(ConfigurationError):
         AuxiliaryProblem(geom, 4)
-    for bad_f in (np.zeros(shape), np.full(shape, -1.0),
-                  np.full(shape, np.nan)):
-        with pytest.raises(ConfigurationError, match="strictly positive"):
-            AuxiliaryProblem(geom, 1, f=bad_f)
     for bad_h in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="finite"):
             AuxiliaryProblem(geom, 1, h=bad_h)
-
-
-def test_auxiliary_problem_records_pinch_bound():
-    geom = build_round_sphere(3, 16)
-    prob = AuxiliaryProblem(geom, 1, f=np.full(geom.grid.shape, 0.25))
-    assert prob.bound == 4.0
     assert AuxiliaryProblem(geom, 1, h=0.0).h_field().shape == geom.grid.shape
 
 

@@ -1,9 +1,9 @@
 """The stencil kernel against its roll/flip oracle, and its work buffers.
 
-BackgroundGeometry fills ghosts from precomputed source maps and takes
-differences as flat shifts over reused work buffers; stencil_reference
-builds the same values by slicing, flipping, rolling and concatenating.
-Both run the same floating-point operations in the same order, so every
+BackgroundGeometry fills pole ghosts by copying mirrored edge rows through
+the view blocks of the pole identification and takes differences as flat
+shifts over reused work buffers; stencil_reference builds the same values
+by slicing, flipping, rolling and concatenating. Both run the same floating-point operations in the same order, so every
 value must agree bit for bit, signed zeros included, on every chart family
 and both difference orders.
 """
