@@ -82,7 +82,7 @@ def admissible_state(geom, u, k, arrays=None):
 
 
 # the cached fields whose arrays a state hands on (take_arrays)
-_RECYCLED = ("w", "etable", "newton", "log_sigma", "sigma", "weight")
+_RECYCLED = ("w", "etable", "log_sigma", "sigma", "weight")
 
 
 class ConformalState:
@@ -111,25 +111,29 @@ class ConformalState:
 
     def take_arrays(self):
         """Hand over the arrays of this state's recycled fields (W with its
-        gradient, the sigma table, T_{k-1}, log sigma_k(g), sigma_k(g),
-        the conformal weight) and a scratch array, for a new state to
+        gradient, the sigma table, log sigma_k(g), sigma_k(g), the
+        conformal weight) and two scratch arrays, for a new state to
         overwrite, and empty the cache: later reads recompute, bitwise the
-        same, into new arrays. Other entries a caller put in the dict it
-        passed as arrays are handed on as they are."""
+        same, into new arrays. T_{k-1}, which only the linearization reads,
+        is not recycled. Other entries a caller put in the dict it passed
+        as arrays are handed on as they are."""
         arrays = dict(self._arrays)
         arrays.update((key, self._cache[key]) for key in _RECYCLED
                       if key in self._cache)
         if "scratch" not in arrays:
-            arrays["scratch"] = np.empty(self.u.shape)
+            arrays["scratch"] = (np.empty(self.u.shape),
+                                 np.empty(self.u.shape))
         self._cache.clear()
         self._arrays = {}
         return arrays
 
-    def scratch(self):
-        """A grid array for temporaries, handed on with the recycled
-        arrays; None on a state not built from handed arrays (its callers
-        allocate as usual). Any call that is passed it may overwrite it."""
-        return self._arrays.get("scratch")
+    def scratch(self, i=0):
+        """Grid array i (0 or 1) for temporaries, handed on with the
+        recycled arrays; None on a state not built from handed arrays (its
+        callers allocate as usual). Any call that is passed it may
+        overwrite it."""
+        pair = self._arrays.get("scratch")
+        return None if pair is None else pair[i]
 
     # ------------------------------------------------------------ assembly
 
@@ -209,11 +213,12 @@ class ConformalState:
         return float(np.min(self.sigma_field()))
 
     def newton_components(self):
-        """T_{k-1}(W), the gradient of sigma_k at W, as components; drives
-        CFL bounds and the linearization."""
+        """T_{k-1}(W), the gradient of sigma_k at W, as components. Only the
+        linearization reads it (the flow's CFL bound comes from the sigma
+        table), so its arrays are not recycled."""
         return self._cached("newton", lambda: fieldalg.newton_components(
             self.w_components(), self.geometry.grid.ndim, self.sigma_w_table(),
-            self.k - 1, out=self._arrays.get("newton")))
+            self.k - 1))
 
     def linearization_weights(self):
         """The weights of d sigma_k(W) in DerivativeMatrices.combine order.

@@ -123,24 +123,18 @@ def power_sums(w, n, kmax):
     return p
 
 
-def newton_components(w, n, e, k, out=None):
+def newton_components(w, n, e, k):
     """T_k at every node as components, from e = sigma_table(w, >= k).
 
     Recurrence T_j = e_j I - w T_{j-1} with T_0 = I; every T_j is a
-    polynomial in w, so each product stays symmetric. out, when given, is
-    an earlier result (a component list) to overwrite.
+    polynomial in w, so each product stays symmetric.
     """
     diag = [a == b for a, b in pairs(n)]
     if k == 0:
-        t = [np.empty(e.shape[:-1]) for _ in diag] if out is None else out
-        for c, d in zip(t, diag):
-            c[...] = 1.0 if d else 0.0
-        return t
+        return [np.full(e.shape[:-1], 1.0 if d else 0.0) for d in diag]
     for j in range(1, k + 1):
         prod = w if j == 1 else sym_product(w, t, n)
-        dest = out if j == k and out is not None else [None] * len(diag)
-        t = [np.subtract(e[..., j], c, out=o) if d else np.negative(c, out=o)
-             for c, d, o in zip(prod, diag, dest)]
+        t = [e[..., j] - c if d else -c for c, d in zip(prod, diag)]
     return t
 
 
@@ -168,36 +162,35 @@ def worst_violation(e, k):
     return None
 
 
-def lambda_max_components(t, n, out=None):
-    """Upper bound on the largest eigenvalue of each symmetric matrix of a
-    component field, from its first two trace moments.
+def newton_lambda_max(e, n, k, out=None, tmp=None):
+    """Upper bound on the largest eigenvalue of T_{k-1}(W) at every node,
+    read from e = sigma_table(w, n, kmax) with kmax >= min(n, 2k - 2).
 
-    With m = tr T / n and s^2 = |T - m I|_F^2 / n, every symmetric T
-    (indefinite ones included) has m + s / sqrt(n - 1) <= lam_max
-    <= m + s sqrt(n - 1) (Wolkowicz & Styan 1980, Linear Algebra Appl. 29).
-    The upper side is returned: exact for isotropic T and whenever the
-    n - 1 smaller eigenvalues are equal, and never more than
-    s (n - 2) / sqrt(n - 1) above lam_max. s comes from the deviatoric
-    components, because |T|_F^2 / n - m^2 cancels when T is nearly
-    isotropic. An overestimate, so time-step bounds built from it err on
-    the safe side. out, when given, is the grid array the bound is
-    written into.
+    T_{k-1} = sum_{j<k} c_j W^j with c_j = (-1)^j e_{k-1-j}, so its trace
+    moments are m = tr T / n = (n - k + 1) e_{k-1} / n and
+    |T|_F^2 = sum_{i,j<k} c_i c_j p_{i+j}, with the power sums p of W from
+    Newton's identities; expanded, that sum collapses to
+    (n - k + 1) e_{k-1}^2 - 2 sum_{j>=1} j e_{k-1-j} e_{k-1+j}, with e_j = 0
+    for j > n. With s^2 = |T|_F^2 / n - m^2, every symmetric T has
+    m + s / sqrt(n - 1) <= lam_max <= m + s sqrt(n - 1) (Wolkowicz & Styan
+    1980, Linear Algebra Appl. 29). The upper side is returned: exact when
+    T is isotropic and whenever its n - 1 smaller eigenvalues are equal
+    (k = 1 gives exactly 1), and never more than s (n - 2) / sqrt(n - 1)
+    above lam_max. s^2 is a difference of near-equal terms where T is
+    nearly isotropic and is clamped at 0, so there the bound can read low
+    by O(sqrt(eps)) times the scale of T. out and tmp, when given, are grid
+    arrays for the result and for its terms; nothing else is allocated.
     """
-    diag = [c for (a, b), c in zip(pairs(n), t) if a == b]
-    m = diag[0]
-    for c in diag[1:]:
-        m = np.add(m, c, out=out)
-    m = np.divide(m, n, out=out)
-    # frobenius2 of the deviatoric components, one component at a time
-    shape = np.broadcast_shapes(*(np.shape(c) for c in t))
-    acc, sq = np.zeros(shape), np.empty(shape)
-    for (a, b), c in zip(pairs(n), t):
-        if a == b:
-            np.subtract(c, m, out=sq)
-            sq *= sq
-        else:
-            np.multiply(c, 2.0, out=sq)
-            sq *= c
-        acc += sq
-    acc *= (n - 1.0) / n
-    return np.add(m, np.sqrt(acc, out=acc), out=acc if out is None else out)
+    # (n - 1) s^2 = (n - 1) / n ((k - 1)(n - k + 1) / n e_{k-1}^2
+    #                            - 2 sum_j j e_{k-1-j} e_{k-1+j})
+    frac = (n - 1.0) / n
+    out = np.multiply(e[..., k - 1], frac * (k - 1) * (n - k + 1) / n,
+                      out=out)
+    out *= e[..., k - 1]
+    for j in range(1, min(k - 1, n - k + 1) + 1):
+        term = np.multiply(e[..., k - 1 - j], e[..., k - 1 + j], out=tmp)
+        term *= 2.0 * j * frac
+        out -= term
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    out += np.multiply(e[..., k - 1], (n - k + 1) / n, out=tmp)
+    return out

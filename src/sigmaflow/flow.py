@@ -7,11 +7,12 @@ The conformal factor of g = e^{-2u} g0 is driven by
 where r_k is the geometric mean of sigma_k(g) under dvol(g). Subtracting
 the mean makes the speed integrate to zero against dvol(g), which is what
 preserves the volume; inside the Gamma_k+ cone the right-hand side is
-parabolic with diffusion coefficient T_{k-1}(W) / (2 sigma_k(W)), and the
-CFL bound tracks that coefficient through a trace-moment bound on its
-largest eigenvalue, exact where T_{k-1} is isotropic. A quotient variant
-drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes l = 0 coincide with
-the primary flow.
+parabolic with diffusion coefficient T_{k-1}(W) / (2 sigma_k(W)). The CFL
+bound tracks that coefficient through a bound on the largest eigenvalue
+of T_{k-1} from its first two trace moments, which are symmetric functions
+of W's spectrum read from the sigma table: the flow never forms T_{k-1}.
+A quotient variant drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes
+l = 0 coincide with the primary flow.
 
 A run builds a full monitor row only where it keeps one; between those
 rows the convergence detector evaluates the residual alone. The state
@@ -43,8 +44,12 @@ class FlowConfig:
     """Numerical controls for one flow run.
 
     dt_initial, when set, caps every step (useful for fixed-dt studies);
-    the CFL bound still applies. convergence_tol acts on the relative
-    residual |sigma - r|_L2(g) / |sigma|_L2(g); zero disables the detector.
+    the CFL bound still applies. cfl_safety scales that bound, which has
+    no cushion of its own: it is exact where T_{k-1} is isotropic, as at
+    the round fixed point, and near there it can read low by O(sqrt(eps))
+    relative (up to about 1e-8), the cancellation in its trace-moment
+    spread. convergence_tol acts on the relative residual
+    |sigma - r|_L2(g) / |sigma|_L2(g); zero disables the detector.
     """
 
     k: int
@@ -151,19 +156,24 @@ def diffusion_bound(state):
     in the background orthonormal frame: the e^{2u} factors of the g-form
     Newton tensor and of the g-Laplacian cancel, leaving a shift-invariant
     bound, consistent with the flow's own shift equivariance. lambda_max is
-    the trace-moment upper bound of fieldalg.lambda_max_components: never
-    below the true value, and exact where T_{k-1} is isotropic.
+    fieldalg.newton_lambda_max, the trace-moment upper bound read from the
+    sigma table: exact where T_{k-1} is isotropic, never below the true
+    value by more than O(sqrt(eps)) relative. For k <= 2 and k = n the
+    state's own table holds every order it reads; for 3 <= k < n a table to
+    order min(n, 2k - 2) is built from W.
     """
     state.require_admissible()
-    n = state.geometry.grid.ndim
+    n, k = state.geometry.grid.ndim, state.k
     etable = state.sigma_w_table()
-    bound = fieldalg.lambda_max_components(state.newton_components(), n,
-                                           out=state.scratch())
-    bound /= 2.0 * etable[..., state.k]
-    return float(np.max(bound))
+    orders = min(n, 2 * k - 2)
+    table = (etable if orders <= k else
+             fieldalg.sigma_table(state.w_components(), n, orders))
+    bound = fieldalg.newton_lambda_max(table, n, k, out=state.scratch(),
+                                       tmp=state.scratch(1))
+    return 0.5 * float(np.max(np.divide(bound, etable[..., k], out=bound)))
 
 
-def cfl_dt(state, cfl_safety=0.4):
+def cfl_dt(state, cfl_safety):
     """Parabolic stability bound for the explicit step.
 
     Second differences along axis a carry weight 1/(h_a H_a)^2; the
@@ -274,7 +284,7 @@ def _record(state, time, quotient_l, residual):
         F_k=state.F_k(),
         r_k=r_flow,
         l2_sigma_minus_r=l2_diff,
-        min_sigma=float(np.min(state.sigma_field())),
+        min_sigma=state.min_sigma(),
         max_abs_W=state.max_abs_w(),
         harnack=state.harnack_quantity(),
         max_abs_u=float(np.max(np.abs(state.u))),

@@ -290,7 +290,8 @@ class BackgroundGeometry:
         # 4.00/h^2 and 5.33/h^2 with the 11/12 pole weights, on the first
         # polar angle of S^4 (density sin^3, h^5 flux terms, 127/120 pole
         # weights) 5.11/h^2 and 7.57/h^2 at 24 points. flow.diffusion_bound
-        # is exact on isotropic T_{k-1}, as at the round fixed point, so it
+        # is exact on isotropic T_{k-1}, as at the round fixed point (up to
+        # the O(sqrt(eps)) cancellation of its sigma-table spread), so it
         # leaves no cushion: the lift of about 8-10% on S^3 is covered by
         # cfl_dt's safety factor alone.
         stencil, denominator = _DIFFERENCES[fd_order][1]

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolationError
-
 
 @dataclass(frozen=True)
 class ConeLabel:
@@ -132,39 +130,3 @@ def cone_test(lam, k):
         if not e[j] > 0.0:
             return ConeLabel(k=k, inside=False, first_failing_j=j)
     return ConeLabel(k=k, inside=True)
-
-
-def cone_test_matrix(a, k):
-    return cone_test(eigenvalues(a), k)
-
-
-def _require_cone(a, k, what):
-    eigs = eigenvalues(a)
-    label = cone_test(eigs, k)
-    if not label.inside:
-        raise ConeViolationError(
-            f"{what} requires the spectrum in Gamma_{k}^+: "
-            f"sigma_{label.first_failing_j} <= 0",
-            label=label,
-        )
-    return sigma_all(eigs, k)
-
-
-def log_sigma_k_and_grad(a, k):
-    """(log sigma_k(A), T_{k-1}(A)/sigma_k(A)) for A in Gamma_k^+.
-
-    Raises ConeViolationError (carrying the ConeLabel) outside the cone.
-    """
-    a = _check_square(a)
-    e = _require_cone(a, k, "log sigma_k")
-    t = _newton_from_e(a, e, k - 1)
-    return float(np.log(e[k])), t / e[k]
-
-
-def sigma_k_root_and_grad(a, k):
-    """(sigma_k^(1/k), (1/k) sigma_k^(1/k - 1) T_{k-1}) for A in Gamma_k^+."""
-    a = _check_square(a)
-    e = _require_cone(a, k, "sigma_k^(1/k)")
-    t = _newton_from_e(a, e, k - 1)
-    root = e[k] ** (1.0 / k)
-    return float(root), (root / (k * e[k])) * t

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from matrix_form import matrix
+from sigmaflow import fieldalg, symfun
 from sigmaflow.conformal import ConformalState, admissible_state
 from sigmaflow.errors import (
     ConeViolationError,
@@ -189,6 +191,39 @@ def test_cfl_is_shift_invariant():
     a = cfl_dt(ConformalState(geom, u, 2), 0.4)
     b = cfl_dt(ConformalState(geom, u + 0.27, 2), 0.4)
     assert abs(a - b) <= 1e-9 * a
+
+
+def no_newton_tensor(*args, **kwargs):
+    raise AssertionError("the flow formed T_{k-1}")
+
+
+@pytest.mark.parametrize("scheme", ("euler", "midpoint"))
+def test_flow_forms_no_newton_tensor(monkeypatch, scheme):
+    # Without dt_initial the CFL bound is refreshed before every step, and
+    # it is read from the sigma table alone.
+    monkeypatch.setattr(fieldalg, "newton_components", no_newton_tensor)
+    geom = build_round_sphere(3, 16)
+    u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
+    flow, _ = run(geom, u0, FlowConfig(k=2, t_end=20.0, monitor_every=50,
+                                        convergence_tol=1e-3, scheme=scheme))
+    assert flow.converged and flow.cfl_limited == flow.step_count > 100
+
+
+def test_cfl_longer_table_on_s4(monkeypatch):
+    # 3 <= k < n: the bound reads e_4, from a table built for it. It equals
+    # the Wolkowicz-Styan bound of T_2 formed by the eigenvalue route.
+    monkeypatch.setattr(fieldalg, "newton_components", no_newton_tensor)
+    geom = build_round_sphere(4, 16)
+    st = ConformalState(geom, zonal(geom, lambda t: 0.05 * np.cos(t)), 3)
+    t = symfun.newton_transform(matrix(st.w_components(), 4, geom.grid.shape),
+                                2)
+    m = np.trace(t, axis1=-2, axis2=-1) / 4.0
+    dev = t - m[..., None, None] * np.eye(4)
+    upper = m + np.sqrt(np.sum(dev * dev, axis=(-2, -1)) * 0.75)
+    want = np.max(upper / (2.0 * st.sigma_w_table()[..., 3]))
+    d = diffusion_bound(st)
+    assert abs(d - want) <= 1e-10 * want
+    assert cfl_dt(st, 0.4) == 0.4 / (3 + d * geom.stiffness)
 
 
 # ----------------------------------------------------------------- stepping
