@@ -34,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fieldio, symfun
+from . import fieldalg, fieldio, symfun
 from .conformal import ConformalState
 from .eigen import AuxiliaryProblem, lambda_star_search
 from .errors import NumericError, SigmaFlowError, UsageError
-from .errors import ConeViolationError
+from .errors import ConeLabel, ConeViolationError
 from .flow import FlowConfig, flow_speed, run, step, write_monitor_csv
 from .geometry import (
     PERIODIC,
@@ -217,17 +217,19 @@ def parse_config(subcommand, pairs):
 
     cfg = RunConfig(subcommand=subcommand, **values)
     if subcommand in ("flow", "eigen"):
-        spectrum = np.diag(background_schouten(cfg.chart, cfg.n, cfg.s0_diag))
-        label = symfun.cone_test(spectrum, cfg.k)
-        if not label.inside:
-            j = label.first_failing_j
-            value = symfun.sigma_all(spectrum, j)[j]
-            listed = ", ".join("%g" % s for s in spectrum)
+        # the cone test of ConformalState.cone_report, on one node
+        s0 = background_schouten(cfg.chart, cfg.n, cfg.s0_diag)
+        table = fieldalg.sigma_table(
+            [s0[a, b:b + 1] for a, b in fieldalg.pairs(cfg.n)], cfg.n, cfg.k)
+        worst = fieldalg.worst_violation(table, cfg.k)
+        if worst is not None:
+            j, _, value = worst
+            listed = ", ".join("%g" % s for s in np.diag(s0))
             raise ConeViolationError(
                 f"chart {cfg.chart} background spectrum ({listed}) is outside "
                 f"the Gamma_{cfg.k}+ cone: sigma_{j} = {value:g}; "
                 f"the k={cfg.k} problem is not admissible on this chart",
-                label=label)
+                label=ConeLabel(k=cfg.k, inside=False, first_failing_j=j))
     return cfg
 
 

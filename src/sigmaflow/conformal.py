@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldalg
-from .errors import ConeViolationError, ConfigurationError
-from .symfun import ConeLabel
+from .errors import ConeLabel, ConeViolationError, ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,13 @@ class ConeReport:
     n_violations: int
 
 
-def w_components(geom, u, out=None, tmp=None):
+def w_components(geom, u, out=None):
     """W(u) in the orthonormal frame as fieldalg components, with the frame
     gradient components and |grad u|^2 it is built from.
 
     The one place W is assembled. out, when given, is an earlier result on
-    the same chart whose arrays are overwritten instead of allocating; tmp,
-    when given, is a grid array the products are formed in.
+    the same chart whose arrays are overwritten instead of allocating; the
+    products are formed in a work buffer of the chart.
     """
     u = np.asarray(u, dtype=float)
     pairs = fieldalg.pairs(geom.grid.ndim)
@@ -59,7 +58,7 @@ def w_components(geom, u, out=None, tmp=None):
     jet = geom.scalar_jet(u, out=jet_out)
     w = geom.hessian_components(u, jet=jet, out=w_out)
     grad, norm2 = geom.frame_gradient(jet[0], out=norm2_out)
-    tmp = np.empty_like(norm2) if tmp is None else tmp
+    tmp = geom._grid_work[0]
     for (a, b), w_ab in zip(pairs, w):
         w_ab += np.multiply(grad[a], grad[b], out=tmp)
         if a == b:
@@ -93,8 +92,8 @@ class ConformalState:
 
         arrays, from take_arrays of a state on the same chart and k, are
         overwritten with this state's fields instead of allocating new
-        ones. States built from the same arrays share them: only the one
-        built last may be read.
+        ones; only the state built last from them may be read. Temporaries
+        come from the chart's work buffers.
         """
         n = geom.grid.ndim
         if not 1 <= k <= n:
@@ -110,30 +109,15 @@ class ConformalState:
         self._arrays = {} if arrays is None else arrays
 
     def take_arrays(self):
-        """Hand over the arrays of this state's recycled fields (W with its
-        gradient, the sigma table, log sigma_k(g), sigma_k(g), the
-        conformal weight) and two scratch arrays, for a new state to
-        overwrite, and empty the cache: later reads recompute, bitwise the
-        same, into new arrays. T_{k-1}, which only the linearization reads,
-        is not recycled. Other entries a caller put in the dict it passed
-        as arrays are handed on as they are."""
-        arrays = dict(self._arrays)
-        arrays.update((key, self._cache[key]) for key in _RECYCLED
-                      if key in self._cache)
-        if "scratch" not in arrays:
-            arrays["scratch"] = (np.empty(self.u.shape),
-                                 np.empty(self.u.shape))
+        """Hand over the arrays of the recycled fields (W with its gradient,
+        the sigma table, log sigma_k(g), sigma_k(g), the conformal weight)
+        and nothing else, for a new state to overwrite, and empty the cache:
+        later reads recompute, bitwise the same, into new arrays."""
+        arrays = {key: self._cache.get(key, self._arrays.get(key))
+                  for key in _RECYCLED}
         self._cache.clear()
         self._arrays = {}
         return arrays
-
-    def scratch(self, i=0):
-        """Grid array i (0 or 1) for temporaries, handed on with the
-        recycled arrays; None on a state not built from handed arrays (its
-        callers allocate as usual). Any call that is passed it may
-        overwrite it."""
-        pair = self._arrays.get("scratch")
-        return None if pair is None else pair[i]
 
     # ------------------------------------------------------------ assembly
 
@@ -144,8 +128,7 @@ class ConformalState:
 
     def _w(self):
         return self._cached("w", lambda: w_components(
-            self.geometry, self.u, out=self._arrays.get("w"),
-            tmp=self.scratch()))
+            self.geometry, self.u, out=self._arrays.get("w")))
 
     def w_components(self):
         """W(u) as fieldalg components (upper triangle)."""
@@ -201,7 +184,8 @@ class ConformalState:
             self.require_admissible()
             log_sigma = np.log(self.sigma_w_table()[..., self.k],
                                out=self._arrays.get("log_sigma"))
-            log_sigma += np.multiply(self.u, 2.0 * self.k, out=self.scratch())
+            log_sigma += np.multiply(self.u, 2.0 * self.k,
+                                     out=self.geometry._grid_work[0])
             self._cache["log_sigma"] = log_sigma
         return self._cache["log_sigma"]
 
@@ -260,8 +244,7 @@ class ConformalState:
 
     def volume(self):
         return self._cached("volume", lambda: self.geometry.integrate(
-            np.ones((1,) * self.geometry.grid.ndim),
-            weight=self.conformal_weight(), out=self.scratch()))
+            self.conformal_weight()))
 
     def log_target(self, l=None):
         """log of the flow's driven quantity: sigma_k(g), or
@@ -281,8 +264,7 @@ class ConformalState:
         """Mean of log_target(l) under dvol(g), computed once per state;
         the flow speed and the monitor row share it."""
         return self._cached(("log_mean", l), lambda: self.geometry.integrate(
-            self.log_target(l), weight=self.conformal_weight(),
-            out=self.scratch()) / self.volume())
+            self.log_target(l), self.conformal_weight()) / self.volume())
 
     def r_k(self):
         """Geometric mean of sigma_k(g) under dvol(g)."""
@@ -292,8 +274,7 @@ class ConformalState:
         """Scale-normalized integral vol^{-(n-2k)/n} * int sigma_k dvol(g)."""
         n = self.geometry.grid.ndim
         total = self.geometry.integrate(self.sigma_field(),
-                                        weight=self.conformal_weight(),
-                                        out=self.scratch())
+                                        weight=self.conformal_weight())
         return self.volume() ** (-(n - 2.0 * self.k) / n) * total
 
     def harnack_quantity(self):

@@ -267,15 +267,6 @@ def newton_solve(problem, rhs, guess, stats=None):
     return state.u
 
 
-@dataclass
-class ContinuationState:
-    """Accepted end state of a continuation walk."""
-
-    u: np.ndarray
-    lam: float
-    bounds: tuple = (None, None)
-
-
 def _path_bounds(problem, lam):
     """The maximum-principle bounds (delta_lo, delta_hi) that every
     solution on the continuation path to lam obeys."""
@@ -317,7 +308,8 @@ def _check_solution(u, t, lam, bounds):
 
 
 def continuation_run(problem, lam, guess=None, stats=None):
-    """Walk the right-hand side from f to the constant lam.
+    """Walk the right-hand side from f to the constant lam; return the
+    solution u at lam.
 
     The start value u identically delta_lo solves the t=0 problem exactly
     by construction of f = sigma_k^{1/k}(S0) - h e^{delta_lo}. The t-step
@@ -361,7 +353,7 @@ def continuation_run(problem, lam, guess=None, stats=None):
                 streak = 0
         else:
             streak = 0
-    return ContinuationState(u=u, lam=lam, bounds=bounds)
+    return u
 
 
 def _warm_solve(problem, lam, guess, stats):
@@ -412,7 +404,7 @@ def _solve_midpoint(problem, lam, warm_start, acc):
     if u is None:
         record["route"] = "continuation"
         try:
-            u = continuation_run(problem, lam, stats=walk).u
+            u = continuation_run(problem, lam, stats=walk)
         except ContinuationFailureError as failure:
             record.update(solvable=False, error=type(failure).__name__,
                           message=str(failure))
@@ -458,13 +450,13 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
            "worst_linear_residual": 0.0}
     walk = {}
     try:
-        state = continuation_run(problem, lam_lo, guess=guess, stats=walk)
+        u_best = continuation_run(problem, lam_lo, guess=guess, stats=walk)
     except ContinuationFailureError as failure:
         raise ConfigurationError(
             f"no solvable lambda found (failed at {lam_lo:.6g}); "
             "the chart does not admit the k-th cone problem") from failure
     _merge(acc, walk)
-    lo, hi, u_best = lam_lo, lam_hi, state.u
+    lo, hi = lam_lo, lam_hi
     midpoints = []
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)

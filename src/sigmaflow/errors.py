@@ -11,6 +11,18 @@ Each class carries the process exit code the CLI maps it to:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class ConeLabel:
+    """Outcome of a Gamma_k^+ membership test (ConeViolationError's payload):
+    first_failing_j is the smallest j <= k with sigma_j <= 0, None inside."""
+
+    k: int
+    inside: bool
+    first_failing_j: int | None = None
+
 
 class SigmaFlowError(Exception):
     """Base class; exit_code is what the CLI returns for this failure."""

@@ -126,16 +126,6 @@ class FlowState:
     beta: float | None = None
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Largest double-exponential floor consistent with a monitor series."""
-
-    positive: bool
-    c: float | None
-    curve: tuple | None
-    first_violation_time: float | None
-
-
 # ----------------------------------------------------------------- speed
 
 def flow_speed(state, quotient_l=None, out=None):
@@ -168,8 +158,8 @@ def diffusion_bound(state):
     orders = min(n, 2 * k - 2)
     table = (etable if orders <= k else
              fieldalg.sigma_table(state.w_components(), n, orders))
-    bound = fieldalg.newton_lambda_max(table, n, k, out=state.scratch(),
-                                       tmp=state.scratch(1))
+    work = state.geometry._grid_work
+    bound = fieldalg.newton_lambda_max(table, n, k, out=work[0], tmp=work[1])
     return 0.5 * float(np.max(np.divide(bound, etable[..., k], out=bound)))
 
 
@@ -195,11 +185,11 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     (max_halvings + 1)-th rejection in a row the step gives up and reports
     the last valid state in the error diagnostics.
 
-    The step takes over the derived arrays of the state it steps from
-    (ConformalState.take_arrays): its trials, the midpoint's half step
-    and the new state are written into them, so a steady run allocates no
-    new fields. Arrays read from that state before the step are
-    overwritten; its values are recomputed on demand, bitwise the same.
+    The step writes its trials, the midpoint's half step and the new state
+    into the derived arrays of the state it steps from (take_arrays), and
+    the half step's speed into a work buffer that advance reads before the
+    trial reuses it: a steady run allocates no new fields. Arrays read from
+    that state before are overwritten; it recomputes them bitwise the same.
     """
     if scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -213,8 +203,6 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     u_new = np.empty_like(u)
     advance = lambda h, speed: np.add(u, np.multiply(speed, h, out=u_new),
                                       out=u_new)
-    if scheme == "midpoint" and "s_mid" not in arrays:
-        arrays["s_mid"] = np.empty_like(u)  # handed on with the fields
     rejected = 0
     trial_dt = float(dt)
     while True:
@@ -225,7 +213,7 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
             half = admissible_state(geom, advance(0.5 * trial_dt, s0), k,
                                     arrays)
             if half is not None:
-                s_mid = flow_speed(half, quotient_l, out=arrays["s_mid"])
+                s_mid = flow_speed(half, quotient_l, out=geom._grid_work[0])
                 trial = admissible_state(geom, advance(trial_dt, s_mid), k,
                                          arrays)
         if trial is not None:
@@ -252,12 +240,10 @@ def _residual(state, quotient_l):
     r_flow = math.exp(state.log_target_mean(quotient_l))
     target = (state.sigma_field() if not quotient_l
               else np.exp(state.log_target(quotient_l)))
-    buf = state.scratch()
-    diff = np.subtract(target, r_flow, out=buf)
-    l2_diff = math.sqrt(geom.integrate(np.multiply(diff, diff, out=buf),
-                                       weight=weight, out=buf))
-    l2_target = math.sqrt(geom.integrate(np.multiply(target, target, out=buf),
-                                         weight=weight, out=buf))
+    # integrate forms its integrand in _grid_work[0]
+    diff = np.subtract(target, r_flow, out=geom._grid_work[1])
+    l2_diff = math.sqrt(geom.integrate(np.square(diff, out=diff), weight))
+    l2_target = math.sqrt(geom.integrate(np.square(target, out=diff), weight))
     return r_flow, l2_diff, l2_target, l2_diff / l2_target
 
 
@@ -370,41 +356,3 @@ def run(geom, u0, config, on_record=None):
         flow.u = state.u
     return flow, records
 
-
-# ------------------------------------------------------------- positivity
-
-def _fit_floor(time, min_sigma):
-    """Solve c * exp(-e^time / c) = min_sigma for c (increasing in c)."""
-    target = min_sigma
-    growth = math.exp(time)
-
-    def floor(c):
-        return c * math.exp(-growth / c)
-
-    lo = hi = target
-    while floor(hi) < target:
-        lo = hi
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if floor(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def positivity_monitor(records):
-    """Largest c with min_sigma(t) >= c exp(-e^t / c) along the whole run.
-
-    The bound is a safety net: healthy runs sit far above it. A record with
-    min_sigma <= 0 flags the series as non-positive instead of fitting.
-    """
-    for rec in records:
-        if not rec.min_sigma > 0.0:
-            return PositivityReport(False, None, None, rec.time)
-    c = min(_fit_floor(rec.time, rec.min_sigma) for rec in records)
-    curve = tuple(c * math.exp(-math.exp(rec.time) / c) for rec in records)
-    return PositivityReport(True, c, curve, None)

@@ -332,8 +332,8 @@ class BackgroundGeometry:
         coefficients as tiles of the padded layout (zero past the faces)
         and the pole identification as view blocks (_antipode_blocks),
         which pad, _polar_defect and _maps all cross the pole through;
-        and the work buffers every stencil call reuses and no result
-        aliases."""
+        and the work buffers every stencil call reuses, no result aliases
+        and _grid_work lends out as grid temporaries."""
         polar = {}
         for a, c in self._polar.items():
             pre, n, st = self._layout[a]
@@ -343,6 +343,14 @@ class BackgroundGeometry:
         # a padded field and its shifts, at most 3 ghost layers
         length = max((pre * (n + 6) + 6) * st for pre, n, st in self._layout)
         return {"polar": polar, "work": [np.zeros(length) for _ in range(5)]}
+
+    @functools.cached_property
+    def _grid_work(self):
+        """The work buffers at the grid's shape, each from its start: every
+        grid temporary of the chart, its states and the flow step. Each is
+        dead before the next call into the chart or a state on it."""
+        size, shape = self.grid.total_points, self.grid.shape
+        return [buf[:size].reshape(shape) for buf in self._kernel["work"]]
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar
@@ -586,7 +594,7 @@ class BackgroundGeometry:
         np.subtract(flux[:, 1:n + 1], flux[:, :n], out=out.reshape(pre, n, st))
         out /= c.hs
         out -= d2
-        tmp = tmp[:out.size].reshape(out.shape)
+        tmp = self._grid_work[3]
         out -= np.multiply(c.kappa, first, out=tmp)
         out += self._antipode(out, axis, tmp)
         out *= 0.5
@@ -623,7 +631,7 @@ class BackgroundGeometry:
                 # the first polar axis writes out's defect, a later one a
                 # work buffer that is then added to it
                 dest = (out[0][a], out[1][a], out[2] if np.isscalar(defect)
-                        else self._kernel["work"][4][:u.size].reshape(u.shape))
+                        else self._grid_work[4])
             first, second, extra = self._stencil(u, a, second=True, out=dest)
             parts.append(first)
             seconds.append(second)
@@ -638,9 +646,8 @@ class BackgroundGeometry:
         g0 (into out, when given)."""
         grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, self._inv_lame)]
         norm2 = np.multiply(grad[0], grad[0], out=out)
-        tmp = self._kernel["work"][4][:norm2.size].reshape(norm2.shape)
         for g in grad[1:]:
-            norm2 += np.multiply(g, g, out=tmp)
+            norm2 += np.multiply(g, g, out=self._grid_work[4])
         return grad, norm2
 
     def hessian_components(self, u, jet=None, out=None):
@@ -663,7 +670,7 @@ class BackgroundGeometry:
         n = self.grid.ndim
         parts, seconds, defect = jet if jet is not None else self.scalar_jet(u)
         iso = np.divide(defect, n, out=defect if np.ndim(defect) else None)
-        tmp = self._kernel["work"][4][:seconds[0].size].reshape(seconds[0].shape)
+        tmp = self._grid_work[4]
         comps = []
         for m, (a, b) in enumerate(fieldalg.pairs(n)):
             dest = None if out is None else out[m]
@@ -764,17 +771,19 @@ class BackgroundGeometry:
 
     # --------------------------------------------------------- integration
 
-    def integrate(self, f, weight=None, out=None):
+    def integrate(self, f, weight=None):
         """Midpoint-rule integral of f against the background volume form.
 
         weight, when given, is an extra pointwise factor (e.g. a conformal
-        volume density). out, when given, is a grid array the integrand is
-        formed in, in place of new arrays.
+        volume density). The integrand is formed in _grid_work[0], so f and
+        weight may be any other grid temporary.
         """
-        values = np.multiply(f, self.vol_weight, out=out)
+        values = self._grid_work[0]
+        np.copyto(values, self.vol_weight)
+        values *= f
         if weight is not None:
-            values = np.multiply(values, weight, out=out)
-        return float(np.sum(np.broadcast_to(values, self.grid.shape)))
+            values *= weight
+        return float(np.sum(values))
 
     def volume(self):
         return self.integrate(np.ones((1,) * self.grid.ndim))

@@ -18,22 +18,9 @@ through the independent routines in fieldalg instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ConeLabel:
-    """Outcome of a Gamma_k^+ membership test.
-
-    first_failing_j is the smallest j <= k with sigma_j <= 0, or None when
-    the spectrum is inside the cone.
-    """
-
-    k: int
-    inside: bool
-    first_failing_j: int | None = None
+from .errors import ConeLabel
 
 
 def symmetrize(a):

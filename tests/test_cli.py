@@ -107,13 +107,16 @@ def test_cone_check_reads_the_built_charts_schouten(chart, n):
     pairs = {"chart": chart, "n": str(n), "k": "1", "resolution": "8",
              "t_end": "1", "s0_diag": ",".join(["0.5", "-0.2", "0.7", "0.1",
                                                 "0.3"][:n])}
-    with mock.patch.object(cli.symfun, "cone_test",
-                           wraps=cli.symfun.cone_test) as cone_test:
+    with mock.patch.object(cli.fieldalg, "sigma_table",
+                           wraps=cli.fieldalg.sigma_table) as sigma_table:
         cfg = parse_config("flow", pairs)
-    spectrum = cone_test.call_args.args[0]
+    s0 = np.empty((n, n))
+    for (a, b), comp in zip(cli.fieldalg.pairs(n),
+                            sigma_table.call_args.args[0]):
+        s0[a, b] = s0[b, a] = comp.item()
     with mock.patch.object(geometry, "_check_resolution", lambda *a: None):
         geom = cli._build_geometry(cfg)
-    assert np.array_equal(spectrum, np.diag(geom.schouten0))
+    assert np.array_equal(s0, geom.schouten0)
 
 
 def test_parse_synthetic_needs_s0_and_rejects_zero():

@@ -23,7 +23,6 @@ import jacobian_reference as ref
 from sigmaflow import eigen
 from sigmaflow.eigen import (
     AuxiliaryProblem,
-    ContinuationState,
     continuation_run,
     lambda_star_search,
     maclaurin_ceiling,
@@ -294,11 +293,13 @@ def test_newton_supercritical_rhs_fails_cleanly():
 def test_continuation_hits_constant_target():
     geom = build_round_sphere(3, 16)
     lam = 0.3
-    state = continuation_run(AuxiliaryProblem(geom, 2), lam)
+    prob = AuxiliaryProblem(geom, 2)
+    u = continuation_run(prob, lam)
     expected = math.log(S_OF_K[2] - lam)
-    assert abs(float(np.max(state.u)) - expected) <= 1e-12
-    assert float(np.ptp(state.u)) <= 1e-12
-    assert state.bounds[0] < expected < state.bounds[1]
+    assert abs(float(np.max(u)) - expected) <= 1e-12
+    assert float(np.ptp(u)) <= 1e-12
+    bounds = eigen._path_bounds(prob, lam)
+    assert bounds[0] < expected < bounds[1]
 
 
 def test_continuation_solutions_decrease_in_lambda():
@@ -306,16 +307,16 @@ def test_continuation_solutions_decrease_in_lambda():
     prob = AuxiliaryProblem(geom, 2)
     low = continuation_run(prob, 0.3)
     high = continuation_run(prob, 0.6)
-    assert np.all(high.u < low.u)
+    assert np.all(high < low)
 
 
 def test_continuation_guess_does_not_change_the_solution():
     geom = build_round_sphere(3, 16)
     prob = AuxiliaryProblem(geom, 1)
     a = continuation_run(prob, 1.3)
-    shifted = float(np.min(a.u)) - 1.0 + zonal(geom, lambda t: 0.2 * np.cos(t))
+    shifted = float(np.min(a)) - 1.0 + zonal(geom, lambda t: 0.2 * np.cos(t))
     b = continuation_run(prob, 1.3, guess=shifted)
-    assert np.max(np.abs(a.u - b.u)) <= 1e-6
+    assert np.max(np.abs(a - b)) <= 1e-6
 
 
 def test_failed_walk_keeps_its_linear_counters(monkeypatch):
@@ -527,7 +528,3 @@ def test_lambda_star_search_validation():
     with pytest.raises(ConfigurationError, match="no solvable lambda"):
         lambda_star_search(AuxiliaryProblem(geom, 1, h=1e300), 0.1)
 
-
-def test_continuation_state_defaults():
-    st = ContinuationState(u=np.zeros(3), lam=0.5)
-    assert st.bounds == (None, None)

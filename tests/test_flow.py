@@ -29,14 +29,11 @@ from sigmaflow.errors import (
 from sigmaflow.flow import (
     MONITOR_FIELDS,
     FlowConfig,
-    MonitorRecord,
-    PositivityReport,
     cfl_dt,
     diffusion_bound,
     flow_speed,
     _record,
     _residual,
-    positivity_monitor,
     run,
     step,
     write_monitor_csv,
@@ -482,10 +479,6 @@ def test_run_converges_and_reports_beta():
     beta_oracle = 0.75 * (2.0 * integral / math.pi) ** (-4.0 / 3.0)
     assert abs(flow.beta - beta_oracle) <= 1e-3 * beta_oracle
     assert min(r.min_sigma for r in recs) > 0.5
-    report = positivity_monitor(recs)
-    assert report.positive and report.c > 0
-    for rec, floor in zip(recs, report.curve):
-        assert floor <= rec.min_sigma * (1.0 + 1e-12)
 
 
 def test_detector_off_cadence_reads_the_residual_only(monkeypatch):
@@ -585,29 +578,6 @@ def test_monitor_csv_header_and_roundtrip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_monitor_csv(path2, recs)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def _record_with(time, min_sigma):
-    return MonitorRecord(time=time, volume=1.0, F_k=1.0, r_k=1.0,
-                         l2_sigma_minus_r=0.0, min_sigma=min_sigma,
-                         max_abs_W=1.0, harnack=0.0, max_abs_u=0.0,
-                         dissipation_rhs=0.0, l2_sigma=1.0, rel_residual=0.0)
-
-
-def test_positivity_monitor_recovers_exact_floor():
-    c = 0.6
-    times = [0.0, 0.5, 1.0, 1.7]
-    recs = [_record_with(t, c * math.exp(-math.exp(t) / c)) for t in times]
-    report = positivity_monitor(recs)
-    assert report.positive
-    assert abs(report.c - c) <= 1e-10 * c
-    assert report.first_violation_time is None
-
-
-def test_positivity_monitor_flags_violation():
-    recs = [_record_with(0.0, 0.5), _record_with(0.3, 0.0)]
-    report = positivity_monitor(recs)
-    assert report == PositivityReport(False, None, None, 0.3)
 
 
 def test_flow_config_validation():

@@ -141,12 +141,44 @@ def smooth_u(geom, a, b):
     return np.broadcast_to(u, geom.grid.shape).copy()
 
 
+def final_state(geom, k, u0, scheme):
+    """The last state of a short flow run (the one of its last kept row)."""
+    states = []
+    cfg = flow.FlowConfig(k=k, t_end=6 * 2.0 ** -12, dt_initial=2.0 ** -12,
+                          convergence_tol=0.0, scheme=scheme)
+    flow.run(geom, u0, cfg, on_record=lambda f, state, r: states.append(state))
+    return states[-1]
+
+
+def cached_arrays(state):
+    """u and every array the state's cache holds, nested ones included."""
+    found, todo = [state.u], list(state._cache.values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo += x
+        elif isinstance(x, np.ndarray):
+            found.append(x)
+    return found
+
+
 def test_work_buffers_alias_no_result():
     # Two states built back to back keep their own fields, nothing a call
     # returns lives in a work buffer, and the derivative matrices, whose
     # shift matrices pad builds, do not depend on what the buffers held
-    # before.
+    # before. The final states of flow runs, which took their temporaries
+    # from the chart, keep no work buffer among their fields either.
     geom = build_round_sphere(3, 16, fd_order=4)
+    hopf = build_hopf_product(3, 1.3, 16, fd_order=2)
+    for scheme in ("euler", "midpoint"):
+        for g, k, u0 in ((geom, 2, smooth_u(geom, 0.05, 0.0)),
+                         (hopf, 1, smooth_u(hopf, 0.05, 0.04))):
+            state = final_state(g, k, u0, scheme)
+            state.sigma_field()
+            state.F_k()
+            results = cached_arrays(state) + [flow.flow_speed(state)]
+            assert not any(np.shares_memory(x, buf) for x in results
+                           for buf in g._kernel["work"])
     s1 = ConformalState(geom, smooth_u(geom, 0.05, 0.04), 2)
     kept = [np.copy(x) for x in s1.w_components() + s1.frame_gradient()
             + [s1.grad_norm2(), s1.sigma_w_table()]]
