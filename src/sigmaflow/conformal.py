@@ -80,8 +80,8 @@ def admissible_state(geom, u, k, arrays=None):
     return state
 
 
-# the cached fields whose arrays a state hands on (take_arrays)
-_RECYCLED = ("w", "etable", "log_sigma", "sigma", "weight")
+# the arrays a state hands on (take_arrays): cached fields' and the speed's
+_RECYCLED = ("w", "etable", "log_sigma", "sigma", "weight", "speed")
 
 
 class ConformalState:
@@ -92,8 +92,8 @@ class ConformalState:
 
         arrays, from take_arrays of a state on the same chart and k, are
         overwritten with this state's fields instead of allocating new
-        ones; only the state built last from them may be read. Temporaries
-        come from the chart's work buffers.
+        ones (_out adds those it lacks); only the state built last from
+        them may be read. Temporaries come from the chart's work buffers.
         """
         n = geom.grid.ndim
         if not 1 <= k <= n:
@@ -111,13 +111,20 @@ class ConformalState:
     def take_arrays(self):
         """Hand over the arrays of the recycled fields (W with its gradient,
         the sigma table, log sigma_k(g), sigma_k(g), the conformal weight)
-        and nothing else, for a new state to overwrite, and empty the cache:
+        and the speed's, for a new state to overwrite, and empty the cache:
         later reads recompute, bitwise the same, into new arrays."""
         arrays = {key: self._cache.get(key, self._arrays.get(key))
                   for key in _RECYCLED}
         self._cache.clear()
         self._arrays = {}
         return arrays
+
+    def _out(self, key, slabs=None):
+        """The array handed on for key, or a new one from geometry._empty."""
+        if self._arrays.get(key) is None:
+            new = self.geometry._empty(slabs and (slabs,) + self.u.shape)
+            self._arrays[key] = np.moveaxis(new, 0, -1) if slabs else new
+        return self._arrays[key]
 
     # ------------------------------------------------------------ assembly
 
@@ -148,7 +155,7 @@ class ConformalState:
         """Elementary symmetric functions e_0..e_k of W, (..., k+1)."""
         return self._cached("etable", lambda: fieldalg.sigma_table(
             self.w_components(), self.geometry.grid.ndim, self.k,
-            out=self._arrays.get("etable")))
+            out=self._out("etable", self.k + 1)))
 
     # ---------------------------------------------------------- cone tests
 
@@ -183,7 +190,7 @@ class ConformalState:
         if "log_sigma" not in self._cache:
             self.require_admissible()
             log_sigma = np.log(self.sigma_w_table()[..., self.k],
-                               out=self._arrays.get("log_sigma"))
+                               out=self._out("log_sigma"))
             log_sigma += np.multiply(self.u, 2.0 * self.k,
                                      out=self.geometry._grid_work[0])
             self._cache["log_sigma"] = log_sigma
@@ -191,7 +198,7 @@ class ConformalState:
 
     def sigma_field(self):
         return self._cached("sigma", lambda: np.exp(
-            self.log_sigma_field(), out=self._arrays.get("sigma")))
+            self.log_sigma_field(), out=self._out("sigma")))
 
     def min_sigma(self):
         return float(np.min(self.sigma_field()))
@@ -237,7 +244,7 @@ class ConformalState:
         """Density of dvol(g) against dvol(g0): e^{-n u}."""
         def build():
             scaled = np.multiply(self.u, -float(self.geometry.grid.ndim),
-                                 out=self._arrays.get("weight"))
+                                 out=self._out("weight"))
             return np.exp(scaled, out=scaled)
 
         return self._cached("weight", build)

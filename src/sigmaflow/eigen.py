@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse
 
 from .conformal import ConformalState, admissible_state
 from .errors import (
@@ -136,6 +135,7 @@ def _two_level(maps, jac):
     are one bincount each through the chart's map of J's pattern onto
     J Z's (DerivativeMatrices.coarse_space, built once per chart).
     """
+    from scipy import sparse
     agg, count, slot, indices, indptr, entry = maps.coarse_space(COARSE_BLOCK)
     jz = np.bincount(slot, weights=jac.data, minlength=len(indices))
     coarse = np.bincount(entry, weights=jz,

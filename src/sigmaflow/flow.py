@@ -185,10 +185,10 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     (max_halvings + 1)-th rejection in a row the step gives up and reports
     the last valid state in the error diagnostics.
 
-    The step writes its trials, the midpoint's half step and the new state
-    into the derived arrays of the state it steps from (take_arrays), and
-    the half step's speed into a work buffer that advance reads before the
-    trial reuses it: a steady run allocates no new fields. Arrays read from
+    The step writes its speed, trials, midpoint half step and new state
+    into the arrays the state it steps from hands on (take_arrays), and the
+    half step's speed into a work buffer that advance reads before the
+    trial reuses it: a steady step allocates only u_new. Arrays read from
     that state before are overwritten; it recomputes them bitwise the same.
     """
     if scheme not in _SCHEMES:
@@ -196,11 +196,9 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
     if not dt > 0:
         raise ConfigurationError(f"step size dt={dt} must be positive")
     geom, u, k = state.geometry, state.u, state.k
-    s0 = flow_speed(state, quotient_l)
+    s0 = flow_speed(state, quotient_l, out=state._out("speed"))
     arrays = state.take_arrays()
-    # u + h * speed into a new array per step, as states and callers keep
-    # u; the half step's u is overwritten by the trial's
-    u_new = np.empty_like(u)
+    u_new = geom._empty()  # states keep u; the half step's is overwritten
     advance = lambda h, speed: np.add(u, np.multiply(speed, h, out=u_new),
                                       out=u_new)
     rejected = 0

@@ -322,6 +322,32 @@ def test_eigen_run_does_not_load_scipy_linalg(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 True []"
 
 
+def test_flow_run_does_not_load_scipy_sparse(tmp_path):
+    # Only the eigen solve uses sparse matrices, so a flow run and the
+    # chart validation leave scipy.sparse unloaded (its import costs about
+    # 20 MB of resident memory and 0.15 s). The eigen command loads it when
+    # its config is parsed, before the solve. Checked in a fresh
+    # interpreter after whole runs, which catches lazy imports on the way.
+    script = (
+        "import sys\n"
+        "from sigmaflow import cli, eigen, fieldio, geometry, krylov, symfun\n"
+        "sparse = lambda: sorted(m for m in sys.modules\n"
+        "                        if m.startswith('scipy.sparse'))\n"
+        "codes = [cli.main(['flow', 'chart=round_sphere', 'n=3', 'k=2',\n"
+        "                   'resolution=16', 't_end=0.01', 'amplitude=0.1',\n"
+        f"                   'output_dir={tmp_path / 'flow'}']),\n"
+        "         cli.main(['geometry-validate', 'chart=round_sphere',\n"
+        "                   'n=3', 'resolution=16'])]\n"
+        "print(codes, sparse())\n"
+        "cli.parse_config('eigen', {'chart': 'round_sphere', 'n': '3',\n"
+        "                           'k': '1', 'resolution': '16'})\n"
+        "print('scipy.sparse' in sparse())\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["[0, 0] []", "True"]
+
+
 def test_unknown_subcommand_exits_two():
     result = subprocess.run(
         [sys.executable, "-m", "sigmaflow", "simulate"],

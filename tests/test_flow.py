@@ -13,6 +13,7 @@ from measured values, far below any plausible formula error.
 import math
 import tracemalloc
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -538,6 +539,36 @@ def test_run_working_set_stays_small():
         tracemalloc.stop()
     assert flow.step_count == 30
     assert peak <= 48 * geom.grid.total_points * 8
+
+
+@pytest.mark.parametrize("scheme", ("euler", "midpoint"))
+def test_steady_step_allocates_one_grid_array(scheme):
+    # A steady step writes its speed, trials and new state into the arrays
+    # the state it steps from hands on, so the one grid array it allocates
+    # is u_new. Counted in numpy's tracemalloc domain whenever the step has
+    # built a trial, when all it allocated is alive and numpy's iteration
+    # buffers are freed. A speed in a new array would make it two.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
+    for _ in range(3):
+        state, _, _ = step(state, 2.0 ** -11, scheme)
+    nbytes = geom.grid.total_points * 8
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    counts = []
+
+    def counting(*args):
+        trial = admissible_state(*args)
+        traces = tracemalloc.take_snapshot().filter_traces(numpy_only).traces
+        counts.append(sum(trace.size >= nbytes for trace in traces))
+        return trial
+
+    tracemalloc.start()
+    try:
+        with mock.patch("sigmaflow.flow.admissible_state", counting):
+            step(state, 2.0 ** -11, scheme)
+    finally:
+        tracemalloc.stop()
+    assert counts == [1] * {"euler": 1, "midpoint": 2}[scheme]
 
 
 def test_run_detects_fixed_point_immediately():

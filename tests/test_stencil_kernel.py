@@ -9,6 +9,7 @@ and both difference orders.
 """
 
 import functools
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -212,3 +213,28 @@ def test_work_buffers_alias_no_result():
                       (stepped._assembly.indices, fresh._assembly.indices)):
         assert np.array_equal(got, want)
     assert_same(stepped._assembly.data, fresh._assembly.data)
+
+
+def test_step_path_arrays_start_apart_modulo_4k():
+    # Any two grid arrays a flow step reads or writes start 0 or at least
+    # 64 bytes apart modulo 4 KiB (geometry._PLACEMENT_STRIDE): a load from
+    # an array starting 16-48 bytes past another's modulo 4 KiB stalls on
+    # that array's stores, and glibc's 16-byte chunk headers start arrays
+    # allocated in a row just that far apart.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    hopf = build_hopf_product(3, 1.3, 16, fd_order=2)
+    for scheme in ("euler", "midpoint"):
+        for g, k, u0 in ((geom, 2, smooth_u(geom, 0.05, 0.0)),
+                         (hopf, 1, smooth_u(hopf, 0.05, 0.04))):
+            state = final_state(g, k, u0, scheme)
+            arrays = [state.u] + list(g._kernel["work"])
+            for key, x in state.take_arrays().items():
+                if key == "w":
+                    arrays += x[0] + x[1] + [x[2]]
+                elif key == "etable":
+                    arrays += [x[..., j] for j in range(k + 1)]
+                else:
+                    arrays.append(x)
+            starts = [x.__array_interface__["data"][0] for x in arrays]
+            for a, b in itertools.combinations(starts, 2):
+                assert (a - b) % 4096 in (0, *range(64, 4033)), scheme
