@@ -80,10 +80,6 @@ def admissible_state(geom, u, k, arrays=None):
     return state
 
 
-# the arrays a state hands on (take_arrays): cached fields' and the speed's
-_RECYCLED = ("w", "etable", "log_sigma", "sigma", "weight", "speed")
-
-
 class ConformalState:
     """u plus lazily cached derived fields; a new u makes a new state."""
 
@@ -109,12 +105,14 @@ class ConformalState:
         self._arrays = {} if arrays is None else arrays
 
     def take_arrays(self):
-        """Hand over the arrays of the recycled fields (W with its gradient,
-        the sigma table, log sigma_k(g), sigma_k(g), the conformal weight)
-        and the speed's, for a new state to overwrite, and empty the cache:
-        later reads recompute, bitwise the same, into new arrays."""
-        arrays = {key: self._cache.get(key, self._arrays.get(key))
-                  for key in _RECYCLED}
+        """Hand over the arrays of W with its gradient and of every field
+        built through _out (the sigma table, the log targets, sigma_k(g),
+        the conformal weight, the speed) for a new state to overwrite, and
+        empty the cache: later reads recompute, bitwise the same, into new
+        arrays."""
+        arrays = self._arrays
+        if "w" in self._cache:
+            arrays["w"] = self._cache["w"]
         self._cache.clear()
         self._arrays = {}
         return arrays
@@ -142,7 +140,8 @@ class ConformalState:
         return self._w()[0]
 
     def max_abs_w(self):
-        return float(max(np.max(np.abs(c)) for c in self.w_components()))
+        return float(max(np.max(np.abs(c, out=self.geometry._grid_work[1]))
+                         for c in self.w_components()))
 
     def frame_gradient(self):
         """The frame gradient components of u that W was built from."""
@@ -187,14 +186,7 @@ class ConformalState:
 
     def log_sigma_field(self):
         """log sigma_k(g) = 2k u + log sigma_k(W); requires admissibility."""
-        if "log_sigma" not in self._cache:
-            self.require_admissible()
-            log_sigma = np.log(self.sigma_w_table()[..., self.k],
-                               out=self._out("log_sigma"))
-            log_sigma += np.multiply(self.u, 2.0 * self.k,
-                                     out=self.geometry._grid_work[0])
-            self._cache["log_sigma"] = log_sigma
-        return self._cache["log_sigma"]
+        return self.log_target()
 
     def sigma_field(self):
         return self._cached("sigma", lambda: np.exp(
@@ -255,17 +247,19 @@ class ConformalState:
 
     def log_target(self, l=None):
         """log of the flow's driven quantity: sigma_k(g), or
-        sigma_k(g)/sigma_l(g) for the quotient flow (0 <= l < k)."""
-        if not l:
-            # sigma_0 = 1: l = 0 is the primary flow
-            return self.log_sigma_field()
-        if ("log_target", l) not in self._cache:
+        sigma_k(g)/sigma_l(g) = e^{2(k-l)u} sigma_k(W)/sigma_l(W) for the
+        quotient flow (0 <= l < k); sigma_0 = 1 makes l = 0 the primary
+        flow. Requires admissibility."""
+        key = ("log_target", l) if l else "log_sigma"
+        if key not in self._cache:
             self.require_admissible()
-            etable = self.sigma_w_table()
-            val = 2.0 * (self.k - l) * self.u + np.log(etable[..., self.k])
-            val -= np.log(etable[..., l])
-            self._cache["log_target", l] = val
-        return self._cache["log_target", l]
+            etable, tmp = self.sigma_w_table(), self.geometry._grid_work[0]
+            val = np.log(etable[..., self.k], out=self._out(key))
+            val += np.multiply(self.u, 2.0 * (self.k - (l or 0)), out=tmp)
+            if l:
+                val -= np.log(etable[..., l], out=tmp)
+            self._cache[key] = val
+        return self._cache[key]
 
     def log_target_mean(self, l=None):
         """Mean of log_target(l) under dvol(g), computed once per state;

@@ -236,9 +236,10 @@ def _residual(state, quotient_l):
     geom = state.geometry
     weight = state.conformal_weight()
     r_flow = math.exp(state.log_target_mean(quotient_l))
-    target = (state.sigma_field() if not quotient_l
-              else np.exp(state.log_target(quotient_l)))
     # integrate forms its integrand in _grid_work[0]
+    target = (state.sigma_field() if not quotient_l
+              else np.exp(state.log_target(quotient_l),
+                          out=geom._grid_work[2]))
     diff = np.subtract(target, r_flow, out=geom._grid_work[1])
     l2_diff = math.sqrt(geom.integrate(np.square(diff, out=diff), weight))
     l2_target = math.sqrt(geom.integrate(np.square(target, out=diff), weight))
@@ -257,11 +258,12 @@ def _record(state, time, quotient_l, residual):
     r_flow, l2_diff, l2_target, rel = residual
     rhs = None
     if not quotient_l:
-        logt = state.log_target(quotient_l)
-        mean = state.log_target_mean(quotient_l)
+        work = geom._grid_work  # integrate forms its integrand in work[0]
+        integrand = np.subtract(state.sigma_field(), r_flow, out=work[1])
+        integrand *= np.subtract(state.log_target(quotient_l),
+                                 state.log_target_mean(quotient_l), out=work[2])
         rhs = (-(n - 2.0 * state.k) / 2.0 * vol ** ((2.0 * state.k - n) / n)
-               * geom.integrate((state.sigma_field() - r_flow) * (logt - mean),
-                                weight=state.conformal_weight()))
+               * geom.integrate(integrand, weight=state.conformal_weight()))
     return MonitorRecord(
         time=float(time),
         volume=vol,
@@ -271,7 +273,7 @@ def _record(state, time, quotient_l, residual):
         min_sigma=state.min_sigma(),
         max_abs_W=state.max_abs_w(),
         harnack=state.harnack_quantity(),
-        max_abs_u=float(np.max(np.abs(state.u))),
+        max_abs_u=float(np.max(np.abs(state.u, out=geom._grid_work[1]))),
         dissipation_rhs=rhs,
         l2_sigma=l2_target,
         rel_residual=rel,

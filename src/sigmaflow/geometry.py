@@ -157,45 +157,50 @@ class DerivativeMatrices:
 
     def __init__(self, grid_shape, maps):
         """maps() yields the stored maps (pointwise H_ab, G_c, then D) as
-        CSR arrays without explicit zeros. It is called twice, to hold one
-        map at a time: for the pattern, their union with each diagonal
-        entry explicit, then for A (column m * size + r: row r of map m)."""
+        canonical CSR arrays without explicit zeros, and is iterated once.
+        The flat keys row * size + col of a map's entries form a sorted run,
+        and so do the diagonal's. One stable sort of all runs (timsort
+        merges them) less its repeats is the pattern; a binary search in
+        it places the diagonal and every map entry."""
         from scipy import sparse
         self.grid_shape = grid_shape
-        self.size = math.prod(grid_shape)
+        self.size = size = math.prod(grid_shape)
         self._n = len(grid_shape)
         self._with_trace = [m for m, (a, b)
                             in enumerate(fieldalg.pairs(self._n)) if a == b]
         self._coarse = {}
-        union = sparse.identity(self.size, dtype=bool, format="csr")
-        counts = []
-        for stored in maps():
-            union = union + (stored != 0)
-            counts.append(stored.nnz)
-        self.count = len(counts) - 1
-        # int32 like the positions below: scipy's index dtype for the sum
-        # varies from build to build, and int64 slows every J product
-        self.indptr, self.indices = (union.indptr.astype(np.int32),
-                                     union.indices.astype(np.int32))
-        slots = sparse.csr_array(  # each pattern entry holds its position
-            (np.arange(union.nnz, dtype=np.int32), self.indices,
-             self.indptr), shape=union.shape)
-        self.diagonal = slots.diagonal()
-        ends = np.cumsum(counts)
-        position = np.empty(ends[-1], dtype=np.int32)
-        data = np.empty(ends[-1])
-        column_end = np.zeros(len(counts) * self.size + 1, dtype=np.int32)
-        for m, (stored, start, end) in enumerate(zip(maps(), ends - counts,
-                                                     ends)):
-            if end > start:  # an empty lookup returns a sparse array
-                entries = stored.tocoo(copy=False)
-                position[start:end] = slots[entries.row, entries.col]
-            data[start:end] = stored.data
-            column_end[m * self.size + 1:(m + 1) * self.size + 1] = \
-                start + stored.indptr[1:]
+        # the kept arrays first, below the merge's temporaries in the heap:
+        # the values, and position, which holds the maps' columns (int32;
+        # scipy gives int64) until their positions replace them
+        per_row, position, data = zip(*(
+            (np.diff(stored.indptr), stored.indices.astype(np.int32),
+             stored.data) for stored in maps()))
+        data, position = np.concatenate(data), np.concatenate(position)
+        column_end = np.zeros(len(per_row) * size + 1, dtype=np.int32)
+        np.cumsum(np.concatenate(per_row), out=column_end[1:])
+        self.count = len(per_row) - 1
+        dtype = np.int32 if (size + 1) * size < 2 ** 31 else np.int64
+        starts = np.arange(0, (size + 1) * size, size, dtype=dtype)
+        # one map's keys at a time: only the merge spans them all
+        runs = lambda: ((where, np.repeat(starts[:-1], p) + position[where])
+                        for p, where in zip(per_row, map(
+                            slice, column_end[:-1:size], column_end[size::size])))
+        diagonal = starts[:-1] + np.arange(size, dtype=dtype)
+        union = np.empty(len(position) + size, dtype=dtype)
+        union[len(position):] = diagonal
+        for where, run in runs():
+            union[where] = run
+        union.sort(kind="stable")
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        # pattern and positions int32: int64 slows every J product
+        self.indptr = np.searchsorted(union, starts).astype(np.int32)
+        self.diagonal = np.searchsorted(union, diagonal).astype(np.int32)
+        for where, run in runs():
+            position[where] = np.searchsorted(union, run)
+        self.indices = np.remainder(union, size, out=union).astype(np.int32)
         self._assembly = sparse.csc_array(
             (data, position, column_end),
-            shape=(union.nnz, len(column_end) - 1))
+            shape=(len(union), len(column_end) - 1))
 
     def combine(self, weights, diagonal=0.0):
         """sum_m diag(weights[m]) L_m + diag(diagonal) as a CSR array over
@@ -224,16 +229,14 @@ class DerivativeMatrices:
             agg = agg.astype(np.int32).ravel()
             count = math.prod(counts)
             # per entry row * count + its column's aggregate, then in place
-            # its L Z entry; in parts, so no temporary spans the pattern
+            # its L Z entry, the rank of its key among the distinct keys
             dtype = np.int32 if self.size * count < 2 ** 31 else np.int64
             slot = np.repeat(np.arange(0, self.size * count, count,
                                        dtype=dtype), np.diff(self.indptr))
-            parts = np.array_split(slot, 16)
-            for part, cols in zip(parts, np.array_split(self.indices, 16)):
-                part += agg[cols]
-            unique = np.unique(np.concatenate([np.unique(p) for p in parts]))
-            for part in parts:
-                part[:] = np.searchsorted(unique, part)
+            slot += agg[self.indices]
+            unique = np.sort(slot, kind="stable")  # rows are in order
+            unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+            slot[:] = np.searchsorted(unique, slot)
             rows, columns = np.divmod(unique, count)
             indptr = np.searchsorted(rows, np.arange(self.size + 1))
             self._coarse[block] = (agg, count, slot, columns, indptr,

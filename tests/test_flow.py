@@ -541,17 +541,20 @@ def test_run_working_set_stays_small():
     assert peak <= 48 * geom.grid.total_points * 8
 
 
-@pytest.mark.parametrize("scheme", ("euler", "midpoint"))
-def test_steady_step_allocates_one_grid_array(scheme):
+@pytest.mark.parametrize("scheme, quotient_l", (
+    ("euler", None), ("midpoint", None), ("euler", 1), ("midpoint", 1)),
+    ids=("euler", "midpoint", "euler-quotient1", "midpoint-quotient1"))
+def test_steady_step_allocates_one_grid_array(scheme, quotient_l):
     # A steady step writes its speed, trials and new state into the arrays
     # the state it steps from hands on, so the one grid array it allocates
     # is u_new. Counted in numpy's tracemalloc domain whenever the step has
     # built a trial, when all it allocated is alive and numpy's iteration
-    # buffers are freed. A speed in a new array would make it two.
+    # buffers are freed. A speed in a new array would make it two, and so
+    # would a quotient log target of the midpoint's half step.
     geom = build_round_sphere(3, 16, fd_order=4)
     state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
     for _ in range(3):
-        state, _, _ = step(state, 2.0 ** -11, scheme)
+        state, _, _ = step(state, 2.0 ** -11, scheme, quotient_l)
     nbytes = geom.grid.total_points * 8
     numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     counts = []
@@ -565,10 +568,31 @@ def test_steady_step_allocates_one_grid_array(scheme):
     tracemalloc.start()
     try:
         with mock.patch("sigmaflow.flow.admissible_state", counting):
-            step(state, 2.0 ** -11, scheme)
+            step(state, 2.0 ** -11, scheme, quotient_l)
     finally:
         tracemalloc.stop()
     assert counts == [1] * {"euler": 1, "midpoint": 2}[scheme]
+
+
+@pytest.mark.parametrize("quotient_l", (None, 1))
+def test_kept_row_allocates_less_than_one_grid_array(quotient_l):
+    # Once the state's fields are cached, the residual and the monitor row
+    # form their integrands, the quotient target and the |W| and |u| of
+    # their maxima in the chart's work buffers. Forming the dissipation
+    # integrand in new arrays peaked at 3 grid arrays.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
+    state, _, _ = step(state, 2.0 ** -11, "euler", quotient_l)
+    row = lambda: _record(state, 0.0, quotient_l, _residual(state, quotient_l))
+    expected = row()
+    tracemalloc.start()
+    try:
+        got = row()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(astuple(got)) == repr(astuple(expected))
+    assert peak < geom.grid.total_points * 8
 
 
 def test_run_detects_fixed_point_immediately():

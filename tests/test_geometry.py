@@ -410,6 +410,60 @@ def test_derivative_matrices_reproduce_the_stencils(name, n, fd_order, seed):
         assert np.max(np.abs(got - out)) <= 1e-13 * np.max(np.abs(out))
 
 
+def union_pattern(maps, size):
+    """The pattern the pairwise way: the scipy sum of every map's entries
+    and the identity, as a boolean CSR array."""
+    from scipy import sparse
+    union = sparse.identity(size, dtype=bool, format="csr")
+    for stored in maps:
+        union = union + (stored != 0)
+    return union
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("name, n, points", (
+    ("round_sphere", 3, None), ("round_sphere", 4, None),
+    ("round_sphere", 5, None), ("hopf_product", 3, None),
+    ("hopf_product", 4, None), ("synthetic", 3, None),
+    ("round_sphere", 4, 6), ("hopf_product", 4, 6), ("synthetic", 4, 6)))
+def test_derivative_pattern_is_the_union_of_the_maps(name, n, points,
+                                                      fd_order):
+    # The one-pass build iterates the maps once, merges their keys and
+    # places every entry by a binary search; the reference is the pairwise
+    # union of the maps with the diagonal. Every stored map must come back
+    # from the assembly operator bit for bit: its column m * size + r
+    # lists the pattern entries of row r of map m.
+    with mock.patch.object(geometry, "_check_resolution", lambda *a: None):
+        if points is None:
+            geom = matrix_chart.__wrapped__(name, n, fd_order)
+        elif name == "synthetic":
+            geom = build_synthetic(n, [0.5, -0.2, 0.7, 0.1], points,
+                                   fd_order=fd_order)
+        else:
+            geom = {"round_sphere": build_round_sphere,
+                    "hopf_product": build_hopf_product}[name](
+                n, points_per_axis=points, fd_order=fd_order)
+    calls = []
+    maps_of = geom._maps
+    with mock.patch.object(geom, "_maps",
+                           lambda: calls.append(1) or maps_of()):
+        maps = geom.derivative_matrices()
+    assert len(calls) == 1
+    stored = list(maps_of())
+    union = union_pattern(stored, maps.size)
+    assert np.array_equal(maps.indptr, union.indptr)
+    assert np.array_equal(maps.indices, union.indices)
+    assert maps.count == len(stored) - 1
+    assembly = maps._assembly
+    for m, expected in enumerate(stored):
+        ends = assembly.indptr[m * maps.size:(m + 1) * maps.size + 1]
+        entries = slice(ends[0], ends[-1])
+        assert np.array_equal(ends - ends[0], expected.indptr)
+        assert np.array_equal(maps.indices[assembly.indices[entries]],
+                              expected.indices)
+        assert assembly.data[entries].tobytes() == expected.data.tobytes()
+
+
 def test_derivative_pattern_is_int32_on_every_chart():
     # scipy picks the index dtype of a sparse sum from buffer contents that
     # vary with the process's heap, so charts built back to back in one
