@@ -11,6 +11,9 @@ parabolic with diffusion coefficient T_{k-1}(W) / (2 sigma_k(W)). The CFL
 bound tracks that coefficient through a bound on the largest eigenvalue
 of T_{k-1} from its first two trace moments, which are symmetric functions
 of W's spectrum read from the sigma table: the flow never forms T_{k-1}.
+It takes the coefficient node by node, against the stiffness of the axes
+along which u varies there: a zonal u, which the flow keeps zonal, sees
+only that of axis 0.
 A quotient variant drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes
 l = 0 coincide with the primary flow.
 
@@ -44,11 +47,13 @@ class FlowConfig:
     """Numerical controls for one flow run.
 
     dt_initial, when set, caps every step (useful for fixed-dt studies);
-    the CFL bound still applies. cfl_safety scales that bound, which has
-    no cushion of its own: it is exact where T_{k-1} is isotropic, as at
-    the round fixed point, and near there it can read low by O(sqrt(eps))
-    relative (up to about 1e-8), the cancellation in its trace-moment
-    spread. convergence_tol acts on the relative residual
+    the CFL bound (cfl_dt) still applies. cfl_safety scales that bound,
+    which has no cushion of its own: its diffusion coefficient is exact
+    where T_{k-1} is isotropic, as at the round fixed point, and near there
+    it can read low by O(sqrt(eps)) relative (up to about 1e-8), the
+    cancellation in its trace-moment spread; and the rows next to a pole
+    lift the zonal spectral radius on S^3 a few percent above the bound.
+    convergence_tol acts on the relative residual
     |sigma - r|_L2(g) / |sigma|_L2(g); zero disables the detector.
     """
 
@@ -113,7 +118,8 @@ class FlowState:
     """Mutable bookkeeping for a run; u is the current conformal factor.
 
     cfl_limited counts the accepted steps whose dt the CFL bound set
-    (rather than dt_initial or t_end).
+    (rather than dt_initial or t_end). cfl_axes is the axes count the bound
+    counted at its last refresh (varying_axes); None before the first step.
     """
 
     time: float
@@ -122,6 +128,7 @@ class FlowState:
     accepted: int = 0
     rejected: int = 0
     cfl_limited: int = 0
+    cfl_axes: int | None = None
     converged: bool = False
     beta: float | None = None
 
@@ -139,19 +146,9 @@ def flow_speed(state, quotient_l=None, out=None):
 
 # ------------------------------------------------------------- step size
 
-def diffusion_bound(state):
-    """max over nodes of lambda_max(T_{k-1}(W)) / (2 sigma_k(W)).
-
-    This is the coefficient of the principal part of the linearized speed
-    in the background orthonormal frame: the e^{2u} factors of the g-form
-    Newton tensor and of the g-Laplacian cancel, leaving a shift-invariant
-    bound, consistent with the flow's own shift equivariance. lambda_max is
-    fieldalg.newton_lambda_max, the trace-moment upper bound read from the
-    sigma table: exact where T_{k-1} is isotropic, never below the true
-    value by more than O(sqrt(eps)) relative. For k <= 2 and k = n the
-    state's own table holds every order it reads; for 3 <= k < n a table to
-    order min(n, 2k - 2) is built from W.
-    """
+def _diffusion_ratio(state):
+    """2 D = lambda_max(T_{k-1}(W)) / sigma_k(W) node by node, in a work
+    buffer (see diffusion_bound)."""
     state.require_admissible()
     n, k = state.geometry.grid.ndim, state.k
     etable = state.sigma_w_table()
@@ -160,19 +157,58 @@ def diffusion_bound(state):
              fieldalg.sigma_table(state.w_components(), n, orders))
     work = state.geometry._grid_work
     bound = fieldalg.newton_lambda_max(table, n, k, out=work[0], tmp=work[1])
-    return 0.5 * float(np.max(np.divide(bound, etable[..., k], out=bound)))
+    return np.divide(bound, etable[..., k], out=bound)
 
 
-def cfl_dt(state, cfl_safety):
+def diffusion_bound(state):
+    """max over nodes of D = lambda_max(T_{k-1}(W)) / (2 sigma_k(W)).
+
+    D is the coefficient of the principal part of the linearized speed in
+    the background orthonormal frame: the e^{2u} factors of the g-form
+    Newton tensor and of the g-Laplacian cancel, leaving a shift-invariant
+    bound, consistent with the flow's own shift equivariance. lambda_max is
+    fieldalg.newton_lambda_max, the trace-moment upper bound read from the
+    sigma table: exact where T_{k-1} is isotropic, never below the true
+    value by more than O(sqrt(eps)) relative. For k <= 2 and k = n the
+    state's own table holds every order it reads; for 3 <= k < n a table to
+    order min(n, 2k - 2) is built from W. cfl_dt takes D before the max.
+    """
+    return 0.5 * float(np.max(_diffusion_ratio(state)))
+
+
+def varying_axes(u):
+    """1 + the last axis along which u is not bitwise constant: 0 for a
+    constant u, 1 for a zonal one, u.ndim for generic data. A step keeps u
+    bitwise constant along the axes from there on, so the modes along them
+    are never excited."""
+    axes = u.ndim
+    while axes:
+        rows = u.reshape(math.prod(u.shape[:axes - 1]), -1)
+        if not (rows == rows[:, :1]).all():
+            break
+        axes -= 1
+    return axes
+
+
+def cfl_dt(state, cfl_safety, axes=None):
     """Parabolic stability bound for the explicit step.
 
-    Second differences along axis a carry weight 1/(h_a H_a)^2; the
-    chart's stiffness (geometry.stiffness, fixed per chart) sums them with
-    the rms of H_a. The +k term accounts for the zeroth-order 2ku part of
-    log sigma_k(g).
+    Explicit Euler is stable while dt <= 2 / rho, rho the spectral radius
+    of the speed's Jacobian, and
+
+        rho / 2 <= k + max_x D(x) sum_{a < axes} sym / (h_a H_a(x))^2,
+
+    with D(x) the coefficient diffusion_bound maximizes and the sum
+    geometry.laplacian_symbol(axes); the +k term accounts for the
+    zeroth-order 2ku part of log sigma_k(g). axes defaults to
+    varying_axes(state.u): u constant along the later axes excites no mode
+    along them. The rows next to a pole lift the zonal rho of the round
+    S^3 a few percent above the bound; cfl_safety covers that.
     """
-    stiffness = state.geometry.stiffness
-    return cfl_safety / (state.k + diffusion_bound(state) * stiffness)
+    ratio = _diffusion_ratio(state)
+    ratio *= state.geometry.laplacian_symbol(
+        varying_axes(state.u) if axes is None else axes)
+    return cfl_safety / (state.k + 0.5 * float(np.max(ratio)))
 
 
 # ---------------------------------------------------------------- stepping
@@ -340,7 +376,8 @@ def run(geom, u0, config, on_record=None):
                     and config.dt_initial is not None
                     and 2.0 * config.dt_initial <= cfl)
         if not stale_ok:
-            cfl = cfl_dt(state, config.cfl_safety)
+            flow.cfl_axes = varying_axes(state.u)
+            cfl = cfl_dt(state, config.cfl_safety, flow.cfl_axes)
         dt = cfl
         if config.dt_initial is not None:
             dt = min(dt, config.dt_initial)

@@ -133,9 +133,11 @@ def _sparse_sum(terms, size):
     from scipy import sparse
     columns = np.array([c for c, _ in terms], dtype=np.int32).reshape(-1, size)
     values = np.array([v for _, v in terms], dtype=float).reshape(-1, size)
+    # an int32 indptr keeps scipy's indices int32 too
+    dtype = np.int32 if size * len(terms) < 2 ** 31 else np.int64
     out = sparse.csr_array(
         (values.T.reshape(-1), columns.T.reshape(-1),
-         np.arange(size + 1) * len(terms)), shape=(size, size))
+         np.arange(size + 1, dtype=dtype) * len(terms)), shape=(size, size))
     out.sum_duplicates()
     out.eliminate_zeros()
     return out
@@ -170,11 +172,11 @@ class DerivativeMatrices:
                             in enumerate(fieldalg.pairs(self._n)) if a == b]
         self._coarse = {}
         # the kept arrays first, below the merge's temporaries in the heap:
-        # the values, and position, which holds the maps' columns (int32;
-        # scipy gives int64) until their positions replace them
+        # the values, and position, which holds the maps' columns (int32,
+        # as _sparse_sum builds them) until their positions replace them
         per_row, position, data = zip(*(
-            (np.diff(stored.indptr), stored.indices.astype(np.int32),
-             stored.data) for stored in maps()))
+            (np.diff(stored.indptr), stored.indices, stored.data)
+            for stored in maps()))
         data, position = np.concatenate(data), np.concatenate(position)
         column_end = np.zeros(len(per_row) * size + 1, dtype=np.int32)
         np.cumsum(np.concatenate(per_row), out=column_end[1:])
@@ -283,33 +285,6 @@ class BackgroundGeometry:
                        if grid.axis_kind[axis] == POLE}
         for c in self._polar.values():
             self.vol_weight = self.vol_weight * c.weight
-        # The stiffness of the frame Laplacian for flow.cfl_dt: sum over
-        # axes of the second difference's largest symbol, halved by the 1/2
-        # in the flow speed (4/h^2 at second order, 16/(3h^2) at fourth, at
-        # the wavenumber pi), over the grid mean of H_a^2. The rows where
-        # H_a vanishes (polar axes near the poles) only carry modes that
-        # the antipodal ghost identification keeps smooth, so the rms of
-        # H_a, not its pointwise minimum, is the scale smooth data see.
-        # The divergence-form operator on the polar axes is exactly these
-        # stencils once its coefficients are frozen, so the constants carry
-        # over; its rows next to a pole lift the largest eigenvalue of the
-        # zonal Laplacian on the round S^3 to 4.41/h^2 at second order and
-        # 5.75/h^2 at fourth (the pointwise stencils gave 4.04 and 5.40).
-        # On the last polar angle (the S^2 factor of S^1 x S^2) they reach
-        # 4.00/h^2 and 5.33/h^2 with the 11/12 pole weights, on the first
-        # polar angle of S^4 (density sin^3, h^5 flux terms, 127/120 pole
-        # weights) 5.11/h^2 and 7.57/h^2 at 24 points. flow.diffusion_bound
-        # is exact on isotropic T_{k-1}, as at the round fixed point (up to
-        # the O(sqrt(eps)) cancellation of its sigma-table spread), so it
-        # leaves no cushion: the lift of about 8-10% on S^3 is covered by
-        # cfl_dt's safety factor alone.
-        stencil, denominator = _DIFFERENCES[fd_order][1]
-        symbol = -0.5 * sum(w * (-1) ** s for s, w
-                            in zip(range(-2, 3), stencil)) / denominator
-        self.stiffness = sum(
-            symbol / (h * h * float(np.mean(np.broadcast_to(h_a * h_a,
-                                                            grid.shape))))
-            for h, h_a in zip(grid.spacing, lame))
         # frame factors of the Hessian and gradient, as small broadcast
         # arrays: 1/H_a, 1/H_a^2, and dlog[a][c]/H_c^2 for the Christoffel
         # terms of the diagonal (each depends only on axes <= c)
@@ -322,6 +297,7 @@ class BackgroundGeometry:
         self._layout = [(math.prod(grid.shape[:a]), grid.shape[a],
                          math.prod(grid.shape[a + 1:])) for a in range(grid.ndim)]
         self._derivative_matrices = None
+        self._laplacian_symbols = {}
         self._placed = 0  # where _empty starts its next array, modulo 4 KiB
 
     def _empty(self, shape=None):
@@ -372,6 +348,24 @@ class BackgroundGeometry:
         the flow step, each dead before the next call into it or a state."""
         size, shape = self.grid.total_points, self.grid.shape
         return [buf[:size].reshape(shape) for buf in self._kernel["work"]]
+
+    def laplacian_symbol(self, axes):
+        """sum over the axes a < axes of sym / (h_a H_a)^2 at every node,
+        sym = 2 at second order and 8/3 at fourth: the largest symbols of
+        the frame second differences, 4/h^2 and 16/(3 h^2) at the
+        wavenumber pi, halved like the flow speed. A float where every H_a
+        it counts is constant, else a contiguous grid array (a broadcast
+        factor costs numpy an iteration buffer). Built once per axes."""
+        if axes not in self._laplacian_symbols:
+            stencil, denominator = _DIFFERENCES[self.fd_order][1]
+            sym = -0.5 * sum(w * (-1) ** s for s, w
+                             in zip(range(-2, 3), stencil)) / denominator
+            total = sum((sym / (h * h) * inv for h, inv in
+                         zip(self.grid.spacing[:axes], self._inv_lame2)), 0.0)
+            self._laplacian_symbols[axes] = (
+                float(np.squeeze(total)) if np.size(total) == 1
+                else np.broadcast_to(total, self.grid.shape).copy())
+        return self._laplacian_symbols[axes]
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar

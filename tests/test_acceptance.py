@@ -249,6 +249,7 @@ def test_criterion_6_convergence_and_beta():
            f"residual<1e-4 at t={state.time:.3f} (<20), min sigma "
            f"{min_sigma:.3f} (>0), beta {state.beta:.6f} vs oracle "
            f"{beta_oracle:.6f} rel err {beta_err:.2e} (<=1e-2), "
+           f"{state.accepted} steps accepted, {state.rejected} rejected, "
            f"{elapsed:.0f}s (<=15min)")
 
 

@@ -4,7 +4,8 @@ Oracle strategy: fixed points and mean-zero come from exact structure
 (constants solve the flow, and so do the Mobius factors of the round
 sphere up to truncation error; the speed is mean-free against dvol(g) by
 construction). The CFL bound is pinned by closed forms evaluated by hand
-from the stencil symbol and the rms frame factors. Monotonicity, the
+from the stencil symbol and the frame factors, and checked against a power
+iteration on the speed's Jacobian. Monotonicity, the
 dissipation identity, and volume conservation are checked against the
 analytic rates on short runs at gates calibrated a factor of several away
 from measured values, far below any plausible formula error.
@@ -33,6 +34,7 @@ from sigmaflow.flow import (
     cfl_dt,
     diffusion_bound,
     flow_speed,
+    varying_axes,
     _record,
     _residual,
     run,
@@ -147,29 +149,31 @@ def test_diffusion_bound_round_sphere_closed_form():
 
 
 def test_cfl_closed_form_round_sphere():
-    # denominator: D * coef * sum_a 1/(h_a H_a,rms)^2 + k, with rms^2 frame
-    # factors (1, 1/2, 1/4) and stencil coefficient 2 at second order,
-    # 8/3 at fourth.
+    # u = 0 is constant along every axis: the bound counts no axis and is
+    # safety / k exactly. Zonal u counts axis 0 alone, with H_0 = 1 and
+    # stencil coefficient 2 at second order, 8/3 at fourth.
     for fd_order, coef in ((2, 2.0), (4, 8.0 / 3.0)):
         geom = build_round_sphere(3, 16, fd_order=fd_order)
         st = ConformalState(geom, np.zeros(geom.grid.shape), 1)
+        assert cfl_dt(st, 0.4) == 0.4
+        st = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 1)
         d = diffusion_bound(st)
         h = geom.grid.spacing
-        pred = 0.4 / (d * coef * (1.0 / h[0] ** 2 + 2.0 / h[1] ** 2
-                                  + 4.0 / h[2] ** 2) + 1.0)
+        pred = 0.4 / (1.0 + d * coef / h[0] ** 2)
         got = cfl_dt(st, 0.4)
         assert abs(got - pred) <= 1e-10 * pred
 
 
 def test_cfl_closed_form_hopf():
-    # circle axis: H = r exactly; sphere axes carry rms^2 (1, 1/2).
+    # circle axis: H_0 = r exactly.
     r = 0.5
     geom = build_hopf_product(3, circle_radius=r, points_per_axis=16)
     st = ConformalState(geom, np.zeros(geom.grid.shape), 1)
+    assert cfl_dt(st, 0.4) == 0.4
+    st = ConformalState(geom, zonal(geom, lambda x: 0.05 * np.cos(x)), 1)
     d = diffusion_bound(st)
     h = geom.grid.spacing
-    pred = 0.4 / (d * 2.0 * (1.0 / (h[0] * r) ** 2 + 1.0 / h[1] ** 2
-                             + 2.0 / h[2] ** 2) + 1.0)
+    pred = 0.4 / (1.0 + d * 2.0 / (h[0] * r) ** 2)
     assert abs(cfl_dt(st, 0.4) - pred) <= 1e-10 * pred
 
 
@@ -204,7 +208,7 @@ def test_flow_forms_no_newton_tensor(monkeypatch, scheme):
     u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
     flow, _ = run(geom, u0, FlowConfig(k=2, t_end=20.0, monitor_every=50,
                                         convergence_tol=1e-3, scheme=scheme))
-    assert flow.converged and flow.cfl_limited == flow.step_count > 100
+    assert flow.converged and flow.cfl_limited == flow.step_count > 50
 
 
 def test_cfl_longer_table_on_s4(monkeypatch):
@@ -221,7 +225,90 @@ def test_cfl_longer_table_on_s4(monkeypatch):
     want = np.max(upper / (2.0 * st.sigma_w_table()[..., 3]))
     d = diffusion_bound(st)
     assert abs(d - want) <= 1e-10 * want
-    assert cfl_dt(st, 0.4) == 0.4 / (3 + d * geom.stiffness)
+    h = geom.grid.spacing[0]
+    assert cfl_dt(st, 0.4) == 0.4 / (3 + d * (2.0 / (h * h)))
+
+
+def jacobian_radius(geom, u, k, axes, iterations=50, eps=1e-7):
+    """Spectral radius of the speed's Jacobian at u by a power iteration on
+    difference quotients of flow_speed. The probe varies along the first
+    axes axes only, as u does, and starts near the grid's highest mode
+    there, where the top eigenvector lives."""
+    shape = geom.grid.shape
+    rng = np.random.default_rng(5)
+    sign = 1.0 - 2.0 * (sum(np.indices(shape)[:axes]) % 2)
+    v = sign + 0.1 * rng.standard_normal(shape[:axes]
+                                         + (1,) * (len(shape) - axes))
+    f0 = flow_speed(ConformalState(geom, u, k))
+    for _ in range(iterations):
+        v = v / np.max(np.abs(v))
+        w = (flow_speed(ConformalState(geom, u + eps * v, k)) - f0) / eps
+        radius = math.sqrt(np.mean(w * w) / np.mean(v * v))
+        v = w
+    return radius
+
+
+def axis_fields(geom):
+    g = geom.grid
+    return [g.axis_vector(ax, g.coordinates(ax)) for ax in range(g.ndim)]
+
+
+@pytest.mark.parametrize("chart, axes", [
+    ("S3", 1), ("S3", 2), ("S3", 3), ("S1xS2", 1), ("S1xS2", 3)])
+def test_cfl_bounds_the_jacobian_spectrum(chart, axes):
+    # The bound rho = 2 / cfl_dt(state, 1) against the power iteration's
+    # radius rho_p, at 16^3/fd2, on data varying along the first axes axes
+    # (zonal for 1). Measured rho / rho_p: S^3 0.978, 1.018, 1.052;
+    # S^1 x S^2 1.158, 1.031. A bound that sums rms stiffnesses over every
+    # axis read 14x below rho_p on the non-zonal S^1 x S^2 data and 660x
+    # below it on S^3.
+    if chart == "S3":
+        geom, k = build_round_sphere(3, 16), 2
+        t1, t2, phi = axis_fields(geom)
+        u = [0.1 * np.cos(t1), 0.1 * np.cos(t1) + 0.05 * np.sin(t1) * np.cos(t2),
+             0.1 * np.cos(t1) + 0.05 * np.sin(t1) * np.sin(t2) * np.cos(phi)
+             ][axes - 1]
+    else:
+        geom, k = build_hopf_product(3, 1.0, 16), 1
+        x, th, phi = axis_fields(geom)
+        u = (0.05 * np.cos(x) if axes == 1 else
+             0.05 * np.cos(th) + 0.05 * np.sin(th) * np.cos(phi))
+    u = np.broadcast_to(u, geom.grid.shape).copy()
+    assert varying_axes(u) == axes
+    bound = 2.0 / cfl_dt(ConformalState(geom, u, k), 1.0)
+    radius = jacobian_radius(geom, u, k, axes)
+    # Zonal S^3: the rows next to the poles lift rho_p 2.2% above the
+    # bound; cfl_safety covers that. Elsewhere the bound holds.
+    if (chart, axes) != ("S3", 1):
+        assert bound >= radius
+    # Zonal S^1 x S^2: the +k term counts the zeroth-order part of the
+    # speed with the sign of growth, so the bound can sit 3k above rho_p:
+    # 16% against axis 0's small stiffness at 16 points, 5% at 32.
+    gate = 0.2 if (chart, axes) == ("S1xS2", 1) else 0.1
+    assert abs(bound - radius) <= gate * radius
+
+
+def test_non_zonal_euler_run_is_stable_and_first_order():
+    # Data varying along the azimuth of S^1 x S^2 at 16^3/fd2: the bound
+    # counts every axis, and no step is rejected (2,127 steps at the
+    # default safety 0.4; a bound that summed rms stiffnesses took 755
+    # steps with 1,474 rejections). The runs at safety 0.8, 0.4 and 0.2
+    # differ by 3.03e-6 and 1.52e-6: halving the step halves the error.
+    geom = build_hopf_product(3, 1.0, 16)
+    _, th, phi = axis_fields(geom)
+    u0 = np.broadcast_to(0.05 * np.cos(th) + 0.05 * np.sin(th) * np.cos(phi),
+                         geom.grid.shape).copy()
+    finals = []
+    for safety in (0.8, 0.4, 0.2):
+        flow, _ = run(geom, u0, FlowConfig(
+            k=1, t_end=0.5, cfl_safety=safety, monitor_every=100_000,
+            convergence_tol=0.0))
+        assert flow.rejected == 0 and flow.cfl_axes == 3
+        assert flow.cfl_limited == flow.step_count - 1
+        finals.append(flow.u)
+    coarse, fine = (float(np.max(np.abs(a - b)))
+                    for a, b in zip(finals, finals[1:]))
+    assert 1.8 <= coarse / fine <= 2.2
 
 
 # ----------------------------------------------------------------- stepping
@@ -238,14 +325,19 @@ def test_single_step_decreases_residual():
 
 def test_step_preserves_zonal_data_bitwise():
     # zonal input must stay exactly zonal or the unstable pole-row modes
-    # get seeded; holds at both stencil orders by construction
+    # get seeded; holds at both stencil orders by construction. So must
+    # data constant along the azimuth alone: the CFL bound counts only the
+    # axes along which u varies, and run reuses it for up to 25 steps.
     for fd_order in (2, 4):
         geom = build_round_sphere(3, 16, fd_order=fd_order)
-        st = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
-        for _ in range(3):
-            st, _, _ = step(st, 1e-3)
-        assert np.array_equal(st.u, np.broadcast_to(st.u[:, :1, :1],
-                                                    st.u.shape))
+        t1, t2, _ = axis_fields(geom)
+        for axes, u in ((1, 0.1 * np.cos(t1)),
+                        (2, 0.1 * np.cos(t1) + 0.05 * np.sin(t1) * np.cos(t2))):
+            st = ConformalState(
+                geom, np.broadcast_to(u, geom.grid.shape).copy(), 2)
+            for _ in range(3):
+                st, _, _ = step(st, cfl_dt(st, 0.4))
+            assert varying_axes(st.u) == axes
 
 
 def test_flow_is_shift_equivariant():
@@ -323,12 +415,12 @@ def test_run_matches_fresh_states_bitwise(chart, scheme):
     # independent states stepped by the same arithmetic.
     if chart == "S3":
         # zonal: non-zonal data drives the CFL bound down on S^3
-        geom, k = build_round_sphere(3, 16, fd_order=4), 2
+        geom, k, dt = build_round_sphere(3, 16, fd_order=4), 2, 2.0 ** -12
         u0 = zonal(geom, lambda t: 0.1 * np.cos(t) + 0.03 * np.cos(2 * t))
     else:
-        geom, k = build_hopf_product(3, 1.3, 16, fd_order=4), 1
+        # non-zonal: the CFL bound, 2.03e-4 here, would clip 2^-12
+        geom, k, dt = build_hopf_product(3, 1.3, 16, fd_order=4), 1, 2.0 ** -13
         u0 = smooth_u(geom, 0.05, 11)
-    dt = 2.0 ** -12
     cfg = FlowConfig(k=k, t_end=12 * dt, dt_initial=dt, monitor_every=1,
                      convergence_tol=0.0, scheme=scheme)
     flow, recs = run(geom, u0, cfg)
@@ -474,6 +566,10 @@ def test_run_converges_and_reports_beta():
                      convergence_tol=1e-4)
     flow, recs = run(geom, u0, cfg)
     assert flow.converged and flow.time < 3.0
+    # zonal data: the bound counts axis 0 alone (753 steps when it summed
+    # the rms stiffness of every axis)
+    assert flow.cfl_axes == 1 and flow.rejected == 0
+    assert flow.step_count <= 251
     # volume-matched constant state: e^{-3c} 2 pi^2 = vol(u0), beta = e^{4c} 3/4
     integral = quad(lambda t: math.exp(-0.3 * math.cos(t)) * math.sin(t) ** 2,
                     0.0, math.pi)[0]

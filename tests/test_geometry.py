@@ -479,11 +479,15 @@ def test_derivative_pattern_is_int32_on_every_chart():
     with mock.patch.object(geometry, "_check_resolution", lambda *a: None):
         for fd_order in (2, 4, 2):
             for build in builds:
-                maps = build(fd_order).derivative_matrices()
+                geom = build(fd_order)
+                maps = geom.derivative_matrices()
                 jac = maps.combine(rng.standard_normal((maps.count, maps.size)))
                 for index in (maps.indices, maps.indptr, jac.indices,
                               jac.indptr):
                     assert index.dtype == np.int32
+                # the build reads every stored map's columns without a copy
+                assert all(stored.indices.dtype == np.int32
+                           for stored in geom._maps())
 
 
 def test_laplacian_converges_next_to_poles():
