@@ -119,7 +119,7 @@ class FlowState:
 
     cfl_limited counts the accepted steps whose dt the CFL bound set
     (rather than dt_initial or t_end). cfl_axes is the axes count the bound
-    counted at its last refresh (varying_axes); None before the first step.
+    counts, varying_axes(u0); a step keeps it, so it holds at every refresh.
     """
 
     time: float
@@ -190,7 +190,7 @@ def varying_axes(u):
     return axes
 
 
-def cfl_dt(state, cfl_safety, axes=None):
+def cfl_dt(state, cfl_safety):
     """Parabolic stability bound for the explicit step.
 
     Explicit Euler is stable while dt <= 2 / rho, rho the spectral radius
@@ -198,16 +198,15 @@ def cfl_dt(state, cfl_safety, axes=None):
 
         rho / 2 <= k + max_x D(x) sum_{a < axes} sym / (h_a H_a(x))^2,
 
-    with D(x) the coefficient diffusion_bound maximizes and the sum
-    geometry.laplacian_symbol(axes); the +k term accounts for the
-    zeroth-order 2ku part of log sigma_k(g). axes defaults to
-    varying_axes(state.u): u constant along the later axes excites no mode
-    along them. The rows next to a pole lift the zonal rho of the round
-    S^3 a few percent above the bound; cfl_safety covers that.
+    with D(x) the coefficient diffusion_bound maximizes, axes =
+    varying_axes(state.u) (u constant along the later axes excites no mode
+    along them) and the sum geometry.laplacian_symbol(axes); the +k term
+    accounts for the zeroth-order 2ku part of log sigma_k(g). The rows next
+    to a pole lift the zonal rho of the round S^3 a few percent above the
+    bound; cfl_safety covers that.
     """
     ratio = _diffusion_ratio(state)
-    ratio *= state.geometry.laplacian_symbol(
-        varying_axes(state.u) if axes is None else axes)
+    ratio *= state.geometry.laplacian_symbol(varying_axes(state.u))
     return cfl_safety / (state.k + 0.5 * float(np.max(ratio)))
 
 
@@ -340,7 +339,7 @@ def run(geom, u0, config, on_record=None):
     """
     state = ConformalState(geom, u0, config.k)
     state.require_admissible()
-    flow = FlowState(time=0.0, u=state.u)
+    flow = FlowState(time=0.0, u=state.u, cfl_axes=varying_axes(state.u))
     records = []
     t_end = float(config.t_end)
     detecting = config.convergence_tol > 0
@@ -376,8 +375,7 @@ def run(geom, u0, config, on_record=None):
                     and config.dt_initial is not None
                     and 2.0 * config.dt_initial <= cfl)
         if not stale_ok:
-            flow.cfl_axes = varying_axes(state.u)
-            cfl = cfl_dt(state, config.cfl_safety, flow.cfl_axes)
+            cfl = cfl_dt(state, config.cfl_safety)
         dt = cfl
         if config.dt_initial is not None:
             dt = min(dt, config.dt_initial)

@@ -202,13 +202,15 @@ def no_newton_tensor(*args, **kwargs):
 @pytest.mark.parametrize("scheme", ("euler", "midpoint"))
 def test_flow_forms_no_newton_tensor(monkeypatch, scheme):
     # Without dt_initial the CFL bound is refreshed before every step, and
-    # it is read from the sigma table alone.
+    # it is read from the sigma table alone. The second harmonic decays to
+    # a constant over 182 steps (a first harmonic, a Mobius direction,
+    # reaches the tolerance in 80).
     monkeypatch.setattr(fieldalg, "newton_components", no_newton_tensor)
     geom = build_round_sphere(3, 16)
-    u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
+    u0 = zonal(geom, lambda t: 0.1 * np.cos(2 * t))
     flow, _ = run(geom, u0, FlowConfig(k=2, t_end=20.0, monitor_every=50,
                                         convergence_tol=1e-3, scheme=scheme))
-    assert flow.converged and flow.cfl_limited == flow.step_count > 50
+    assert flow.converged and flow.cfl_limited == flow.step_count > 100
 
 
 def test_cfl_longer_table_on_s4(monkeypatch):
@@ -281,9 +283,11 @@ def test_cfl_bounds_the_jacobian_spectrum(chart, axes):
     # bound; cfl_safety covers that. Elsewhere the bound holds.
     if (chart, axes) != ("S3", 1):
         assert bound >= radius
-    # Zonal S^1 x S^2: the +k term counts the zeroth-order part of the
-    # speed with the sign of growth, so the bound can sit 3k above rho_p:
-    # 16% against axis 0's small stiffness at 16 points, 5% at 32.
+    # Zonal S^1 x S^2 misses the 10% target: the +k term counts the
+    # zeroth-order part of the speed with the sign of growth, so the bound
+    # can sit 3k above rho_p, 16% against axis 0's small stiffness at 16
+    # points (5% at 32). That case alone is gated at 20% until the
+    # zeroth-order term is tightened.
     gate = 0.2 if (chart, axes) == ("S1xS2", 1) else 0.1
     assert abs(bound - radius) <= gate * radius
 
