@@ -5,8 +5,10 @@ One flat key=value vocabulary serves every subcommand; a config file
 the command line. Each subcommand reads the subset of keys it needs, so a
 single file can drive a flow run, the matching eigen solve, and the chart
 validation. Unknown keys are errors: there is no silent typo tolerance.
-The flow command always steps with explicit Euler; the midpoint scheme is
-reachable only through FlowConfig(scheme="midpoint").
+A key left out takes the library's default, except eigen's tolerance:
+lambda_star_search has none. check tests fieldalg, the solvers' algebra,
+against symfun's eigenvalues, then the charts and the flow. flow always
+steps with explicit Euler; midpoint is only reachable through FlowConfig.
 
 Exit codes: 0 success, 2 usage, 3 cone violation,
 4 nonconvergence, 5 internal numeric error.
@@ -28,9 +30,8 @@ if _THREADS_RAW.isdigit() and int(_THREADS_RAW) > 0:
         os.environ[_var] = _THREADS_RAW
 
 import argparse
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,13 +98,13 @@ class RunConfig:
     resolution: int | None = None
     t_end: float | None = None
     dt: float | None = None
-    cfl_safety: float = 0.4
+    cfl_safety: float | None = None
     tolerance: float | None = None
     output_dir: str = "."
     snapshot_interval: float | None = None
     seed: int = 0
     amplitude: float = 0.1
-    radius: float = 1.0
+    radius: float | None = None
     fd_order: int | None = None
     s0_diag: tuple | None = None
 
@@ -208,9 +209,8 @@ def parse_config(subcommand, pairs):
     if "k" in values and "n" in values and values["k"] > values["n"]:
         raise UsageError(
             f"key 'k' must satisfy k <= n, got k={values['k']} n={values['n']}")
-    if "tolerance" not in values:
-        values["tolerance"] = {"flow": 1e-5, "eigen": 1e-4}.get(subcommand)
-    elif subcommand == "eigen" and not values["tolerance"] > 0:
+    # lambda_star_search has no default bracket width
+    if subcommand == "eigen" and not values.setdefault("tolerance", 1e-4) > 0:
         raise UsageError(
             f"key 'tolerance' must be positive for the eigen subcommand, "
             f"got {values['tolerance']}")
@@ -237,13 +237,18 @@ def parse_config(subcommand, pairs):
 
 # ------------------------------------------------------------ dispatch
 
+def _given(**settings):
+    """The settings the user gave; the library holds the other defaults."""
+    return {key: value for key, value in settings.items() if value is not None}
+
+
 def _build_geometry(cfg):
-    # each builder holds its chart's default difference order
-    order = {} if cfg.fd_order is None else {"fd_order": cfg.fd_order}
+    order = _given(fd_order=cfg.fd_order)
     if cfg.chart == "round_sphere":
         return build_round_sphere(cfg.n, cfg.resolution, **order)
     if cfg.chart == "hopf_product":
-        return build_hopf_product(cfg.n, cfg.radius, cfg.resolution, **order)
+        return build_hopf_product(cfg.n, points_per_axis=cfg.resolution,
+                                  **order, **_given(circle_radius=cfg.radius))
     return build_synthetic(cfg.n, cfg.s0_diag, cfg.resolution, **order)
 
 
@@ -280,10 +285,9 @@ def _check_emitted(paths):
 def run_flow(cfg):
     geom = _build_geometry(cfg)
     u0 = _seeded_initial(geom, cfg.amplitude, cfg.seed)
-    flow_config = FlowConfig(
-        k=cfg.k, t_end=cfg.t_end, dt_initial=cfg.dt,
-        cfl_safety=cfg.cfl_safety, convergence_tol=cfg.tolerance,
-        quotient_l=cfg.quotient_l)
+    flow_config = FlowConfig(k=cfg.k, t_end=cfg.t_end, **_given(
+        dt_initial=cfg.dt, cfl_safety=cfg.cfl_safety,
+        convergence_tol=cfg.tolerance, quotient_l=cfg.quotient_l))
 
     snapshots = []
     if cfg.snapshot_interval is not None:
@@ -357,60 +361,50 @@ def run_eigen(cfg):
 
 # ---------------------------------------------------------- check suite
 
-def _sigma_minors(a, k):
-    n = a.shape[0]
-    total = 0.0
-    for idx in itertools.combinations(range(n), k):
-        total += float(np.linalg.det(a[np.ix_(idx, idx)]))
-    return total
-
-
-def _check_symfun_minors():
+def _check_fieldalg():
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(60):
-        n = int(rng.integers(3, 7))
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
+    defect = shortfall = 0.0
+    for n in range(3, 7):
+        rows, cols = np.array(fieldalg.pairs(n)).T
+        a = symfun.symmetrize(rng.standard_normal((20, n, n)))
+        comps = list(a[:, rows, cols].T)
+        e = fieldalg.sigma_table(comps, n, n)
+        lam = symfun.eigenvalues(a)
+        # defects are relative to C(n, j) rho^j, which bounds |sigma_j|
+        rho = np.abs(lam).max(axis=1, keepdims=True)
+        size = symfun.sigma_all(np.broadcast_to(rho, lam.shape), n)
+        defect = max(defect, np.max(abs(e - symfun.sigma_all(lam, n)) / size))
         for k in range(1, n + 1):
-            want = _sigma_minors(a, k)
-            got = symfun.sigma_k_matrix(a, k)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst <= 1e-12, f"max relative error {worst:.2e}"
+            t = symfun.newton_transform(a, k - 1)
+            got = np.array(fieldalg.newton_components(comps, n, e, k - 1))
+            scale = size[:, k - 1]
+            defect = max(defect, np.max(abs(got - t[:, rows, cols].T) / scale))
+            lam_max = symfun.eigenvalues(t)[:, -1]
+            excess = lam_max - fieldalg.newton_lambda_max(e, n, k)
+            shortfall = max(shortfall, np.max(excess / scale))
+    ok = defect <= 1e-12 and shortfall <= 1e-12
+    return ok, (f"max defect vs symfun {defect:.2e}, "
+                f"lambda_max bound shortfall {shortfall:.2e}")
 
 
-def _check_symfun_newton():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(30):
-        n = int(rng.integers(3, 7))
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
-        eye = np.eye(n)
-        for k in range(1, n):
-            tk = symfun.newton_transform(a, k)
-            sk = symfun.sigma_k_matrix(a, k)
-            scale = max(1.0, float(np.max(np.abs(tk))))
-            rec = sk * eye - a @ symfun.newton_transform(a, k - 1)
-            worst = max(worst, float(np.max(np.abs(tk - rec))) / scale)
-            worst = max(worst, abs(np.trace(tk) - (n - k) * sk) / scale)
-    return worst <= 1e-12, f"max identity defect {worst:.2e}"
-
-
-def _oracle_error(geom):
-    target = np.broadcast_to(geom.schouten0,
-                             geom.grid.shape + (geom.grid.ndim,) * 2)
-    return float(np.max(np.abs(curvature_oracle(geom) - target)))
+def _curvature_order(cfg, geom):
+    """(order >= 1.9, summary): the observed order of the curvature oracle
+    between geom, cfg's chart, and the same chart at twice the resolution."""
+    finer = replace(cfg, resolution=2 * cfg.resolution)
+    coarse, fine = (float(np.max(np.abs(curvature_oracle(g) - g.schouten0)))
+                    for g in (geom, _build_geometry(finer)))
+    order = math.log2(coarse / fine)
+    return order >= 1.9, (f"curvature order {order:.3f} over resolutions "
+                          f"{cfg.resolution}/{finer.resolution} "
+                          f"(errors {coarse:.3e}, {fine:.3e})")
 
 
 def _check_curvature_order():
-    orders = []
-    for build in (lambda r: build_round_sphere(3, r),
-                  lambda r: build_hopf_product(3, 1.0, r)):
-        coarse, fine = _oracle_error(build(16)), _oracle_error(build(32))
-        orders.append(math.log2(coarse / fine))
-    ok = all(order >= 1.9 for order in orders)
-    return ok, "observed orders " + ", ".join("%.2f" % o for o in orders)
+    cfgs = [RunConfig("check", chart=chart, n=3, resolution=16)
+            for chart in ("round_sphere", "hopf_product")]
+    results = [_curvature_order(cfg, _build_geometry(cfg)) for cfg in cfgs]
+    return all(ok for ok, _ in results), "; ".join(
+        f"{cfg.chart} {summary}" for cfg, (_, summary) in zip(cfgs, results))
 
 
 def _check_conformal_shift():
@@ -449,8 +443,7 @@ def _check_flow_fixed_points():
 
 
 _PROPERTIES = (
-    ("symfun sigma vs principal minors", _check_symfun_minors),
-    ("symfun Newton transform identities", _check_symfun_newton),
+    ("fieldalg sigma table and Newton tensor vs symfun", _check_fieldalg),
     ("curvature oracle convergence order", _check_curvature_order),
     ("conformal shift covariance", _check_conformal_shift),
     ("flow fixed points", _check_flow_fixed_points),
@@ -472,15 +465,8 @@ def run_check(cfg):
 def run_geometry_validate(cfg):
     geom = _build_geometry(cfg)
     if geom.variational:
-        fine_cfg = RunConfig(**{**cfg.__dict__,
-                                "resolution": 2 * cfg.resolution})
-        coarse, fine = _oracle_error(geom), _oracle_error(
-            _build_geometry(fine_cfg))
-        order = math.log2(coarse / fine)
-        summary = (f"curvature order {order:.3f} over resolutions "
-                   f"{cfg.resolution}/{2 * cfg.resolution} "
-                   f"(errors {coarse:.3e}, {fine:.3e})")
-        if order < 1.9:
+        ok, summary = _curvature_order(cfg, geom)
+        if not ok:
             raise NumericError("curvature oracle fails to converge: " + summary)
         return RunReport(summary)
     # synthetic charts have no meaningful curvature; verify the stencil

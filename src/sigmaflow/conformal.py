@@ -184,13 +184,9 @@ class ConformalState:
 
     # ------------------------------------------------------- sigma of g
 
-    def log_sigma_field(self):
-        """log sigma_k(g) = 2k u + log sigma_k(W); requires admissibility."""
-        return self.log_target()
-
     def sigma_field(self):
         return self._cached("sigma", lambda: np.exp(
-            self.log_sigma_field(), out=self._out("sigma")))
+            self.log_target(), out=self._out("sigma")))
 
     def min_sigma(self):
         return float(np.min(self.sigma_field()))

@@ -69,8 +69,7 @@ class NonconvergenceError(SigmaFlowError):
 
 
 class FlowFailureError(NonconvergenceError):
-    """Time stepper rejected a step max_halvings + 1 times in a row (31 by
-    default): dt and each of its max_halvings halvings failed (dt underflow)."""
+    """A step failed at dt and at each of its flow.MAX_HALVINGS halvings."""
 
 
 class ContinuationFailureError(NonconvergenceError):

@@ -7,8 +7,8 @@ instead of a batched small-matrix product. Elementary symmetric
 polynomials e_1..e_3 are sums of principal minors in closed form; higher
 orders come from power sums via Newton's identities. Newton
 transformations follow their defining recurrence. This is an independent
-route from symfun, which works on the eigenvalues; the two are
-cross-checked in the test suite.
+route from symfun, which works on the eigenvalues; `sigmaflow check` and
+the test suite cross-check the two.
 """
 
 from __future__ import annotations

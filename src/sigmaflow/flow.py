@@ -40,6 +40,7 @@ MONITOR_FIELDS = ("time", "volume", "F_k", "r_k", "l2_sigma_minus_r",
                   "min_sigma", "max_abs_W", "harnack", "max_abs_u")
 
 _SCHEMES = ("euler", "midpoint")
+MAX_HALVINGS = 30  # dt halvings a step tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,9 @@ class MonitorRecord:
     """One row of the monitor series.
 
     The MONITOR_FIELDS prefix is the CSV schema. The trailing fields stay
-    in memory only: l2_sigma and rel_residual feed the convergence
-    detector, dissipation_rhs is the right-hand side of the F_k dissipation
-    identity (None on quotient runs with l >= 1, where it does not apply).
+    in memory only: dissipation_rhs is the right-hand side of the F_k
+    dissipation identity (None on quotient runs with l >= 1, where it does
+    not apply), rel_residual the convergence detector's residual.
     For quotient runs r_k and the residual columns refer to the driven
     quantity sigma_k/sigma_l.
     """
@@ -109,7 +110,6 @@ class MonitorRecord:
     harnack: float
     max_abs_u: float
     dissipation_rhs: float | None
-    l2_sigma: float
     rel_residual: float
 
 
@@ -212,12 +212,12 @@ def cfl_dt(state, cfl_safety):
 
 # ---------------------------------------------------------------- stepping
 
-def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
+def step(state, dt, scheme="euler", quotient_l=None):
     """One accepted explicit step from an admissible state.
 
     Returns (new_state, dt_used, n_rejected). A candidate leaving the cone
     or producing non-finite values is rejected and dt halved; at the
-    (max_halvings + 1)-th rejection in a row the step gives up and reports
+    (MAX_HALVINGS + 1)-th rejection in a row the step gives up and reports
     the last valid state in the error diagnostics.
 
     The step writes its speed, trials, midpoint half step and new state
@@ -252,7 +252,7 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
         if trial is not None:
             return trial, trial_dt, rejected
         rejected += 1
-        if rejected > max_halvings:
+        if rejected > MAX_HALVINGS:
             raise FlowFailureError(
                 f"step rejected {rejected} times (dt {dt:.3g} -> {trial_dt:.3g}); "
                 "state persistently leaves the cone or overflows",
@@ -264,9 +264,9 @@ def step(state, dt, scheme="euler", quotient_l=None, max_halvings=30):
 # ------------------------------------------------------------------ monitor
 
 def _residual(state, quotient_l):
-    """(r, |target - r|, |target|, relative residual) at the current state,
-    with L2(g) norms, target the driven quantity and r its geometric mean:
-    all the convergence detector reads, and the part of the monitor row it
+    """(r, |target - r|, |target - r| / |target|) at the current state, with
+    L2(g) norms, target the driven quantity and r its geometric mean: all
+    the convergence detector reads, and the part of the monitor row it
     shares. Only scalars are returned, so no field outlives the call."""
     geom = state.geometry
     weight = state.conformal_weight()
@@ -278,7 +278,7 @@ def _residual(state, quotient_l):
     diff = np.subtract(target, r_flow, out=geom._grid_work[1])
     l2_diff = math.sqrt(geom.integrate(np.square(diff, out=diff), weight))
     l2_target = math.sqrt(geom.integrate(np.square(target, out=diff), weight))
-    return r_flow, l2_diff, l2_target, l2_diff / l2_target
+    return r_flow, l2_diff, l2_diff / l2_target
 
 
 def _record(state, time, quotient_l, residual):
@@ -290,7 +290,7 @@ def _record(state, time, quotient_l, residual):
     geom = state.geometry
     n = geom.grid.ndim
     vol = state.volume()
-    r_flow, l2_diff, l2_target, rel = residual
+    r_flow, l2_diff, rel = residual
     rhs = None
     if not quotient_l:
         work = geom._grid_work  # integrate forms its integrand in work[0]
@@ -310,7 +310,6 @@ def _record(state, time, quotient_l, residual):
         harnack=state.harnack_quantity(),
         max_abs_u=float(np.max(np.abs(state.u, out=geom._grid_work[1]))),
         dissipation_rhs=rhs,
-        l2_sigma=l2_target,
         rel_residual=rel,
     )
 

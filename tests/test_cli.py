@@ -15,9 +15,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sigmaflow import cli, fieldio, geometry
+from sigmaflow import cli, fieldalg, fieldio, geometry
 from sigmaflow.cli import RunConfig, main, parse_config
 from sigmaflow.conformal import ConformalState
+from sigmaflow.flow import FlowConfig
 from sigmaflow.errors import (
     ConeViolationError,
     NonconvergenceError,
@@ -43,9 +44,12 @@ def test_parse_minimal_flow_config():
     assert cfg.chart == "round_sphere"
     assert (cfg.n, cfg.k, cfg.resolution) == (3, 2, 16)
     assert cfg.t_end == 1.0
-    assert cfg.tolerance == 1e-5
-    assert cfg.cfl_safety == 0.4
     assert cfg.seed == 0
+    # keys left out take FlowConfig's own defaults
+    with mock.patch.object(cli, "run", side_effect=RuntimeError("stop")) as run:
+        with pytest.raises(RuntimeError, match="stop"):
+            cli.run_flow(cfg)
+    assert run.call_args.args[2] == FlowConfig(k=2, t_end=1.0)
 
 
 def test_parse_unknown_key_is_named():
@@ -254,6 +258,26 @@ def test_main_check_suite_passes(capsys):
     assert captured.out.count("PASS") == len(cli._PROPERTIES)
     assert "FAIL" not in captured.out
     assert "properties pass" in captured.out
+
+
+def test_check_suite_catches_a_skewed_sigma_table(capsys):
+    # a 1e-3 relative error in sigma_2 leaves shift covariance, fixed
+    # points and the curvature order intact; only the symfun oracle sees it
+    table = fieldalg.sigma_table
+
+    def skewed(w, n, kmax, out=None):
+        e = table(w, n, kmax, out)
+        if kmax >= 2:
+            e[..., 2] *= 1.0 + 1e-3
+        return e
+
+    with mock.patch.object(fieldalg, "sigma_table", skewed):
+        assert main(["check"]) == 5
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines()
+              if line.startswith("FAIL")]
+    assert len(failed) == 1 and "fieldalg" in failed[0]
+    assert captured.out.count("PASS") == len(cli._PROPERTIES) - 1
 
 
 def test_main_geometry_validate(capsys):

@@ -365,11 +365,12 @@ def test_step_rejects_oversized_dt_by_halving():
     new.require_admissible()
 
 
-def test_step_gives_up_after_max_halvings():
+def test_step_gives_up_after_max_halvings(monkeypatch):
     geom = build_round_sphere(3, 16)
     st = ConformalState(geom, zonal(geom, lambda t: 0.3 * np.cos(t)), 1)
+    monkeypatch.setattr("sigmaflow.flow.MAX_HALVINGS", 3)
     with pytest.raises(FlowFailureError) as info:
-        step(st, 1e4, max_halvings=3)
+        step(st, 1e4)
     diag = info.value.diagnostics
     assert diag["rejections"] == 4
     assert diag["last_valid_state"] is st
@@ -536,7 +537,7 @@ def test_dissipation_integrand_is_pointwise_nonnegative():
     geom = build_round_sphere(3, 16)
     st = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
     r = st.r_k()
-    integrand = (st.sigma_field() - r) * (st.log_sigma_field() - math.log(r))
+    integrand = (st.sigma_field() - r) * (st.log_target() - math.log(r))
     assert integrand.min() >= -1e-30
 
 
