@@ -84,6 +84,8 @@ _REQUIRED = {
 _POSITIVE = ("n", "k", "resolution", "t_end", "dt", "cfl_safety",
              "snapshot_interval", "radius")
 _NONNEGATIVE = ("seed", "amplitude", "quotient_l", "tolerance")
+# keys that one chart alone reads
+_CHART_KEYS = {"radius": "hopf_product", "s0_diag": "synthetic"}
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,9 @@ def _typed(key, raw):
 def parse_config(subcommand, pairs):
     """Validate a merged key=value mapping into a RunConfig.
 
-    Unknown keys, type mismatches, missing required keys and sign errors
-    are usage errors naming the offending key. A chart whose background
+    Unknown keys, type mismatches, missing required keys, sign errors and
+    a chart's own key (radius, s0_diag) given for another chart are usage
+    errors naming the offending key. A chart whose background
     Schouten spectrum falls outside Gamma_k+ is rejected here, before any
     field is allocated, with the failing sigma_j spelled out.
     """
@@ -187,6 +190,10 @@ def parse_config(subcommand, pairs):
         raise UsageError(
             f"key 'chart' must be one of {', '.join(CHARTS)}; "
             f"got '{values['chart']}'")
+    for key, chart in _CHART_KEYS.items():
+        if key in values and values.get("chart") != chart:
+            raise UsageError(f"key '{key}' applies to chart {chart} only "
+                             f"(chart: {values.get('chart', 'none given')})")
     if "fd_order" in values and values["fd_order"] not in (2, 4):
         raise UsageError(
             f"key 'fd_order' must be 2 or 4, got {values['fd_order']}")

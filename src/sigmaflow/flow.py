@@ -13,7 +13,8 @@ of T_{k-1} from its first two trace moments, which are symmetric functions
 of W's spectrum read from the sigma table: the flow never forms T_{k-1}.
 It takes the coefficient node by node, against the stiffness of the axes
 along which u varies there: a zonal u, which the flow keeps zonal, sees
-only that of axis 0.
+only that of axis 0. A run takes the bound fresh before every step, and
+reads it only at index 0 along the axes u is constant along.
 A quotient variant drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes
 l = 0 coincide with the primary flow.
 
@@ -48,12 +49,13 @@ class FlowConfig:
     """Numerical controls for one flow run.
 
     dt_initial, when set, caps every step (useful for fixed-dt studies);
-    the CFL bound (cfl_dt) still applies. cfl_safety scales that bound,
-    which has no cushion of its own: its diffusion coefficient is exact
-    where T_{k-1} is isotropic, as at the round fixed point, and near there
-    it can read low by O(sqrt(eps)) relative (up to about 1e-8), the
-    cancellation in its trace-moment spread; and the rows next to a pole
-    lift the zonal spectral radius on S^3 a few percent above the bound.
+    the CFL bound (cfl_dt), taken before every step, still applies.
+    cfl_safety scales that bound, which has no cushion of its own: its
+    diffusion coefficient is exact where T_{k-1} is isotropic, as at the
+    round fixed point, and near there it can read low by O(sqrt(eps))
+    relative (up to about 1e-8), the cancellation in its trace-moment
+    spread; and the rows next to a pole lift the zonal spectral radius on
+    S^3 a few percent above the bound.
     convergence_tol acts on the relative residual
     |sigma - r|_L2(g) / |sigma|_L2(g); zero disables the detector.
     """
@@ -119,7 +121,7 @@ class FlowState:
 
     cfl_limited counts the accepted steps whose dt the CFL bound set
     (rather than dt_initial or t_end). cfl_axes is the axes count the bound
-    counts, varying_axes(u0); a step keeps it, so it holds at every refresh.
+    counts, varying_axes(u0); a step keeps it, so it holds at every step.
     """
 
     time: float
@@ -146,17 +148,19 @@ def flow_speed(state, quotient_l=None, out=None):
 
 # ------------------------------------------------------------- step size
 
-def _diffusion_ratio(state):
-    """2 D = lambda_max(T_{k-1}(W)) / sigma_k(W) node by node, in a work
-    buffer (see diffusion_bound)."""
+def _diffusion_ratio(state, axes):
+    """2 D = lambda_max(T_{k-1}(W)) / sigma_k(W) on the nodes at index 0
+    along every grid axis from axes on, in work buffers (diffusion_bound)."""
     state.require_admissible()
     n, k = state.geometry.grid.ndim, state.k
-    etable = state.sigma_w_table()
+    nodes = (slice(None),) * axes + (slice(0, 1),) * (n - axes)
+    etable = state.sigma_w_table()[nodes]
     orders = min(n, 2 * k - 2)
-    table = (etable if orders <= k else
-             fieldalg.sigma_table(state.w_components(), n, orders))
+    table = (etable if orders <= k else fieldalg.sigma_table(
+        [c[nodes] for c in state.w_components()], n, orders))
     work = state.geometry._grid_work
-    bound = fieldalg.newton_lambda_max(table, n, k, out=work[0], tmp=work[1])
+    bound = fieldalg.newton_lambda_max(table, n, k, out=work[0][nodes],
+                                       tmp=work[1][nodes])
     return np.divide(bound, etable[..., k], out=bound)
 
 
@@ -173,19 +177,18 @@ def diffusion_bound(state):
     state's own table holds every order it reads; for 3 <= k < n a table to
     order min(n, 2k - 2) is built from W. cfl_dt takes D before the max.
     """
-    return 0.5 * float(np.max(_diffusion_ratio(state)))
+    return 0.5 * float(np.max(_diffusion_ratio(state, state.u.ndim)))
 
 
 def varying_axes(u):
     """1 + the last axis along which u is not bitwise constant: 0 for a
     constant u, 1 for a zonal one, u.ndim for generic data. A step keeps u
     bitwise constant along the axes from there on, so the modes along them
-    are never excited."""
+    are never excited. One pass: the last axis is peeled off, keeping its
+    first slice, while u is constant along it."""
     axes = u.ndim
-    while axes:
-        rows = u.reshape(math.prod(u.shape[:axes - 1]), -1)
-        if not (rows == rows[:, :1]).all():
-            break
+    while axes and (u == u[..., :1]).all():
+        u = u[..., 0]
         axes -= 1
     return axes
 
@@ -204,9 +207,14 @@ def cfl_dt(state, cfl_safety):
     accounts for the zeroth-order 2ku part of log sigma_k(g). The rows next
     to a pole lift the zonal rho of the round S^3 a few percent above the
     bound; cfl_safety covers that.
+
+    The max is read at index 0 along the axes from axes on, along which
+    u, W and D are bitwise constant (H_a varies along the axes before a):
+    the grid's max bitwise, in 0.05 ms at 32^3/fd4 for zonal u (2 cores).
     """
-    ratio = _diffusion_ratio(state)
-    ratio *= state.geometry.laplacian_symbol(varying_axes(state.u))
+    axes = varying_axes(state.u)
+    ratio = _diffusion_ratio(state, axes)
+    ratio *= state.geometry.laplacian_symbol(axes)
     return cfl_safety / (state.k + 0.5 * float(np.max(ratio)))
 
 
@@ -332,9 +340,10 @@ def run(geom, u0, config, on_record=None):
     L2(g) residual of the driven quantity; beta is the final r_k, reported
     only for converged runs with 2k != n (at 2k = n the scale invariance
     makes the constant a gauge choice, so only monitors are reported).
-    The detector reads the residual after every step. on_record, when
-    given, is called with (flow, state, record) for every kept monitor
-    row; callers hang snapshot writers off it.
+    The detector reads the residual after every step, and cfl_dt is taken
+    fresh before every step. on_record, when given, is called with
+    (flow, state, record) for every kept monitor row; callers hang
+    snapshot writers off it.
     """
     state = ConformalState(geom, u0, config.k)
     state.require_admissible()
@@ -342,7 +351,6 @@ def run(geom, u0, config, on_record=None):
     records = []
     t_end = float(config.t_end)
     detecting = config.convergence_tol > 0
-    cfl = None
     while True:
         # A row is kept at time 0, every monitor_every steps, at t_end and
         # where convergence is detected. Off those rows a detecting run
@@ -365,17 +373,7 @@ def run(geom, u0, config, on_record=None):
                 break
         if done:
             break
-        # While a fixed dt_initial binds with a factor-2 margin, the CFL
-        # bound moves on the slow time scale of the fields and a cached
-        # value refreshed every 25 steps is still a strict bound in
-        # practice; the step's own rejection path guards the remainder.
-        # Step 0 always refreshes, so cfl is set before it is compared.
-        stale_ok = (flow.step_count % 25 != 0
-                    and config.dt_initial is not None
-                    and 2.0 * config.dt_initial <= cfl)
-        if not stale_ok:
-            cfl = cfl_dt(state, config.cfl_safety)
-        dt = cfl
+        dt = cfl = cfl_dt(state, config.cfl_safety)
         if config.dt_initial is not None:
             dt = min(dt, config.dt_initial)
         dt = min(dt, t_end - flow.time)

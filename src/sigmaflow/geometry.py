@@ -297,7 +297,6 @@ class BackgroundGeometry:
         self._layout = [(math.prod(grid.shape[:a]), grid.shape[a],
                          math.prod(grid.shape[a + 1:])) for a in range(grid.ndim)]
         self._derivative_matrices = None
-        self._laplacian_symbols = {}
         self._placed = 0  # where _empty starts its next array, modulo 4 KiB
 
     def _empty(self, shape=None):
@@ -353,19 +352,13 @@ class BackgroundGeometry:
         """sum over the axes a < axes of sym / (h_a H_a)^2 at every node,
         sym = 2 at second order and 8/3 at fourth: the largest symbols of
         the frame second differences, 4/h^2 and 16/(3 h^2) at the
-        wavenumber pi, halved like the flow speed. A float where every H_a
-        it counts is constant, else a contiguous grid array (a broadcast
-        factor costs numpy an iteration buffer). Built once per axes."""
-        if axes not in self._laplacian_symbols:
-            stencil, denominator = _DIFFERENCES[self.fd_order][1]
-            sym = -0.5 * sum(w * (-1) ** s for s, w
-                             in zip(range(-2, 3), stencil)) / denominator
-            total = sum((sym / (h * h) * inv for h, inv in
-                         zip(self.grid.spacing[:axes], self._inv_lame2)), 0.0)
-            self._laplacian_symbols[axes] = (
-                float(np.squeeze(total)) if np.size(total) == 1
-                else np.broadcast_to(total, self.grid.shape).copy())
-        return self._laplacian_symbols[axes]
+        wavenumber pi, halved like the flow speed. A broadcastable array
+        that varies only along the axes before axes - 1 (0.0 for axes=0)."""
+        stencil, denominator = _DIFFERENCES[self.fd_order][1]
+        sym = -0.5 * sum(w * (-1) ** s for s, w
+                         in zip(range(-2, 3), stencil)) / denominator
+        return sum((sym / (h * h) * inv for h, inv in
+                    zip(self.grid.spacing[:axes], self._inv_lame2)), 0.0)
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar

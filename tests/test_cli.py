@@ -109,8 +109,9 @@ def test_cone_check_reads_the_built_charts_schouten(chart, n):
     # the background Schouten tensor; 8 points keep S^5 small (the
     # builders' floor is about accuracy, which chart data do not need)
     pairs = {"chart": chart, "n": str(n), "k": "1", "resolution": "8",
-             "t_end": "1", "s0_diag": ",".join(["0.5", "-0.2", "0.7", "0.1",
-                                                "0.3"][:n])}
+             "t_end": "1"}
+    if chart == "synthetic":
+        pairs["s0_diag"] = ",".join(["0.5", "-0.2", "0.7", "0.1", "0.3"][:n])
     with mock.patch.object(cli.fieldalg, "sigma_table",
                            wraps=cli.fieldalg.sigma_table) as sigma_table:
         cfg = parse_config("flow", pairs)
@@ -134,6 +135,26 @@ def test_parse_synthetic_needs_s0_and_rejects_zero():
         parse_config("flow", dict(pairs, s0_diag="0.5,0.5"))
     cfg = parse_config("flow", dict(pairs, s0_diag="0.5,0.5,0.5"))
     assert cfg.s0_diag == (0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("key, value, owner", (
+    ("radius", "3", "hopf_product"), ("s0_diag", "0.5,0.5,0.5", "synthetic")))
+def test_chart_keys_on_another_chart_are_usage_errors(key, value, owner):
+    pairs = {"n": "3", "k": "1", "resolution": "16", "t_end": "1", key: value}
+    for chart in cli.CHARTS:
+        if chart != owner:
+            with pytest.raises(UsageError, match=f"'{key}'.*{owner}.*{chart}"):
+                parse_config("flow", dict(pairs, chart=chart))
+    assert getattr(parse_config("flow", dict(pairs, chart=owner)), key)
+
+
+def test_main_flow_with_radius_on_the_sphere_exits_two(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["flow", "chart=round_sphere", "n=3", "k=2", "resolution=16",
+                 "t_end=0.5", "radius=3"]) == 2
+    assert "radius" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_file_with_comments_and_overrides(tmp_path):

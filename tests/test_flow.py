@@ -231,6 +231,80 @@ def test_cfl_longer_table_on_s4(monkeypatch):
     assert cfl_dt(st, 0.4) == 0.4 / (3 + d * (2.0 / (h * h)))
 
 
+def full_grid_cfl(st, safety):
+    """cfl_dt's bound with its max over every node: the diffusion ratio
+    from the whole sigma table, times the symbol broadcast over the grid
+    (sym / (h_a H_a)^2 summed over the axes a < varying_axes(u))."""
+    geom, k = st.geometry, st.k
+    n = geom.grid.ndim
+    etable = st.sigma_w_table()
+    orders = min(n, 2 * k - 2)
+    table = (etable if orders <= k else
+             fieldalg.sigma_table(st.w_components(), n, orders))
+    ratio = fieldalg.newton_lambda_max(table, n, k) / etable[..., k]
+    sym = {2: 2.0, 4: 8.0 / 3.0}[geom.fd_order]
+    symbol = np.zeros(geom.grid.shape)
+    for h, lame in zip(geom.grid.spacing[:varying_axes(st.u)], geom.lame):
+        symbol = symbol + sym / (h * h) * (1.0 / lame ** 2)
+    return safety / (k + 0.5 * float(np.max(ratio * symbol)))
+
+
+@pytest.mark.parametrize("case, axes", [
+    ("S3", 0), ("S3", 1), ("S3", 2), ("S3", 3), ("S4", 1), ("S4", 4),
+    ("S1xS2", 3)])
+def test_cfl_on_the_varying_nodes_is_the_full_grid_bound(case, axes):
+    # cfl_dt takes its max on the first node along the axes u is constant
+    # along. u, W, the sigma table and D are bitwise constant there, and
+    # H_a varies only along the axes before a, so the bound is bitwise the
+    # max over the grid. S^4 at k = 3 builds the longer table from W.
+    if case == "S3":
+        geom, k = build_round_sphere(3, 16), 2
+        t1, t2, phi = axis_fields(geom)
+        u = [0.0 * t1, 0.1 * np.cos(t1),
+             0.1 * np.cos(t1) + 0.05 * np.sin(t1) * np.cos(t2),
+             0.1 * np.cos(t1) + 0.05 * np.sin(t1) * np.sin(t2) * np.cos(phi)
+             ][axes]
+    elif case == "S4":
+        geom, k = build_round_sphere(4, 16), 3
+        x = axis_fields(geom)
+        u = 0.05 * np.cos(x[0])
+        if axes == 4:
+            u = u + (0.03 * np.sin(x[0]) * np.sin(x[1]) * np.sin(x[2])
+                     * np.cos(x[3]))
+    else:
+        geom, k = build_hopf_product(3, 1.0, 16), 1
+        _, th, phi = axis_fields(geom)
+        u = 0.05 * np.cos(th) + 0.05 * np.sin(th) * np.cos(phi)
+    st = ConformalState(geom, np.broadcast_to(u, geom.grid.shape).copy(), k)
+    assert varying_axes(st.u) == axes
+    assert cfl_dt(st, 0.4) == full_grid_cfl(st, 0.4)
+    if axes == geom.grid.ndim and k <= 2:
+        # On every node the bound is formed in the chart's work buffers, so
+        # it allocates no grid array. numpy's iteration buffers, 8192
+        # elements by default, would be as large as this grid: shrunk here.
+        bufsize = np.setbufsize(512)
+        tracemalloc.start()
+        try:
+            cfl_dt(st, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < geom.grid.total_points * 8
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_varying_axes_counts_up_to_the_last_varying_axis(n):
+    rng = np.random.default_rng(n)
+    shape = (4, 3, 5, 2, 3)[:n]
+    for axes in range(n + 1):
+        u = rng.standard_normal(shape[:axes] + (1,) * (n - axes))
+        assert varying_axes(np.broadcast_to(u, shape).copy()) == axes
+    u = np.zeros(shape)
+    u[(-1,) * n] = 1.0
+    assert varying_axes(u) == n
+
+
 def jacobian_radius(geom, u, k, axes, iterations=50, eps=1e-7):
     """Spectral radius of the speed's Jacobian at u by a power iteration on
     difference quotients of flow_speed. The probe varies along the first
@@ -315,6 +389,41 @@ def test_non_zonal_euler_run_is_stable_and_first_order():
     assert 1.8 <= coarse / fine <= 2.2
 
 
+def test_run_takes_the_bound_before_every_step():
+    # dt_initial binds with a 9x margin: the bound is still taken before
+    # every step, and sets none of them.
+    geom = build_round_sphere(3, 16)
+    u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
+    cfg = FlowConfig(k=2, t_end=0.06, dt_initial=1e-3,
+                     monitor_every=100_000, convergence_tol=0.0)
+    with mock.patch("sigmaflow.flow.cfl_dt", wraps=cfl_dt) as spy:
+        flow, _ = run(geom, u0, cfg)
+    assert spy.call_count == flow.step_count >= 59
+    assert flow.cfl_limited == 0 and flow.rejected == 0
+
+
+def test_run_steps_at_a_bound_that_falls_below_dt_initial():
+    # The bound drops to a quarter of dt_initial from step 3 on; step 3
+    # already takes it. Powers of two keep the times exact, so the last
+    # step, which t_end clips, is that bound too.
+    geom = build_round_sphere(3, 16)
+    u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
+    dt0, low = 2.0 ** -10, 2.0 ** -12
+    bounds = []
+
+    def falling(state, safety):
+        bounds.append(cfl_dt(state, safety) if len(bounds) < 3 else low)
+        return bounds[-1]
+
+    cfg = FlowConfig(k=2, t_end=3 * dt0 + 8 * low, dt_initial=dt0,
+                     monitor_every=1, convergence_tol=0.0)
+    with mock.patch("sigmaflow.flow.cfl_dt", falling):
+        flow, recs = run(geom, u0, cfg)
+    assert min(bounds[:3]) > 2.0 * dt0
+    assert np.diff([r.time for r in recs]).tolist() == [dt0] * 3 + [low] * 8
+    assert flow.step_count == 11 and flow.cfl_limited == 8
+
+
 # ----------------------------------------------------------------- stepping
 
 
@@ -331,7 +440,7 @@ def test_step_preserves_zonal_data_bitwise():
     # zonal input must stay exactly zonal or the unstable pole-row modes
     # get seeded; holds at both stencil orders by construction. So must
     # data constant along the azimuth alone: the CFL bound counts only the
-    # axes along which u varies, and run reuses it for up to 25 steps.
+    # axes along which u varies, and takes its max on those nodes alone.
     for fd_order in (2, 4):
         geom = build_round_sphere(3, 16, fd_order=fd_order)
         t1, t2, _ = axis_fields(geom)
