@@ -4,12 +4,14 @@ The deformed Schouten data in the g0-orthonormal frame is
 
     W(u) = Hess u + du (x) du - (|grad u|^2 / 2) g0 + S_{g0},
 
-and sigma_k(g) = e^{2ku} sigma_k(W(u)). W and its linearization are
-assembled here, and everything downstream (volume, geometric mean r_k, the
-scale-normalized sigma_k integral, Harnack bound, cone checks) lives here
-too. W is kept as its upper-triangle components and sigma_k(W) comes from
-fieldalg's closed-form minors; the eigenvalue route in symfun is kept as
-the independent cross-check in tests. The linearization
+and sigma_k(g) = e^{2ku} sigma_k(W(u)). The chart gives Hess u, the frame
+gradient du and |grad u|^2 in one call (geometry's frame_derivatives); W
+is assembled here from them by the algebra du (x) du - (|grad u|^2 / 2) g0
++ S_{g0}. Its linearization and everything downstream (volume, geometric
+mean r_k, the scale-normalized sigma_k integral, Harnack bound, cone
+checks) live here too. W is kept as its upper-triangle components and
+sigma_k(W) comes from fieldalg's closed-form minors; the eigenvalue route
+in symfun is kept as the independent cross-check in tests. The linearization
 
     d sigma_k(W)[rho] = <T_{k-1}(W), Hess rho + du (x) drho + drho (x) du
                          - <du, drho> g0>
@@ -42,24 +44,15 @@ def w_components(geom, u, out=None):
     """W(u) in the orthonormal frame as fieldalg components, with the frame
     gradient components and |grad u|^2 it is built from.
 
-    The one place W is assembled. out, when given, is an earlier result on
+    The one place W is assembled: geometry.frame_derivatives gives the
+    Hessian, the gradient and |grad u|^2, and W's components are formed
+    over the Hessian's arrays. out, when given, is an earlier result on
     the same chart whose arrays are overwritten instead of allocating; the
     products are formed in a work buffer of the chart.
     """
-    u = np.asarray(u, dtype=float)
-    pairs = fieldalg.pairs(geom.grid.ndim)
-    jet_out = w_out = norm2_out = None
-    if out is not None:
-        w_out, grad_out, norm2_out = out
-        # the diagonal of W is formed in the second differences, and
-        # norm2's array holds the Laplacian defect until the gradient
-        jet_out = (grad_out, [w_out[m] for m, (a, b) in enumerate(pairs)
-                              if a == b], norm2_out)
-    jet = geom.scalar_jet(u, out=jet_out)
-    w = geom.hessian_components(u, jet=jet, out=w_out)
-    grad, norm2 = geom.frame_gradient(jet[0], out=norm2_out)
+    w, grad, norm2 = geom.frame_derivatives(u, out=out)
     tmp = geom._grid_work[0]
-    for (a, b), w_ab in zip(pairs, w):
+    for (a, b), w_ab in zip(fieldalg.pairs(geom.grid.ndim), w):
         w_ab += np.multiply(grad[a], grad[b], out=tmp)
         if a == b:
             w_ab -= np.multiply(norm2, 0.5, out=tmp)

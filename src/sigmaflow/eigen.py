@@ -373,19 +373,16 @@ def _warm_solve(problem, lam, guess, stats):
 
 
 def maclaurin_ceiling(geometry, k):
-    """A-priori upper bound for lambda*: C(n,k)^{1/k} mean(trace S0) / n.
+    """A-priori upper bound for lambda*: C(n,k)^{1/k} trace(S0) / n.
 
     The Maclaurin inequality bounds sigma_k^{1/k} by the first elementary
     mean; integrating the trace of W kills the Hessian and the gradient
-    terms only lower it, leaving the background Schouten trace.
+    terms only lower it, leaving the mean of the background Schouten
+    trace, which is the constant trace of schouten0.
     """
     n = geometry.grid.ndim
-    trace = np.trace(np.broadcast_to(
-        geometry.schouten0, geometry.grid.shape + (n, n)),
-        axis1=-2, axis2=-1)
-    mean = geometry.integrate(trace) / geometry.integrate(
-        np.ones(geometry.grid.shape))
-    return math.comb(n, k) ** (1.0 / k) * mean / n
+    trace = float(np.trace(geometry.schouten0))
+    return math.comb(n, k) ** (1.0 / k) * trace / n
 
 
 def _solve_midpoint(problem, lam, warm_start, acc):

@@ -44,14 +44,6 @@ def sym_product(x, y, n):
     return out
 
 
-def frobenius2(x, n):
-    """sum_ab x_ab^2 = trace(x^2) for a symmetric field."""
-    acc = 0.0
-    for (a, b), comp in zip(pairs(n), x):
-        acc = acc + (comp * comp if a == b else 2.0 * comp * comp)
-    return acc
-
-
 def _minor3(w, idx, a, b, c):
     waa, wbb, wcc = w[idx[a, a]], w[idx[b, b]], w[idx[c, c]]
     wab, wac, wbc = w[idx[a, b]], w[idx[a, c]], w[idx[b, c]]
@@ -110,11 +102,11 @@ def power_sums(w, n, kmax):
                             for (a, b), xc, yc in zip(pairs(n), x, y))
     w2 = sym_product(w, w, n) if kmax >= 3 else None
     if kmax >= 2:
-        p.append(frobenius2(w, n))
+        p.append(pair(w, w))
     if kmax >= 3:
         p.append(pair(w2, w))
     if kmax >= 4:
-        p.append(frobenius2(w2, n))
+        p.append(pair(w2, w2))
     if kmax >= 5:
         w4 = sym_product(w2, w2, n)
         p.append(pair(w4, w))

@@ -23,8 +23,9 @@ gradients pick up a sign when their direction flips under that map.
 Tensor fields live in the orthonormal frame of the background metric, as
 lists of grid arrays: vectors by component, symmetric tensors by their
 upper triangle in fieldalg.pairs(n) order. Only the curvature oracle
-returns a full (..., n, n) array. derivative_matrices gives the Hessian
-and gradient of a scalar as sparse matrices, built from pad's shifts.
+returns a full (..., n, n) array. frame_derivatives gives the Hessian
+and gradient of a scalar from one stencil pass per axis; derivative_matrices
+gives the same maps as sparse matrices, built from pad's shifts.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ class DerivativeMatrices:
     the flattened grid (C order), on one CSR pattern.
 
     The maps, in the order combine() takes their weights, are H_ab for
-    (a, b) in fieldalg.pairs(n), then G_c. hessian_components adds the
+    (a, b) in fieldalg.pairs(n), then G_c: the order of hess + grad from
+    BackgroundGeometry.frame_derivatives. Its Hessian adds the
     divergence-form trace correction D / n to each diagonal entry, so H_aa
     is stored as its pointwise part and D once, with the weight
     sum_a w_aa / n. What is kept is the assembly operator A: row p, column
@@ -615,11 +617,6 @@ class BackgroundGeometry:
 
     # ------------------------------------------------------- differential ops
 
-    def partials(self, u):
-        """Coordinate partial derivatives of a scalar, as a list."""
-        u = np.asarray(u, dtype=float)
-        return [self.d1(u, a) for a in range(self.grid.ndim)]
-
     def scalar_jet(self, u, out=None):
         """First and second differences per axis, one extension each.
 
@@ -649,39 +646,39 @@ class BackgroundGeometry:
                                 out=extra if out is None else out[2])
         return parts, seconds, defect
 
-    def frame_gradient(self, parts, out=None):
-        """Frame gradient components (parts scaled in place), |grad u|^2 wrt
-        g0 (into out, when given, else into a new array from _empty)."""
-        grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, self._inv_lame)]
-        norm2 = np.square(grad[0], out=self._empty() if out is None else out)
-        for g in grad[1:]:
-            norm2 += np.multiply(g, g, out=self._grid_work[4])
-        return grad, norm2
-
-    def hessian_components(self, u, jet=None, out=None):
-        """Frame components of the covariant Hessian of a scalar.
+    def frame_derivatives(self, u, out=None):
+        """The frame Hessian and gradient of a scalar from one scalar_jet:
+        (hess, grad, norm2), the Hessian components in fieldalg.pairs(n)
+        order, the frame gradient components and |grad u|^2 wrt g0.
+        hess + grad is the order of the DerivativeMatrices maps.
 
         (Hess u)_ab = d_a d_b u - Gamma^c_ab d_c u in coordinates, divided
-        by H_a H_b for the frame; returned as the upper triangle in
-        fieldalg.pairs(n) order. The traceless part is the pointwise
+        by H_a H_b for the frame. The traceless part is the pointwise
         stencil; the trace is the divergence-form Laplacian, added
         isotropically (defect / n on each diagonal entry), so that
         sum(vol_weight * trace) vanishes to rounding for every u. The
         entries have the stencil's order except in the rows next to a
         pole, where the part of u that is even under the pole
         identification can drop to second order (see _polar_defect).
-        Pass jet from scalar_jet to reuse the differences; its second
-        differences and defect are overwritten, its partials kept. out,
-        when given, is a component list to write into; the diagonal then
-        goes to out rather than to the second differences.
+
+        out, when given, is an earlier result on the same chart whose
+        arrays are overwritten. The jet is formed in the result's arrays:
+        the Hessian's diagonal in the second differences, the gradient in
+        the partials (scaled in place), and the Laplacian defect in
+        norm2's array until |grad u|^2 replaces it.
         """
         n = self.grid.ndim
-        parts, seconds, defect = jet if jet is not None else self.scalar_jet(u)
+        pairs = fieldalg.pairs(n)
+        jet_out = None
+        if out is not None:
+            jet_out = (out[1], [out[0][m] for m, (a, b) in enumerate(pairs)
+                                if a == b], out[2])
+        parts, seconds, defect = self.scalar_jet(u, out=jet_out)
         iso = np.divide(defect, n, out=defect if np.ndim(defect) else None)
         tmp = self._grid_work[4]
-        comps = []
-        for m, (a, b) in enumerate(fieldalg.pairs(n)):
-            dest = None if out is None else out[m]
+        hess = []
+        for m, (a, b) in enumerate(pairs):
+            dest = None if out is None else out[0][m]
             if a == b:
                 # Each term has its frame factor divided out already: the
                 # coefficient of d_c u is dlog[a][c]/H_c^2, which does not
@@ -699,13 +696,17 @@ class BackgroundGeometry:
                 if self.dlog[b][a] is not None:
                     val -= np.multiply(self.dlog[b][a], parts[b], out=tmp)
                 val *= self._inv_lame[a] * self._inv_lame[b]
-            comps.append(val)
-        return comps
+            hess.append(val)
+        grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, self._inv_lame)]
+        norm2 = np.square(grad[0], out=self._empty() if out is None else out[2])
+        for g in grad[1:]:
+            norm2 += np.multiply(g, g, out=tmp)
+        return hess, grad, norm2
 
     def derivative_matrices(self):
-        """hessian_components and the frame_gradient components of a scalar
-        as DerivativeMatrices; both are linear and depend only on the
-        chart, so they are built on first use (_maps) and cached."""
+        """The Hessian and gradient components of frame_derivatives as
+        DerivativeMatrices; both are linear and depend only on the chart,
+        so they are built on first use (_maps) and cached."""
         if self._derivative_matrices is None:
             self._derivative_matrices = DerivativeMatrices(self.grid.shape,
                                                            self._maps)
@@ -813,7 +814,11 @@ def background_schouten(chart, n, s0=None):
     """The constant frame Schouten tensor of a chart: I/2 on the round S^n,
     diag(-1/2, 1/2, ...) on S^1(r) x S^{n-1} for every r, and on the
     synthetic box its override s0, a length-n diagonal or a symmetric
-    n x n matrix."""
+    n x n matrix. Also the one check of the chart's dimension: n in 3..5
+    on the spheres, 3..6 on the box (the sigma tables stop at order 6)."""
+    top = 6 if chart == "synthetic" else 5
+    if not 3 <= n <= top:
+        raise ConfigurationError(f"{chart} supports n in 3..{top}, got {n}")
     if chart == "round_sphere":
         return 0.5 * np.eye(n)
     if chart == "hopf_product":
@@ -830,12 +835,11 @@ def background_schouten(chart, n, s0=None):
 
 def build_round_sphere(n, points_per_axis, fd_order=2):
     """Unit round sphere S^n in hyperspherical coordinates."""
-    if n not in (3, 4, 5):
-        raise ConfigurationError(f"round_sphere supports n in 3..5, got {n}")
+    s0 = background_schouten("round_sphere", n)
     _check_resolution(points_per_axis, 16)
     return BackgroundGeometry(
-        "round_sphere", (POLE,) * (n - 1) + (PERIODIC,), points_per_axis,
-        background_schouten("round_sphere", n), fd_order=fd_order)
+        "round_sphere", (POLE,) * (n - 1) + (PERIODIC,), points_per_axis, s0,
+        fd_order=fd_order)
 
 
 def build_hopf_product(n, circle_radius=1.0, points_per_axis=16, fd_order=2):
@@ -845,15 +849,13 @@ def build_hopf_product(n, circle_radius=1.0, points_per_axis=16, fd_order=2):
     spectrum vanishes); the chart still builds, and k = 2 runs fail the
     cone check at flow start.
     """
-    if n not in (3, 4, 5):
-        raise ConfigurationError(f"hopf_product supports n in 3..5, got {n}")
+    s0 = background_schouten("hopf_product", n)
     if circle_radius <= 0.0:
         raise ConfigurationError("circle_radius must be positive")
     _check_resolution(points_per_axis, 8)
     return BackgroundGeometry(
         "hopf_product", (PERIODIC,) + (POLE,) * (n - 2) + (PERIODIC,),
-        points_per_axis, background_schouten("hopf_product", n),
-        radius=circle_radius, fd_order=fd_order)
+        points_per_axis, s0, radius=circle_radius, fd_order=fd_order)
 
 
 def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
@@ -863,13 +865,10 @@ def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
     is a stencil test bed; curvature-based variational monitors are
     disabled on it.
     """
-    if n < 3:
-        raise ConfigurationError(f"synthetic chart needs n >= 3, got {n}")
+    s0 = background_schouten("synthetic", n, s0)
     _check_resolution(points_per_axis, 8)
-    return BackgroundGeometry(
-        "synthetic", (PERIODIC,) * n, points_per_axis,
-        background_schouten("synthetic", n, s0), fd_order=fd_order,
-        variational=False)
+    return BackgroundGeometry("synthetic", (PERIODIC,) * n, points_per_axis,
+                              s0, fd_order=fd_order, variational=False)
 
 
 # -------------------------------------------------------- curvature oracle

@@ -39,9 +39,7 @@ def frechet_apply(problem, u, rho):
     prefac = (ek ** (1.0 / k - 1.0)) / k
     grad_u = state.frame_gradient()
     zeroth = problem.h_field() * np.exp(state.u)
-    jet = geom.scalar_jet(rho)
-    hess = geom.hessian_components(rho, jet=jet)
-    grad_r, _ = geom.frame_gradient(jet[0])
+    hess, grad_r, _ = geom.frame_derivatives(rho)
     dot = grad_u[0] * grad_r[0]
     for a in range(1, n):
         dot = dot + grad_u[a] * grad_r[a]

@@ -29,12 +29,13 @@ def matrix(comps, n, shape=()):
 
 def hessian(geom, u):
     """The covariant Hessian of a scalar as a (..., n, n) field."""
-    return matrix(geom.hessian_components(u), geom.grid.ndim, geom.grid.shape)
+    return matrix(geom.frame_derivatives(u)[0], geom.grid.ndim,
+                  geom.grid.shape)
 
 
 def gradient(geom, u):
     """The frame gradient as a (..., n) field, and |grad u|^2."""
-    grad, norm2 = geom.frame_gradient(geom.partials(u))
+    _, grad, norm2 = geom.frame_derivatives(u)
     return np.stack(np.broadcast_arrays(*grad), axis=-1), norm2
 
 

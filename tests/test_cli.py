@@ -157,6 +157,34 @@ def test_main_flow_with_radius_on_the_sphere_exits_two(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == []
 
 
+SEVEN = ",".join(["0.5"] * 7)
+
+
+@pytest.mark.parametrize("args, message", (
+    (["flow", "chart=round_sphere", "n=7", "k=7", "resolution=16",
+      "t_end=1"], "round_sphere supports n in 3..5, got 7"),
+    (["eigen", "chart=round_sphere", "n=7", "k=7", "resolution=16"],
+     "round_sphere supports n in 3..5, got 7"),
+    (["flow", "chart=synthetic", "n=7", "k=7", f"s0_diag={SEVEN}",
+      "resolution=8", "t_end=1"], "synthetic supports n in 3..6, got 7"),
+    # k = 5 passes the cone pre-check's order-5 table; the step-size
+    # bound would ask for order min(n, 2k - 2) = 7 after building the grid
+    (["flow", "chart=synthetic", "n=7", "k=5", f"s0_diag={SEVEN}",
+      "resolution=8", "t_end=1"], "synthetic supports n in 3..6, got 7")))
+def test_main_dimension_out_of_range_exits_two(args, message, tmp_path,
+                                               monkeypatch, capsys):
+    # the sigma tables stop at order 6: n past a chart's range is a usage
+    # error at parse time, before any grid is built or file written
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(geometry, "BackgroundGeometry", no_grid)
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_config_file_with_comments_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# a flow run\nchart=round_sphere\nn=3\nk=2\n"

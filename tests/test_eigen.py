@@ -374,6 +374,11 @@ def test_maclaurin_ceiling_closed_forms():
     for k in (1, 2, 3):
         ceiling = maclaurin_ceiling(geom, k)
         assert abs(ceiling - S_OF_K[k]) <= 1e-12 * S_OF_K[k]
+    # S0 is constant, so the ceiling is exact where its closed form is
+    for points in (16, 24):
+        geom = build_round_sphere(3, points)
+        assert maclaurin_ceiling(geom, 1) == 1.5
+        assert maclaurin_ceiling(geom, 3) == 0.5
     hopf = build_hopf_product(3, 1.0, 8)
     assert abs(maclaurin_ceiling(hopf, 1) - 0.5) <= 1e-12
 

@@ -86,6 +86,10 @@ def test_build_validation_errors():
         build_hopf_product(3, circle_radius=-1.0, points_per_axis=8)
     with pytest.raises(ConfigurationError):
         build_synthetic(2, np.zeros(2), 8)
+    with pytest.raises(ConfigurationError, match="n in 3..6, got 7"):
+        build_synthetic(7, np.full(7, 0.5), 8)
+    with pytest.raises(ConfigurationError, match="n in 3..5, got 6"):
+        build_hopf_product(6, points_per_axis=8)
     with pytest.raises(ConfigurationError):
         build_synthetic(3, np.zeros(4), 8)
     with pytest.raises(ConfigurationError):
@@ -387,7 +391,7 @@ def matrix_chart(name, n, fd_order):
 def test_derivative_matrices_reproduce_the_stencils(name, n, fd_order, seed):
     # The matrices are built from shift matrices, apart from the stencil
     # code, so on any grid function they must agree with
-    # hessian_components and frame_gradient to rounding; a ghost, sign or
+    # frame_derivatives' Hessian and gradient to rounding; a ghost, sign or
     # antipode rule that differs would show as a wrong entry. Every row
     # holds its diagonal entry exactly once, which combine(diagonal=...)
     # and the Jacobi sweep of eigen._two_level read.
@@ -398,9 +402,8 @@ def test_derivative_matrices_reproduce_the_stencils(name, n, fd_order, seed):
     assert np.array_equal(rows[maps.diagonal], np.arange(maps.size))
     assert np.count_nonzero(rows == maps.indices) == maps.size
     rho = np.random.default_rng(seed).standard_normal(geom.grid.shape)
-    jet = geom.scalar_jet(rho)
-    expected = (geom.hessian_components(rho, jet=jet)
-                + geom.frame_gradient(jet[0])[0])
+    hess, grad, _ = geom.frame_derivatives(rho)
+    expected = hess + grad
     assert maps.count == len(expected)
     for m, out in enumerate(expected):
         weights = np.zeros((maps.count, maps.size))

@@ -97,11 +97,10 @@ def test_operators_match_oracle(name, fd_order, seed):
     for got, want in zip(parts + seconds + [defect], r_parts + r_seconds + [r_defect]):
         assert_same(got, want)
 
-    for got, want in zip(geom.hessian_components(u),
-                         ref.hessian_components(geom, u)):
+    hess, grad, norm2 = geom.frame_derivatives(u)
+    for got, want in zip(hess, ref.hessian_components(geom, u)):
         assert_same(got, want)
 
-    grad, norm2 = geom.frame_gradient(geom.partials(u))
     r_grad, r_norm2 = ref.frame_gradient(
         geom, [ref.stencil(geom, u, a) for a in range(n)])
     for got, want in zip(grad + [norm2], r_grad + [r_norm2]):
@@ -133,6 +132,25 @@ def test_w_assembly_into_given_arrays(name, fd_order):
                             fresh[0] + fresh[1] + [fresh[2]]):
         assert x is buf
         assert_same(x, want)
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("name, count", (("S3", 12), ("S4", 18), ("S5", 25),
+                                         ("S1xS2", 11), ("S1xS3", 17),
+                                         ("synthetic", 10)))
+def test_fresh_w_assembly_allocation_count(name, fd_order, count):
+    # A fresh W takes from _empty 2 grid arrays per axis for the jet, 1
+    # per polar axis for its defect, 1 per off-diagonal Hessian entry and
+    # 1 for |grad u|^2. Where _empty places an array depends on how many
+    # came before it (geometry._PLACEMENT_STRIDE), and the step's speed
+    # on those places.
+    geom = chart(name, fd_order)
+    u = 0.01 * random_field(geom, 8)
+    w_components(geom, u)  # builds the chart's work buffers
+    with mock.patch.object(geom, "_empty", side_effect=geom._empty) as empty:
+        w_components(geom, u)
+    assert empty.call_count == count
+    assert all(call.args == () for call in empty.call_args_list)
 
 
 def smooth_u(geom, a, b):
@@ -192,8 +210,8 @@ def test_work_buffers_alias_no_result():
 
     u = random_field(geom, 7)
     jet = geom.scalar_jet(u)
-    results = (jet[0] + jet[1] + [jet[2]] + geom.hessian_components(u, jet=jet)
-               + list(geom.frame_gradient(jet[0])[0])
+    hess, grad, norm2 = geom.frame_derivatives(u)
+    results = (jet[0] + jet[1] + [jet[2]] + hess + grad + [norm2]
                + [geom.d1(u, 2), geom.pad(u, 1, 2), geom.pad(u, 0, 3, comp=0)])
     for state in (s1, s2):
         results += state.w_components() + state.frame_gradient() + [
