@@ -18,6 +18,15 @@ in symfun is kept as the independent cross-check in tests. The linearization
 
 is linear in rho through the chart's Hessian and gradient matrices alone,
 so it is kept as their pointwise weights (linearization_weights).
+
+A state evaluates its fields on the slab of the nodes where u can vary:
+index 0 along every axis from varying_axes(u) on, along which u is bitwise
+constant, and so are W and everything built from it (frame factors vary
+only along the axes before their own). On that slab the fields are the
+grid's, bitwise; they broadcast against grid arrays, and the integrals run
+over the grid, so every sum is the one of the grid's fields. For generic
+data the slab is the whole grid. A zonal u, which the flow keeps zonal,
+costs one line of nodes.
 """
 
 from __future__ import annotations
@@ -40,18 +49,36 @@ class ConeReport:
     n_violations: int
 
 
+def varying_axes(u):
+    """1 + the last axis along which u is not bitwise constant: 0 for a
+    constant u, 1 for a zonal one, u.ndim for generic data. A step keeps u
+    bitwise constant along the axes from there on, so the modes along them
+    are never excited. One pass: the last axis is peeled off, keeping its
+    first slice, while u is constant along it; generic data is told apart
+    by its first line along the last axis alone."""
+    axes = u.ndim
+    while axes:
+        line = u[(0,) * (axes - 1)]
+        if not ((line == line[0]).all() and (u == u[..., :1]).all()):
+            break
+        u = u[..., 0]
+        axes -= 1
+    return axes
+
+
 def w_components(geom, u, out=None):
     """W(u) in the orthonormal frame as fieldalg components, with the frame
     gradient components and |grad u|^2 it is built from.
 
     The one place W is assembled: geometry.frame_derivatives gives the
     Hessian, the gradient and |grad u|^2, and W's components are formed
-    over the Hessian's arrays. out, when given, is an earlier result on
-    the same chart whose arrays are overwritten instead of allocating; the
+    over the Hessian's arrays. u is a grid or slab field, and so are the
+    results. out, when given, is an earlier result of u's shape on the
+    same chart whose arrays are overwritten instead of allocating; the
     products are formed in a work buffer of the chart.
     """
     w, grad, norm2 = geom.frame_derivatives(u, out=out)
-    tmp = geom._grid_work[0]
+    tmp = geom._fit(norm2.shape).work[0]
     for (a, b), w_ab in zip(fieldalg.pairs(geom.grid.ndim), w):
         w_ab += np.multiply(grad[a], grad[b], out=tmp)
         if a == b:
@@ -74,15 +101,25 @@ def admissible_state(geom, u, k, arrays=None):
 
 
 class ConformalState:
-    """u plus lazily cached derived fields; a new u makes a new state."""
+    """u plus lazily cached derived fields; a new u makes a new state.
+
+    u is the grid field and axes = varying_axes(u). Every field (W, its
+    gradient, |grad u|^2, the sigma table, the log targets, sigma_k(g),
+    the conformal weight) has the slab's shape `shape`: the grid's extent
+    on its first `axes` axes, 1 on the rest, where u_slab is u at index 0.
+    Reductions read the slab where their order does not matter (min, max,
+    the cone test) and integrals the grid. The one grid-shaped field
+    derived here is linearization_weights.
+    """
 
     def __init__(self, geom, u, k, finite=False, arrays=None):
         """finite=True skips the check of u for a caller that made it.
 
         arrays, from take_arrays of a state on the same chart and k, are
         overwritten with this state's fields instead of allocating new
-        ones (_out adds those it lacks); only the state built last from
-        them may be read. Temporaries come from the chart's work buffers.
+        ones (_out adds those it lacks or whose slab differs); only the
+        state built last from them may be read. Temporaries come from the
+        chart's work buffers.
         """
         n = geom.grid.ndim
         if not 1 <= k <= n:
@@ -94,6 +131,11 @@ class ConformalState:
         self.k = k
         self.u = np.ascontiguousarray(np.broadcast_to(u, geom.grid.shape),
                                       dtype=float)
+        self.axes = varying_axes(self.u)
+        self.u_slab = self.u[(slice(None),) * self.axes
+                             + (slice(0, 1),) * (n - self.axes)]
+        self.shape = self.u_slab.shape
+        self._work = geom._fit(self.shape).work
         self._cache = {}
         self._arrays = {} if arrays is None else arrays
 
@@ -111,9 +153,12 @@ class ConformalState:
         return arrays
 
     def _out(self, key, slabs=None):
-        """The array handed on for key, or a new one from geometry._empty."""
-        if self._arrays.get(key) is None:
-            new = self.geometry._empty(slabs and (slabs,) + self.u.shape)
+        """The array handed on for key when it has the state's shape (with
+        slabs entries on a last axis), or a new one from geometry._empty."""
+        have = self._arrays.get(key)
+        if have is None or have.shape[:len(self.shape)] != self.shape:
+            new = self.geometry._empty((slabs,) + self.shape if slabs
+                                       else self.shape)
             self._arrays[key] = np.moveaxis(new, 0, -1) if slabs else new
         return self._arrays[key]
 
@@ -125,15 +170,18 @@ class ConformalState:
         return self._cache[key]
 
     def _w(self):
+        out = self._arrays.get("w")
+        if out is not None and out[2].shape != self.shape:
+            out = None
         return self._cached("w", lambda: w_components(
-            self.geometry, self.u, out=self._arrays.get("w")))
+            self.geometry, self.u_slab, out=out))
 
     def w_components(self):
         """W(u) as fieldalg components (upper triangle)."""
         return self._w()[0]
 
     def max_abs_w(self):
-        return float(max(np.max(np.abs(c, out=self.geometry._grid_work[1]))
+        return float(max(np.max(np.abs(c, out=self._work[1]))
                          for c in self.w_components()))
 
     def frame_gradient(self):
@@ -159,9 +207,12 @@ class ConformalState:
         worst = fieldalg.worst_violation(etable, self.k)
         if worst is None:
             return ConeReport(ConeLabel(k=self.k, inside=True), None, None, 0)
+        # the slab's first worst node is the grid's, and each slab node
+        # stands for the grid nodes its collapsed axes span
         j, node, value = worst
-        n_bad = int(np.size(self.u) - np.count_nonzero(
+        n_bad = (np.size(self.u_slab) - np.count_nonzero(
             fieldalg.cone_mask(etable, self.k)))
+        n_bad = int(n_bad * (np.size(self.u) // np.size(self.u_slab)))
         return ConeReport(ConeLabel(k=self.k, inside=False, first_failing_j=j),
                           node, value, n_bad)
 
@@ -206,6 +257,7 @@ class ConformalState:
         grad_u = self.frame_gradient()
         pairs = fieldalg.pairs(n)
         weights = np.empty((len(pairs) + n,) + self.geometry.grid.shape)
+        # the slab's weights broadcast over the grid
         t_grad = [0.0] * n
         trace = 0.0
         for m, ((a, b), t_ab) in enumerate(zip(pairs, t_field)):
@@ -224,7 +276,7 @@ class ConformalState:
     def conformal_weight(self):
         """Density of dvol(g) against dvol(g0): e^{-n u}."""
         def build():
-            scaled = np.multiply(self.u, -float(self.geometry.grid.ndim),
+            scaled = np.multiply(self.u_slab, -float(self.geometry.grid.ndim),
                                  out=self._out("weight"))
             return np.exp(scaled, out=scaled)
 
@@ -242,9 +294,9 @@ class ConformalState:
         key = ("log_target", l) if l else "log_sigma"
         if key not in self._cache:
             self.require_admissible()
-            etable, tmp = self.sigma_w_table(), self.geometry._grid_work[0]
+            etable, tmp = self.sigma_w_table(), self._work[0]
             val = np.log(etable[..., self.k], out=self._out(key))
-            val += np.multiply(self.u, 2.0 * (self.k - (l or 0)), out=tmp)
+            val += np.multiply(self.u_slab, 2.0 * (self.k - (l or 0)), out=tmp)
             if l:
                 val -= np.log(etable[..., l], out=tmp)
             self._cache[key] = val

@@ -13,10 +13,15 @@ of T_{k-1} from its first two trace moments, which are symmetric functions
 of W's spectrum read from the sigma table: the flow never forms T_{k-1}.
 It takes the coefficient node by node, against the stiffness of the axes
 along which u varies there: a zonal u, which the flow keeps zonal, sees
-only that of axis 0. A run takes the bound fresh before every step, and
-reads it only at index 0 along the axes u is constant along.
+only that of axis 0. A run takes the bound fresh before every step.
 A quotient variant drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes
 l = 0 coincide with the primary flow.
+
+Every field of a step lives on its state's slab (see conformal): the
+nodes at index 0 along the axes u is constant along. The speed stays
+there, the new u = u + h speed is the one grid-sized array a step makes,
+and the bound, the monitor's maxima and minima read the slab; integrals
+run over the grid. A zonal step does one line of work.
 
 A run builds a full monitor row only where it keeps one; between those
 rows the convergence detector evaluates the residual alone. The state
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldalg
-from .conformal import ConformalState, admissible_state
+from .conformal import ConformalState, admissible_state, varying_axes
 from .errors import ConfigurationError, FlowFailureError
 from .fieldio import _atomic_write
 
@@ -121,7 +126,8 @@ class FlowState:
 
     cfl_limited counts the accepted steps whose dt the CFL bound set
     (rather than dt_initial or t_end). cfl_axes is the axes count the bound
-    counts, varying_axes(u0); a step keeps it, so it holds at every step.
+    counts at the start, varying_axes(u0); a step keeps u constant along
+    the later axes, so it bounds the count at every step.
     """
 
     time: float
@@ -138,8 +144,8 @@ class FlowState:
 # ----------------------------------------------------------------- speed
 
 def flow_speed(state, quotient_l=None, out=None):
-    """Pointwise du/dt; mean-zero against dvol(g) by construction. out,
-    when given, is the grid array it is written into."""
+    """Pointwise du/dt on the state's slab; mean-zero against dvol(g) by
+    construction. out, when given, is the slab array it is written into."""
     speed = np.subtract(state.log_target(quotient_l),
                         state.log_target_mean(quotient_l), out=out)
     speed *= 0.5
@@ -148,19 +154,17 @@ def flow_speed(state, quotient_l=None, out=None):
 
 # ------------------------------------------------------------- step size
 
-def _diffusion_ratio(state, axes):
-    """2 D = lambda_max(T_{k-1}(W)) / sigma_k(W) on the nodes at index 0
-    along every grid axis from axes on, in work buffers (diffusion_bound)."""
+def _diffusion_ratio(state):
+    """2 D = lambda_max(T_{k-1}(W)) / sigma_k(W) on the state's slab, in
+    work buffers (diffusion_bound)."""
     state.require_admissible()
     n, k = state.geometry.grid.ndim, state.k
-    nodes = (slice(None),) * axes + (slice(0, 1),) * (n - axes)
-    etable = state.sigma_w_table()[nodes]
+    etable = state.sigma_w_table()
     orders = min(n, 2 * k - 2)
     table = (etable if orders <= k else fieldalg.sigma_table(
-        [c[nodes] for c in state.w_components()], n, orders))
-    work = state.geometry._grid_work
-    bound = fieldalg.newton_lambda_max(table, n, k, out=work[0][nodes],
-                                       tmp=work[1][nodes])
+        state.w_components(), n, orders))
+    bound = fieldalg.newton_lambda_max(table, n, k, out=state._work[0],
+                                       tmp=state._work[1])
     return np.divide(bound, etable[..., k], out=bound)
 
 
@@ -175,22 +179,10 @@ def diffusion_bound(state):
     sigma table: exact where T_{k-1} is isotropic, never below the true
     value by more than O(sqrt(eps)) relative. For k <= 2 and k = n the
     state's own table holds every order it reads; for 3 <= k < n a table to
-    order min(n, 2k - 2) is built from W. cfl_dt takes D before the max.
+    order min(n, 2k - 2) is built from W. The max is the slab's, which is
+    the grid's. cfl_dt takes D before the max.
     """
-    return 0.5 * float(np.max(_diffusion_ratio(state, state.u.ndim)))
-
-
-def varying_axes(u):
-    """1 + the last axis along which u is not bitwise constant: 0 for a
-    constant u, 1 for a zonal one, u.ndim for generic data. A step keeps u
-    bitwise constant along the axes from there on, so the modes along them
-    are never excited. One pass: the last axis is peeled off, keeping its
-    first slice, while u is constant along it."""
-    axes = u.ndim
-    while axes and (u == u[..., :1]).all():
-        u = u[..., 0]
-        axes -= 1
-    return axes
+    return 0.5 * float(np.max(_diffusion_ratio(state)))
 
 
 def cfl_dt(state, cfl_safety):
@@ -202,19 +194,18 @@ def cfl_dt(state, cfl_safety):
         rho / 2 <= k + max_x D(x) sum_{a < axes} sym / (h_a H_a(x))^2,
 
     with D(x) the coefficient diffusion_bound maximizes, axes =
-    varying_axes(state.u) (u constant along the later axes excites no mode
-    along them) and the sum geometry.laplacian_symbol(axes); the +k term
-    accounts for the zeroth-order 2ku part of log sigma_k(g). The rows next
-    to a pole lift the zonal rho of the round S^3 a few percent above the
-    bound; cfl_safety covers that.
+    state.axes = varying_axes(state.u) (u constant along the later axes
+    excites no mode along them) and the sum geometry.laplacian_symbol(axes);
+    the +k term accounts for the zeroth-order 2ku part of log sigma_k(g).
+    The rows next to a pole lift the zonal rho of the round S^3 a few
+    percent above the bound; cfl_safety covers that.
 
-    The max is read at index 0 along the axes from axes on, along which
-    u, W and D are bitwise constant (H_a varies along the axes before a):
-    the grid's max bitwise, in 0.05 ms at 32^3/fd4 for zonal u (2 cores).
+    The max is read on the state's slab, the nodes at index 0 along the
+    axes from axes on, along which u, W and D are bitwise constant (H_a
+    varies along the axes before a): the grid's max bitwise.
     """
-    axes = varying_axes(state.u)
-    ratio = _diffusion_ratio(state, axes)
-    ratio *= state.geometry.laplacian_symbol(axes)
+    ratio = _diffusion_ratio(state)
+    ratio *= state.geometry.laplacian_symbol(state.axes)
     return cfl_safety / (state.k + 0.5 * float(np.max(ratio)))
 
 
@@ -230,9 +221,11 @@ def step(state, dt, scheme="euler", quotient_l=None):
 
     The step writes its speed, trials, midpoint half step and new state
     into the arrays the state it steps from hands on (take_arrays), and the
-    half step's speed into a work buffer that advance reads before the
-    trial reuses it: a steady step allocates only u_new. Arrays read from
-    that state before are overwritten; it recomputes them bitwise the same.
+    half step's speed and the scaled speed into work buffers that advance
+    reads before the trial reuses them: all on the slab, so a steady step
+    allocates one grid array, u_new = u + h speed, with the speed broadcast
+    over the grid. Arrays read from that state before are overwritten; it
+    recomputes them bitwise the same.
     """
     if scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -242,8 +235,8 @@ def step(state, dt, scheme="euler", quotient_l=None):
     s0 = flow_speed(state, quotient_l, out=state._out("speed"))
     arrays = state.take_arrays()
     u_new = geom._empty()  # states keep u; the half step's is overwritten
-    advance = lambda h, speed: np.add(u, np.multiply(speed, h, out=u_new),
-                                      out=u_new)
+    advance = lambda h, speed: np.add(u, np.multiply(
+        speed, h, out=geom._fit(speed.shape).work[1]), out=u_new)
     rejected = 0
     trial_dt = float(dt)
     while True:
@@ -254,7 +247,7 @@ def step(state, dt, scheme="euler", quotient_l=None):
             half = admissible_state(geom, advance(0.5 * trial_dt, s0), k,
                                     arrays)
             if half is not None:
-                s_mid = flow_speed(half, quotient_l, out=geom._grid_work[0])
+                s_mid = flow_speed(half, quotient_l, out=half._work[0])
                 trial = admissible_state(geom, advance(trial_dt, s_mid), k,
                                          arrays)
         if trial is not None:
@@ -276,14 +269,13 @@ def _residual(state, quotient_l):
     L2(g) norms, target the driven quantity and r its geometric mean: all
     the convergence detector reads, and the part of the monitor row it
     shares. Only scalars are returned, so no field outlives the call."""
-    geom = state.geometry
+    geom, work = state.geometry, state._work
     weight = state.conformal_weight()
     r_flow = math.exp(state.log_target_mean(quotient_l))
-    # integrate forms its integrand in _grid_work[0]
+    # integrate forms its integrand in the first work buffer
     target = (state.sigma_field() if not quotient_l
-              else np.exp(state.log_target(quotient_l),
-                          out=geom._grid_work[2]))
-    diff = np.subtract(target, r_flow, out=geom._grid_work[1])
+              else np.exp(state.log_target(quotient_l), out=work[2]))
+    diff = np.subtract(target, r_flow, out=work[1])
     l2_diff = math.sqrt(geom.integrate(np.square(diff, out=diff), weight))
     l2_target = math.sqrt(geom.integrate(np.square(target, out=diff), weight))
     return r_flow, l2_diff, l2_diff / l2_target
@@ -301,7 +293,7 @@ def _record(state, time, quotient_l, residual):
     r_flow, l2_diff, rel = residual
     rhs = None
     if not quotient_l:
-        work = geom._grid_work  # integrate forms its integrand in work[0]
+        work = state._work  # integrate forms its integrand in work[0]
         integrand = np.subtract(state.sigma_field(), r_flow, out=work[1])
         integrand *= np.subtract(state.log_target(quotient_l),
                                  state.log_target_mean(quotient_l), out=work[2])
@@ -316,7 +308,7 @@ def _record(state, time, quotient_l, residual):
         min_sigma=state.min_sigma(),
         max_abs_W=state.max_abs_w(),
         harnack=state.harnack_quantity(),
-        max_abs_u=float(np.max(np.abs(state.u, out=geom._grid_work[1]))),
+        max_abs_u=float(np.max(np.abs(state.u_slab, out=state._work[1]))),
         dissipation_rhs=rhs,
         rel_residual=rel,
     )
@@ -347,7 +339,7 @@ def run(geom, u0, config, on_record=None):
     """
     state = ConformalState(geom, u0, config.k)
     state.require_admissible()
-    flow = FlowState(time=0.0, u=state.u, cfl_axes=varying_axes(state.u))
+    flow = FlowState(time=0.0, u=state.u, cfl_axes=state.axes)
     records = []
     t_end = float(config.t_end)
     detecting = config.convergence_tol > 0

@@ -25,7 +25,9 @@ lists of grid arrays: vectors by component, symmetric tensors by their
 upper triangle in fieldalg.pairs(n) order. Only the curvature oracle
 returns a full (..., n, n) array. frame_derivatives gives the Hessian
 and gradient of a scalar from one stencil pass per axis; derivative_matrices
-gives the same maps as sparse matrices, built from pad's shifts.
+gives the same maps as sparse matrices, built from pad's shifts. The
+stencils also take a slab of the grid, index 0 along trailing axes a field
+is constant along, and give the grid's values there (_fit).
 """
 
 from __future__ import annotations
@@ -79,6 +81,18 @@ class Grid:
         shape = [1] * self.ndim
         shape[axis] = len(values)
         return np.asarray(values, dtype=float).reshape(shape)
+
+
+class _Fit(NamedTuple):
+    """The chart's stencil tables for fields of one shape (_fit)."""
+
+    layout: list         # (nodes before, along, after) each axis in C order
+    inv_lame: list       # 1/H_a
+    inv_lame2: list      # 1/H_a^2
+    christoffel: list    # per a, (c, dlog[a][c] / H_c^2) for c != a
+    dlog: list           # dlog[a][b], None where it vanishes
+    polar: dict          # polar axis of full extent: (flux tiles, blocks)
+    work: list           # the work buffers at the shape
 
 
 class _PolarAxis(NamedTuple):
@@ -287,17 +301,7 @@ class BackgroundGeometry:
                        if grid.axis_kind[axis] == POLE}
         for c in self._polar.values():
             self.vol_weight = self.vol_weight * c.weight
-        # frame factors of the Hessian and gradient, as small broadcast
-        # arrays: 1/H_a, 1/H_a^2, and dlog[a][c]/H_c^2 for the Christoffel
-        # terms of the diagonal (each depends only on axes <= c)
-        self._inv_lame = [1.0 / h_a for h_a in lame]
-        self._inv_lame2 = [1.0 / h_a ** 2 for h_a in lame]
-        self._christoffel_diag = [
-            [(c, dlog[a][c] / lame[c] ** 2) for c in range(grid.ndim)
-             if c != a and dlog[a][c] is not None] for a in range(grid.ndim)]
-        # (nodes before, along, after) each axis in C order
-        self._layout = [(math.prod(grid.shape[:a]), grid.shape[a],
-                         math.prod(grid.shape[a + 1:])) for a in range(grid.ndim)]
+        self._fits = {}
         self._derivative_matrices = None
         self._placed = 0  # where _empty starts its next array, modulo 4 KiB
 
@@ -323,32 +327,59 @@ class BackgroundGeometry:
 
     @functools.cached_property
     def _kernel(self):
-        """Stencil tables, built on first use: per polar axis the flux
-        coefficients as tiles of the padded layout (zero past the faces)
-        and the pole identification as view blocks (_antipode_blocks),
-        which pad, _polar_defect and _maps all cross the pole through;
-        and the five zeroed work buffers from _empty that every stencil
-        call reuses, no result aliases and _grid_work lends out."""
-        polar = {}
-        for a, c in self._polar.items():
-            pre, n, st = self._layout[a]
-            tiles = np.zeros((len(c.flux), 1, n + 2 * c.width, st))
-            tiles[:, 0, :n + 1] = [coef.reshape(-1, 1) for _, coef in c.flux]
-            polar[a] = tiles, self._antipode_blocks(a)
-        # a padded field and its shifts, at most 3 ghost layers
-        length = max((pre * (n + 6) + 6) * st for pre, n, st in self._layout)
+        """The five zeroed work buffers from _empty that every stencil call
+        reuses, built on first use: a padded field and its shifts, at most
+        3 ghost layers. No result aliases them; _fit lends them out."""
+        shape = self.grid.shape
+        length = max((math.prod(shape[:a]) * (n + 6) + 6)
+                     * math.prod(shape[a + 1:]) for a, n in enumerate(shape))
         work = [self._empty((length,)) for _ in range(5)]
         for buf in work:
             buf.fill(0.0)
-        return {"polar": polar, "work": work}
+        return {"work": work}
 
-    @functools.cached_property
-    def _grid_work(self):
-        """The work buffers at the grid's shape, each from its start as
-        _empty placed it: every grid temporary of the chart, its states and
-        the flow step, each dead before the next call into it or a state."""
-        size, shape = self.grid.total_points, self.grid.shape
-        return [buf[:size].reshape(shape) for buf in self._kernel["work"]]
+    def _fit(self, shape):
+        """The stencil tables for fields of shape, built on first use per
+        shape and kept. shape is the grid's, or a slab of it: the grid's
+        extent on the first axes and 1 on the rest, the nodes at index 0
+        along the axes a field is constant along. Frame factors, which
+        vary only along axes before their own, are taken at index 0 along
+        the axes of extent 1; they are small broadcast arrays: 1/H_a,
+        1/H_a^2, and dlog[a][c]/H_c^2 for the Christoffel terms of the
+        diagonal (each depends only on axes <= c). Each polar axis of full
+        extent has its flux
+        coefficients as tiles of the padded layout (zero past the faces)
+        and the pole identification as view blocks (_antipode_blocks),
+        which pad, _polar_defect and _maps all cross the pole through.
+        The work buffers are viewed at the shape, each from its start as
+        _empty placed it: every temporary of the chart, its states and the
+        flow step, each dead before the next call into it or a state."""
+        fit = self._fits.get(shape)
+        if fit is None:
+            at = tuple(slice(None) if s > 1 else slice(0, 1) for s in shape)
+            layout = [(math.prod(shape[:a]), n, math.prod(shape[a + 1:]))
+                      for a, n in enumerate(shape)]
+            polar = {}
+            for a, c in self._polar.items():
+                pre, n, st = layout[a]
+                if n > 1:
+                    tiles = np.zeros((len(c.flux), 1, n + 2 * c.width, st))
+                    tiles[:, 0, :n + 1] = [coef.reshape(-1, 1)
+                                           for _, coef in c.flux]
+                    polar[a] = tiles, self._antipode_blocks(a, shape)
+            lame = [h[at] for h in self.lame]
+            dlog = [[None if f is None else f[at] for f in row]
+                    for row in self.dlog]
+            christoffel = [[(c, dlog[a][c] / lame[c] ** 2)
+                            for c in range(len(shape))
+                            if c != a and dlog[a][c] is not None]
+                           for a in range(len(shape))]
+            size = math.prod(shape)
+            fit = self._fits[shape] = _Fit(
+                layout, [1.0 / h for h in lame], [1.0 / h ** 2 for h in lame],
+                christoffel, dlog, polar,
+                [buf[:size].reshape(shape) for buf in self._kernel["work"]])
+        return fit
 
     def laplacian_symbol(self, axes):
         """sum over the axes a < axes of sym / (h_a H_a)^2 at every node,
@@ -360,7 +391,8 @@ class BackgroundGeometry:
         sym = -0.5 * sum(w * (-1) ** s for s, w
                          in zip(range(-2, 3), stencil)) / denominator
         return sum((sym / (h * h) * inv for h, inv in
-                    zip(self.grid.spacing[:axes], self._inv_lame2)), 0.0)
+                    zip(self.grid.spacing[:axes],
+                        self._fit(self.grid.shape).inv_lame2)), 0.0)
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar
@@ -415,15 +447,16 @@ class BackgroundGeometry:
 
     # ---------------------------------------------------------- the poles
 
-    def _antipode_blocks(self, axis):
-        """The pole identification across `axis` as view copies
-        out[dst] = f[src], one (dst, src) index pair per block: later polar
-        angles reflect (reversed), each later periodic axis shifts half a
-        period (cut into its two half-period blocks). Axes up to `axis`
-        are copied as they stand, so the blocks fit any extent there."""
-        shape, kinds = self.grid.shape, self.grid.axis_kind
+    def _antipode_blocks(self, axis, shape):
+        """The pole identification across `axis` for fields of shape as
+        view copies out[dst] = f[src], one (dst, src) index pair per block:
+        later polar angles reflect (reversed), each later periodic axis of
+        more than one node shifts half a period (cut into its two
+        half-period blocks). Axes up to `axis` are copied as they stand, so
+        the blocks fit any extent there."""
+        kinds = self.grid.axis_kind
         later = range(axis + 1, len(shape))
-        rolls = [b for b in later if kinds[b] == PERIODIC]
+        rolls = [b for b in later if kinds[b] == PERIODIC and shape[b] > 1]
         blocks = []
         for upper in itertools.product((False, True), repeat=len(rolls)):
             dst = [slice(None)] * len(shape)
@@ -437,15 +470,17 @@ class BackgroundGeometry:
             blocks.append((tuple(dst), tuple(src)))
         return blocks
 
-    def _antipode(self, f, axis, out):
-        """out = f carried across the pole of polar `axis`; returns out."""
-        for dst, src in self._kernel["polar"][axis][1]:
+    @staticmethod
+    def _antipode(f, blocks, out):
+        """out = f carried across a pole through its blocks; returns out."""
+        for dst, src in blocks:
             out[dst] = f[src]
         return out
 
     def pad(self, f, axis, width, comp=None, out=None):
-        """Extend f by ghost layers along one axis; out, when given, is a
-        flat buffer of the padded size to fill.
+        """Extend f, a grid or slab field (_fit), by ghost layers along one
+        axis of full extent; out, when given, is a flat buffer of the
+        padded size to fill.
 
         A periodic axis wraps: its ghost layers are the two end slabs. A
         polar axis's are its edge rows mirrored about the pole and carried
@@ -453,9 +488,10 @@ class BackgroundGeometry:
         derivative of a scalar (None for plain scalars); pole ghost layers
         of such components carry the parity sign of the identification.
         """
-        f = np.asarray(f).reshape(self.grid.shape)
-        pre, n, st = self._layout[axis]
-        shape = self.grid.shape[:axis] + (n + 2 * width,) + self.grid.shape[axis + 1:]
+        f = np.asarray(f)
+        fit = self._fit(f.shape)
+        pre, n, st = fit.layout[axis]
+        shape = f.shape[:axis] + (n + 2 * width,) + f.shape[axis + 1:]
         p = np.empty(shape, f.dtype) if out is None else out.reshape(shape)
         body, rows = p.reshape(pre, n + 2 * width, st), f.reshape(pre, n, st)
         body[:, width:width + n] = rows
@@ -470,7 +506,8 @@ class BackgroundGeometry:
         for ghost, mirror in ((slice(0, width), slice(width - 1, None, -1)),
                               (slice(width + n, None),
                                slice(n - 1, n - 1 - width, -1))):
-            layers = self._antipode(_slice_axis(f, axis, mirror), axis,
+            layers = self._antipode(_slice_axis(f, axis, mirror),
+                                    fit.polar[axis][1],
                                     _slice_axis(p, axis, ghost))
             if flip:
                 np.negative(layers, out=layers)
@@ -481,21 +518,34 @@ class BackgroundGeometry:
     def _stencil(self, f, axis, comp=None, second=False, out=None):
         """Centered first difference along an axis; with second=True also
         the second difference and, on polar axes, the divergence-form
-        Laplacian defect of _polar_defect (None elsewhere). out holds the
-        grid arrays the results are written into (new ones from _empty
+        Laplacian defect of _polar_defect (None elsewhere). f is a grid or
+        slab field (_fit), and so are the results. out holds the arrays
+        of f's shape the results are written into (new ones from _empty
         when None): the first difference, or (first, second, defect).
 
         Every stencil is a sum of differences between nodes, so fields
         constant along the axis difference to bitwise zero; a plain
         weighted sum leaves ~1e-17 dust on constants, and near the poles
         that dust seeds stiff rows that an explicit step then amplifies.
+        Along an axis of extent 1 every result is that +0, the value the
+        grid's stencils give at index 0 for a field constant along it.
         A shift by s nodes is a flat shift by s strides of the padded buffer,
         so every operand is a contiguous run of a work buffer; the last
         operation of each chain takes the interior out into a result array.
         """
+        f = np.asarray(f)
         h = self.grid.spacing[axis]
-        pre, n, st = self._layout[axis]
+        pre, n, st = self._fit(f.shape).layout[axis]
         polar = second and axis in self._polar
+        dest = (out if second else (out,)) if out is not None else (None,) * 3
+        if n == 1:
+            results = [self._empty(f.shape) if r is None else r
+                       for r in dest[:1 + second + polar]]
+            for r in results:
+                r.fill(0.0)
+            if not second:
+                return results[0]
+            return results[0], results[1], results[2] if polar else None
         width = self._polar[axis].width if polar else self.fd_order // 2
         size = pre * (n + 2 * width) * st
         work = self._kernel["work"]
@@ -503,10 +553,9 @@ class BackgroundGeometry:
         self.pad(f, axis, width, comp, out=p[:size])
         one, two, tmp = (buf[:size] for buf in work[1:4])
         take = lambda s: p[(width + s) * st:(width + s) * st + size]
-        dest = (out if second else (out,)) if out is not None else (None,) * 3
 
         def interior(buf, scale, result):
-            result = self._empty() if result is None else result
+            result = self._empty(f.shape) if result is None else result
             np.multiply(buf.reshape(pre, -1, st)[:, :n], scale,
                         out=result.reshape(pre, n, st))
             return result
@@ -588,9 +637,9 @@ class BackgroundGeometry:
         product-rule remainder of the dissipation identity (acceptance
         criterion 7), so it goes without them.
         """
-        c = self._polar[axis]
-        tiles = self._kernel["polar"][axis][0]
-        pre, n, st = self._layout[axis]
+        c, fit = self._polar[axis], self._fit(first.shape)
+        tiles, blocks = fit.polar[axis]
+        pre, n, st = fit.layout[axis]
         size = pre * (n + 2 * c.width) * st
         du, flux, tmp = self._kernel["work"][1:4]
         du = np.subtract(p[st:], p[:-st], out=du[:len(p) - st])
@@ -600,13 +649,13 @@ class BackgroundGeometry:
         np.multiply(coef, face(k), out=flux)
         for k, coef in rest:
             flux += np.multiply(coef, face(k), out=tmp[:size].reshape(flux.shape))
-        out = self._empty() if out is None else out
+        out = self._empty(first.shape) if out is None else out
         np.subtract(flux[:, 1:n + 1], flux[:, :n], out=out.reshape(pre, n, st))
         out /= c.hs
         out -= d2
-        tmp = self._grid_work[3]
+        tmp = fit.work[3]
         out -= np.multiply(c.kappa, first, out=tmp)
-        out += self._antipode(out, axis, tmp)
+        out += self._antipode(out, blocks, tmp)
         out *= 0.5
         return out
 
@@ -624,11 +673,13 @@ class BackgroundGeometry:
         amount by which the divergence-form Laplacian exceeds the trace of
         the pointwise Hessian (0.0 on charts without polar axes). Sharing
         this between the Hessian and the gradient halves the number of
-        ghost-layer passes. out, when given, is a (parts, seconds, defect)
-        of grid arrays to write into; a defect stays 0.0 without polar
-        axes.
+        ghost-layer passes. u is a grid or slab field (_fit), and so are
+        the results. out, when given, is a (parts, seconds, defect) of
+        arrays of u's shape to write into; a defect stays 0.0 without
+        polar axes.
         """
         u = np.asarray(u, dtype=float)
+        fit = self._fit(u.shape)
         parts, seconds, defect = [], [], 0.0
         for a in range(self.grid.ndim):
             dest = None
@@ -636,12 +687,12 @@ class BackgroundGeometry:
                 # the first polar axis writes out's defect, a later one a
                 # work buffer that is then added to it
                 dest = (out[0][a], out[1][a], out[2] if np.isscalar(defect)
-                        else self._grid_work[4])
+                        else fit.work[4])
             first, second, extra = self._stencil(u, a, second=True, out=dest)
             parts.append(first)
             seconds.append(second)
             if extra is not None:
-                extra *= self._inv_lame2[a]
+                extra *= fit.inv_lame2[a]
                 defect = np.add(defect, extra,
                                 out=extra if out is None else out[2])
         return parts, seconds, defect
@@ -650,7 +701,10 @@ class BackgroundGeometry:
         """The frame Hessian and gradient of a scalar from one scalar_jet:
         (hess, grad, norm2), the Hessian components in fieldalg.pairs(n)
         order, the frame gradient components and |grad u|^2 wrt g0.
-        hess + grad is the order of the DerivativeMatrices maps.
+        hess + grad is the order of the DerivativeMatrices maps. u is a
+        grid or slab field (_fit), and so are the results: on a slab the
+        Hessian and gradient are the grid's at the slab's nodes, bitwise,
+        for a u constant along its axes of extent 1.
 
         (Hess u)_ab = d_a d_b u - Gamma^c_ab d_c u in coordinates, divided
         by H_a H_b for the frame. The traceless part is the pointwise
@@ -675,7 +729,8 @@ class BackgroundGeometry:
                                 if a == b], out[2])
         parts, seconds, defect = self.scalar_jet(u, out=jet_out)
         iso = np.divide(defect, n, out=defect if np.ndim(defect) else None)
-        tmp = self._grid_work[4]
+        fit = self._fit(parts[0].shape)
+        tmp = fit.work[4]
         hess = []
         for m, (a, b) in enumerate(pairs):
             dest = None if out is None else out[0][m]
@@ -685,20 +740,21 @@ class BackgroundGeometry:
                 # depend on later coordinates. Fields constant along later
                 # axes then produce bitwise-constant output along them, so
                 # exact discrete symmetries of initial data survive stepping.
-                val = np.multiply(seconds[a], self._inv_lame2[a],
+                val = np.multiply(seconds[a], fit.inv_lame2[a],
                                   out=seconds[a] if dest is None else dest)
-                for c, coef in self._christoffel_diag[a]:
+                for c, coef in fit.christoffel[a]:
                     val += np.multiply(coef, parts[c], out=tmp)
                 val += iso
             else:
                 # a nested-sine chart sets dlog[b][a] only (a < b)
                 val = self.d1(parts[b], a, comp=b, out=dest)
-                if self.dlog[b][a] is not None:
-                    val -= np.multiply(self.dlog[b][a], parts[b], out=tmp)
-                val *= self._inv_lame[a] * self._inv_lame[b]
+                if fit.dlog[b][a] is not None:
+                    val -= np.multiply(fit.dlog[b][a], parts[b], out=tmp)
+                val *= fit.inv_lame[a] * fit.inv_lame[b]
             hess.append(val)
-        grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, self._inv_lame)]
-        norm2 = np.square(grad[0], out=self._empty() if out is None else out[2])
+        grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, fit.inv_lame)]
+        norm2 = np.square(grad[0], out=(self._empty(tmp.shape) if out is None
+                                        else out[2]))
         for g in grad[1:]:
             norm2 += np.multiply(g, g, out=tmp)
         return hess, grad, norm2
@@ -719,6 +775,7 @@ class BackgroundGeometry:
         polar defect is _polar_defect's flux difference over the density
         less the pointwise part, plus its antipodal rows (same 1/H_a^2)."""
         n, size = self.grid.ndim, self.grid.total_points
+        fit = self._fit(self.grid.shape)
 
         def weights(axis, order, factor=1.0):
             stencil, denominator = _DIFFERENCES[self.fd_order][order - 1]
@@ -730,11 +787,11 @@ class BackgroundGeometry:
             c, weights(c, 1, factor), comp=comp)
         for a, b in fieldalg.pairs(n):
             if a == b:
-                terms = self._shift_terms(a, weights(a, 2, self._inv_lame2[a]))
-                for c, coef in self._christoffel_diag[a]:
+                terms = self._shift_terms(a, weights(a, 2, fit.inv_lame2[a]))
+                for c, coef in fit.christoffel[a]:
                     terms += d1(c, coef)
             else:
-                inv = self._inv_lame[a] * self._inv_lame[b]
+                inv = fit.inv_lame[a] * fit.inv_lame[b]
                 inner = d1(b)
                 terms = [(col_b[col_a], val_a * val_b[col_a])
                          for col_a, val_a in d1(a, inv, comp=b)
@@ -743,7 +800,7 @@ class BackgroundGeometry:
                     terms += d1(b, -self.dlog[b][a] * inv)
             yield _sparse_sum(terms, size)
         for c in range(n):
-            yield _sparse_sum(d1(c, self._inv_lame[c]), size)
+            yield _sparse_sum(d1(c, fit.inv_lame[c]), size)
         terms = []
         for a, c in self._polar.items():
             # out_i = F_{i+1} - F_i with F_i = sum_k coef_k(i) du_{i+k}, less
@@ -756,10 +813,11 @@ class BackgroundGeometry:
                 parts += [(k + 1, upper), (k, -upper - lower), (k - 1, lower)]
             defect = {}
             for s, v in parts:
-                defect[s] = defect.get(s, 0.0) + 0.5 * self._inv_lame2[a] * v
+                defect[s] = defect.get(s, 0.0) + 0.5 * fit.inv_lame2[a] * v
             axis = self._shift_terms(a, defect, c.width)
             antipode = self._antipode(np.arange(size).reshape(self.grid.shape),
-                                      a, np.empty(self.grid.shape, int)).reshape(-1)
+                                      fit.polar[a][1],
+                                      np.empty(self.grid.shape, int)).reshape(-1)
             terms += axis + [(col[antipode], val[antipode]) for col, val in axis]
         yield _sparse_sum(terms, size)
 
@@ -784,10 +842,12 @@ class BackgroundGeometry:
         """Midpoint-rule integral of f against the background volume form.
 
         weight, when given, is an extra pointwise factor (e.g. a conformal
-        volume density). The integrand is formed in _grid_work[0], so f and
-        weight may be any other grid temporary.
+        volume density). f and weight may be slab fields (_fit): they
+        broadcast into the grid's integrand, so the sum is the one of their
+        grid fields, bitwise. The integrand is formed in the first work
+        buffer, so f and weight may be any other temporary.
         """
-        values = self._grid_work[0]
+        values = self._fit(self.grid.shape).work[0]
         np.copyto(values, self.vol_weight)
         values *= f
         if weight is not None:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from matrix_form import hessian, matrix, w_matrix
-from sigmaflow import geometry, symfun
-from sigmaflow.conformal import ConeReport, ConformalState
+from sigmaflow import fieldalg, geometry, symfun
+from sigmaflow.conformal import ConeReport, ConformalState, w_components
 from sigmaflow.errors import ConeViolationError, ConfigurationError
 from sigmaflow.geometry import (
     build_hopf_product,
@@ -371,6 +371,35 @@ def test_cone_reports():
     assert report.n_violations == flat.grid.total_points
 
 
+@pytest.mark.parametrize("case", ("S3", "S1xS2"))
+def test_cone_report_on_a_slab_state(case):
+    # A zonal u that leaves the cone near one end of axis 0: the report of
+    # its one-line state counts the grid's violating nodes, names the
+    # grid's first worst node, and its error message is the one the grid's
+    # sigma table gives.
+    if case == "S3":
+        geom, k = build_round_sphere(3, 16), 2
+    else:
+        geom, k = build_hopf_product(3, 1.0, 16), 1
+    x0 = mesh(geom)[0]
+    u = np.broadcast_to(np.cos(x0), geom.grid.shape).copy()
+    state = ConformalState(geom, u, k)
+    assert state.axes == 1
+    table = fieldalg.sigma_table(w_components(geom, u)[0], 3, k)
+    j, node, value = fieldalg.worst_violation(table, k)
+    n_bad = int(np.count_nonzero(~fieldalg.cone_mask(table, k)))
+    report = state.cone_report()
+    assert 0 < n_bad < geom.grid.total_points
+    assert not report.label.inside and report.label.first_failing_j == j
+    assert report.node == node and repr(report.node) == repr(node)
+    assert report.value == value and report.n_violations == n_bad
+    with pytest.raises(ConeViolationError) as err:
+        state.require_admissible()
+    assert str(err.value) == (
+        f"W(u) left the Gamma_{k}+ cone: sigma_{j} = {value:.6g} at node "
+        f"{node} ({n_bad} nodes violating)")
+
+
 def test_state_validation():
     geom = build_round_sphere(3, 16)
     with pytest.raises(ConfigurationError):
@@ -380,11 +409,94 @@ def test_state_validation():
 
 
 def test_zonal_state_fields_stay_bitwise_zonal():
-    # the full sigma pipeline must preserve discrete zonal symmetry exactly
+    # the full sigma pipeline must preserve discrete zonal symmetry exactly:
+    # the state's fields, built on one line of nodes, are the grid kernels'
+    # fields at every node
     geom = build_round_sphere(3, 16)
     t1 = mesh(geom)[0]
     u = np.broadcast_to(0.1 * np.cos(t1), geom.grid.shape).copy()
     state = ConformalState(geom, u, k=2)
-    for field in (w_field(state), state.sigma_field(), state.log_target()):
-        ref = field[:, :1, :1]
-        assert np.array_equal(field, np.broadcast_to(ref, field.shape))
+    assert state.shape == (16, 1, 1)
+    w = w_components(geom, u)[0]
+    log_sigma = np.log(fieldalg.sigma_table(w, 3, 2)[..., 2]) + 4.0 * u
+    for got, want in ((w_field(state), matrix(w, 3)),
+                      (state.log_target(), log_sigma),
+                      (state.sigma_field(), np.exp(log_sigma))):
+        assert same_bits(got, want)
+
+
+def same_bits(slab, grid_field):
+    """slab broadcast over the grid has the bits of grid_field, signed
+    zeros included."""
+    grid_field = np.asarray(grid_field)
+    return (np.ascontiguousarray(np.broadcast_to(slab, grid_field.shape))
+            .tobytes() == np.ascontiguousarray(grid_field).tobytes())
+
+
+def field_with_axes(geom, axes):
+    """0.2 + sum_{a < axes} c_a x_a, x_a the chart's a-th nested-sine
+    coordinate function (cos x_a times the sines of the earlier polar
+    angles): it varies along the axes before axes and is bitwise constant
+    along the rest."""
+    g = geom.grid
+    x = mesh(geom)
+    u, lead = np.full((1,) * g.ndim, 0.2), 1.0
+    for a in range(axes):
+        u = u + 0.05 / (a + 1) * lead * np.cos(x[a])
+        if g.axis_kind[a] == geometry.POLE:
+            lead = lead * np.sin(x[a])
+    return np.broadcast_to(u, g.shape).copy()
+
+
+SLAB_CASES = {
+    "S3-fd2": (lambda: build_round_sphere(3, 16, fd_order=2), 2),
+    "S3-fd4": (lambda: build_round_sphere(3, 16, fd_order=4), 2),
+    "S4": (lambda: build_round_sphere(4, 16, fd_order=4), 3),
+    "S1xS2": (lambda: build_hopf_product(3, 1.3, 16, fd_order=4), 1),
+    "synthetic": (lambda: build_synthetic(3, [0.5, -0.2, 0.7], 8), 2),
+}
+
+
+@pytest.mark.parametrize("axes", (0, 1, 2, "n"))
+@pytest.mark.parametrize("case", SLAB_CASES)
+def test_slab_state_matches_the_grid_kernels(case, axes):
+    # A state evaluates its fields on the slab at index 0 along the axes u
+    # is constant along. Broadcast over the grid, every field carries the
+    # bits of the grid kernels applied to the whole u, and every scalar is
+    # theirs: the integrals run over the grid.
+    build, k = SLAB_CASES[case]
+    geom = build()
+    n = geom.grid.ndim
+    axes = n if axes == "n" else axes
+    u = field_with_axes(geom, axes)
+    state = ConformalState(geom, u, k)
+    assert state.axes == axes
+    assert state.shape == geom.grid.shape[:axes] + (1,) * (n - axes)
+    w, grad, norm2 = w_components(geom, u)
+    hess = geom.frame_derivatives(u)[0]
+    table = fieldalg.sigma_table(w, n, k)
+    weight = np.exp(-float(n) * u)
+    fields = [(state.w_components(), w), (state.frame_gradient(), grad),
+              ([state.grad_norm2()], [norm2]),
+              (geom.frame_derivatives(state.u_slab)[0], hess),
+              ([state.sigma_w_table()], [table]),
+              ([state.conformal_weight()], [weight])]
+    volume = geom.integrate(weight)
+    assert same_bits(state.volume(), volume)
+    for l in (None, 1):
+        log_target = np.log(table[..., k]) + 2.0 * (k - (l or 0)) * u
+        if l:
+            log_target -= np.log(table[..., l])
+        fields.append(([state.log_target(l)], [log_target]))
+        assert same_bits(state.log_target_mean(l), geom.integrate(
+            log_target, weight) / volume)
+    sigma = np.exp(np.log(table[..., k]) + 2.0 * k * u)
+    fields.append(([state.sigma_field()], [sigma]))
+    for got, want in fields:
+        assert len(got) == len(want)
+        assert all(same_bits(x, y) for x, y in zip(got, want))
+    f_k = volume ** (-(n - 2.0 * k) / n) * geom.integrate(sigma, weight)
+    assert same_bits(state.F_k(), f_k)
+    assert same_bits(state.max_abs_w(), max(np.max(np.abs(c)) for c in w))
+    assert same_bits(state.min_sigma(), np.min(sigma))
+    assert same_bits(state.harnack_quantity(), np.sqrt(np.max(norm2)))

@@ -784,23 +784,64 @@ def test_steady_step_allocates_one_grid_array(scheme, quotient_l):
     assert counts == [1] * {"euler": 1, "midpoint": 2}[scheme]
 
 
+@pytest.mark.parametrize("scheme", ("euler", "midpoint"))
+def test_zonal_step_makes_one_grid_array(scheme):
+    # A zonal state lives on one line of nodes: every array _empty makes
+    # for a step from a fresh state, the speeds included, is that line's,
+    # except u_new; a steady step makes u_new alone. The midpoint's half
+    # step speed is written into a line of a work buffer. Counted as in
+    # test_fresh_w_assembly_allocation_count.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    grid, dt = geom.grid.shape, 2.0 ** -11
+    state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
+    speeds = []
+
+    def recording(st, quotient_l=None, out=None):
+        speeds.append(flow_speed(st, quotient_l, out=out))
+        return speeds[-1]
+
+    shapes = []
+    for _ in range(3):
+        with mock.patch.object(geom, "_empty", side_effect=geom._empty) as empty, \
+                mock.patch("sigmaflow.flow.flow_speed", recording):
+            speeds.clear()
+            state, _, rejected = step(state, dt, scheme)
+        assert rejected == 0 and state.shape == (16, 1, 1)
+        shapes.append([call.args[0] if call.args else grid
+                       for call in empty.call_args_list])
+        assert [s.shape for s in speeds] == [state.shape] * len(speeds)
+        assert len(speeds) == {"euler": 1, "midpoint": 2}[scheme]
+    fresh, *steady = shapes
+    assert fresh.count(grid) == 1 and len(fresh) > 1
+    assert all(s == grid or s == state.shape
+               or s == (state.k + 1,) + state.shape for s in fresh)
+    assert steady == [[grid]] * 2
+    if scheme == "midpoint":
+        assert np.shares_memory(speeds[1], geom._kernel["work"][0])
+
+
 @pytest.mark.parametrize("quotient_l", (None, 1))
 def test_kept_row_allocates_less_than_one_grid_array(quotient_l):
     # Once the state's fields are cached, the residual and the monitor row
     # form their integrands, the quotient target and the |W| and |u| of
     # their maxima in the chart's work buffers. Forming the dissipation
-    # integrand in new arrays peaked at 3 grid arrays.
+    # integrand in new arrays peaked at 3 grid arrays. The integrals
+    # broadcast this state's one-line fields over the grid, and numpy's
+    # iteration buffers for that, 8192 elements by default, would be as
+    # large as this grid: shrunk here.
     geom = build_round_sphere(3, 16, fd_order=4)
     state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
     state, _, _ = step(state, 2.0 ** -11, "euler", quotient_l)
     row = lambda: _record(state, 0.0, quotient_l, _residual(state, quotient_l))
     expected = row()
+    bufsize = np.setbufsize(512)
     tracemalloc.start()
     try:
         got = row()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        np.setbufsize(bufsize)
     assert repr(astuple(got)) == repr(astuple(expected))
     assert peak < geom.grid.total_points * 8
 

@@ -150,7 +150,7 @@ def test_fresh_w_assembly_allocation_count(name, fd_order, count):
     with mock.patch.object(geom, "_empty", side_effect=geom._empty) as empty:
         w_components(geom, u)
     assert empty.call_count == count
-    assert all(call.args == () for call in empty.call_args_list)
+    assert all(call.args == (geom.grid.shape,) for call in empty.call_args_list)
 
 
 def smooth_u(geom, a, b):
