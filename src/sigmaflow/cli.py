@@ -302,7 +302,7 @@ def run_flow(cfg):
 
         def collect(flow, state, rec):
             if rec.time >= due[0] - 1e-12:
-                snapshots.append((rec.time, state.u.copy()))
+                snapshots.append((rec.time, state.u_slab.copy()))
                 due[0] += cfg.snapshot_interval
     else:
         collect = None

@@ -19,14 +19,15 @@ in symfun is kept as the independent cross-check in tests. The linearization
 is linear in rho through the chart's Hessian and gradient matrices alone,
 so it is kept as their pointwise weights (linearization_weights).
 
-A state evaluates its fields on the slab of the nodes where u can vary:
-index 0 along every axis from varying_axes(u) on, along which u is bitwise
-constant, and so are W and everything built from it (frame factors vary
-only along the axes before their own). On that slab the fields are the
-grid's, bitwise; they broadcast against grid arrays, and the integrals run
-over the grid, so every sum is the one of the grid's fields. For generic
-data the slab is the whole grid. A zonal u, which the flow keeps zonal,
-costs one line of nodes.
+A state keeps u and evaluates its fields on the slab of the nodes where u
+can vary: index 0 along every axis from varying_axes(u) on, along which u
+is bitwise constant, and so are W and everything built from it (frame
+factors vary only along the axes before their own). On that slab the
+fields are the grid's, bitwise; they broadcast against grid arrays, and
+the integrals sum on the slab against the volume weight summed over its
+collapsed axes. For generic data the slab is the whole grid and every sum
+the grid's. A zonal u, which the flow keeps zonal, costs one line of
+nodes and one line of memory.
 """
 
 from __future__ import annotations
@@ -55,12 +56,15 @@ def varying_axes(u):
     bitwise constant along the axes from there on, so the modes along them
     are never excited. One pass: the last axis is peeled off, keeping its
     first slice, while u is constant along it; generic data is told apart
-    by its first line along the last axis alone."""
+    by its first line along the last axis alone. An axis of extent 1 or
+    stride 0 (a broadcast view) is peeled unread, so a line broadcast over
+    the grid costs a scan of the line."""
     axes = u.ndim
     while axes:
-        line = u[(0,) * (axes - 1)]
-        if not ((line == line[0]).all() and (u == u[..., :1]).all()):
-            break
+        if u.shape[-1] > 1 and u.strides[-1]:
+            line = u[(0,) * (axes - 1)]
+            if not ((line == line[0]).all() and (u == u[..., :1]).all()):
+                break
         u = u[..., 0]
         axes -= 1
     return axes
@@ -103,17 +107,23 @@ def admissible_state(geom, u, k, arrays=None):
 class ConformalState:
     """u plus lazily cached derived fields; a new u makes a new state.
 
-    u is the grid field and axes = varying_axes(u). Every field (W, its
-    gradient, |grad u|^2, the sigma table, the log targets, sigma_k(g),
-    the conformal weight) has the slab's shape `shape`: the grid's extent
-    on its first `axes` axes, 1 on the rest, where u_slab is u at index 0.
-    Reductions read the slab where their order does not matter (min, max,
-    the cone test) and integrals the grid. The one grid-shaped field
-    derived here is linearization_weights.
+    axes = varying_axes(u), and u_slab, the one copy of u the state keeps,
+    is u at index 0 along the later axes: a contiguous array of the slab's
+    shape `shape`, the grid's extent on the first `axes` axes and 1 on the
+    rest. u is u_slab broadcast over the grid, a read-only view. Every
+    field (W, its gradient, |grad u|^2, the sigma table, the log targets,
+    sigma_k(g), the conformal weight) has the slab's shape. Reductions
+    read the slab: min, max and the cone test as the grid's, integrals
+    against the volume weight summed over the collapsed axes
+    (geometry.integrate). The one grid-shaped field derived here is
+    linearization_weights.
     """
 
     def __init__(self, geom, u, k, finite=False, arrays=None):
-        """finite=True skips the check of u for a caller that made it.
+        """u is any array that broadcasts to the grid, such as a grid
+        field or an (N, 1, 1) line; the state copies it only where the
+        slab is not a contiguous view of it. finite=True skips the check
+        of u for a caller that made it.
 
         arrays, from take_arrays of a state on the same chart and k, are
         overwritten with this state's fields instead of allocating new
@@ -129,11 +139,11 @@ class ConformalState:
             raise ConfigurationError("conformal factor contains non-finite values")
         self.geometry = geom
         self.k = k
-        self.u = np.ascontiguousarray(np.broadcast_to(u, geom.grid.shape),
-                                      dtype=float)
-        self.axes = varying_axes(self.u)
-        self.u_slab = self.u[(slice(None),) * self.axes
-                             + (slice(0, 1),) * (n - self.axes)]
+        u = np.broadcast_to(u, geom.grid.shape)
+        self.axes = j = varying_axes(u)
+        self.u_slab = np.ascontiguousarray(
+            u[(slice(None),) * j + (slice(0, 1),) * (n - j)])
+        self.u = np.broadcast_to(self.u_slab, geom.grid.shape)
         self.shape = self.u_slab.shape
         self._work = geom._fit(self.shape).work
         self._cache = {}

@@ -18,10 +18,11 @@ A quotient variant drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes
 l = 0 coincide with the primary flow.
 
 Every field of a step lives on its state's slab (see conformal): the
-nodes at index 0 along the axes u is constant along. The speed stays
-there, the new u = u + h speed is the one grid-sized array a step makes,
-and the bound, the monitor's maxima and minima read the slab; integrals
-run over the grid. A zonal step does one line of work.
+nodes at index 0 along the axes u is constant along. The speed, the new
+u = u + h speed, the bound, the monitor's maxima, minima and integrals
+all stay there, so a zonal step does one line of work and allocates no
+grid array. Grid arrays appear only where u leaves the flow, as
+FlowState.u, a broadcast view that its readers copy or write out.
 
 A run builds a full monitor row only where it keeps one; between those
 rows the convergence detector evaluates the residual alone. The state
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldalg
-from .conformal import ConformalState, admissible_state, varying_axes
+from .conformal import ConformalState, admissible_state
 from .errors import ConfigurationError, FlowFailureError
 from .fieldio import _atomic_write
 
@@ -122,7 +123,8 @@ class MonitorRecord:
 
 @dataclass
 class FlowState:
-    """Mutable bookkeeping for a run; u is the current conformal factor.
+    """Mutable bookkeeping for a run; u is the current conformal factor,
+    the state's slab broadcast over the grid (a read-only view).
 
     cfl_limited counts the accepted steps whose dt the CFL bound set
     (rather than dt_initial or t_end). cfl_axes is the axes count the bound
@@ -223,18 +225,18 @@ def step(state, dt, scheme="euler", quotient_l=None):
     into the arrays the state it steps from hands on (take_arrays), and the
     half step's speed and the scaled speed into work buffers that advance
     reads before the trial reuses them: all on the slab, so a steady step
-    allocates one grid array, u_new = u + h speed, with the speed broadcast
-    over the grid. Arrays read from that state before are overwritten; it
-    recomputes them bitwise the same.
+    allocates one slab array, u_new = u_slab + h speed, and a trial's
+    varying_axes scans only that slab. Arrays read from that state before
+    are overwritten; it recomputes them bitwise the same.
     """
     if scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if not dt > 0:
         raise ConfigurationError(f"step size dt={dt} must be positive")
-    geom, u, k = state.geometry, state.u, state.k
+    geom, u, k = state.geometry, state.u_slab, state.k
     s0 = flow_speed(state, quotient_l, out=state._out("speed"))
     arrays = state.take_arrays()
-    u_new = geom._empty()  # states keep u; the half step's is overwritten
+    u_new = geom._empty(u.shape)  # states keep u; a half step's is overwritten
     advance = lambda h, speed: np.add(u, np.multiply(
         speed, h, out=geom._fit(speed.shape).work[1]), out=u_new)
     rejected = 0
@@ -335,7 +337,8 @@ def run(geom, u0, config, on_record=None):
     The detector reads the residual after every step, and cfl_dt is taken
     fresh before every step. on_record, when given, is called with
     (flow, state, record) for every kept monitor row; callers hang
-    snapshot writers off it.
+    snapshot writers off it. u0 is any array that broadcasts to the grid,
+    such as an (N, 1, 1) line for zonal data on a round sphere.
     """
     state = ConformalState(geom, u0, config.k)
     state.require_admissible()

@@ -27,12 +27,12 @@ returns a full (..., n, n) array. frame_derivatives gives the Hessian
 and gradient of a scalar from one stencil pass per axis; derivative_matrices
 gives the same maps as sparse matrices, built from pad's shifts. The
 stencils also take a slab of the grid, index 0 along trailing axes a field
-is constant along, and give the grid's values there (_fit).
+is constant along, and give the grid's values there (_fit); integrate sums
+on a slab against the volume weight summed over its collapsed axes.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,6 +92,7 @@ class _Fit(NamedTuple):
     christoffel: list    # per a, (c, dlog[a][c] / H_c^2) for c != a
     dlog: list           # dlog[a][b], None where it vanishes
     polar: dict          # polar axis of full extent: (flux tiles, blocks)
+    weight: np.ndarray   # vol_weight summed over the grid axes of extent 1
     work: list           # the work buffers at the shape
 
 
@@ -302,6 +303,7 @@ class BackgroundGeometry:
         for c in self._polar.values():
             self.vol_weight = self.vol_weight * c.weight
         self._fits = {}
+        self._kernel = []  # the five work buffers (_fit)
         self._derivative_matrices = None
         self._placed = 0  # where _empty starts its next array, modulo 4 KiB
 
@@ -325,19 +327,6 @@ class BackgroundGeometry:
             out.append(h)
         return out
 
-    @functools.cached_property
-    def _kernel(self):
-        """The five zeroed work buffers from _empty that every stencil call
-        reuses, built on first use: a padded field and its shifts, at most
-        3 ghost layers. No result aliases them; _fit lends them out."""
-        shape = self.grid.shape
-        length = max((math.prod(shape[:a]) * (n + 6) + 6)
-                     * math.prod(shape[a + 1:]) for a, n in enumerate(shape))
-        work = [self._empty((length,)) for _ in range(5)]
-        for buf in work:
-            buf.fill(0.0)
-        return {"work": work}
-
     def _fit(self, shape):
         """The stencil tables for fields of shape, built on first use per
         shape and kept. shape is the grid's, or a slab of it: the grid's
@@ -351,9 +340,16 @@ class BackgroundGeometry:
         coefficients as tiles of the padded layout (zero past the faces)
         and the pole identification as view blocks (_antipode_blocks),
         which pad, _polar_defect and _maps all cross the pole through.
+        weight is vol_weight summed over the axes where shape has extent 1
+        (integrate); at the grid's shape it is vol_weight itself.
+
         The work buffers are viewed at the shape, each from its start as
         _empty placed it: every temporary of the chart, its states and the
-        flow step, each dead before the next call into it or a state."""
+        flow step, each dead before the next call into it or a state. The
+        chart's five buffers (_kernel: a padded field and its shifts, at
+        most 3 ghost layers, zeroed) are sized for the largest shape asked
+        for so far; a larger one replaces them, and every kept shape's
+        views follow. No result aliases them."""
         fit = self._fits.get(shape)
         if fit is None:
             at = tuple(slice(None) if s > 1 else slice(0, 1) for s in shape)
@@ -374,11 +370,22 @@ class BackgroundGeometry:
                             for c in range(len(shape))
                             if c != a and dlog[a][c] is not None]
                            for a in range(len(shape))]
-            size = math.prod(shape)
+            w, grid = self.vol_weight, self.grid.shape
+            collapsed = [a for a, s in enumerate(shape) if s < grid[a]]
+            weight = np.sum(w, tuple(a for a in collapsed if w.shape[a] > 1),
+                            keepdims=True) * math.prod(
+                grid[a] for a in collapsed if w.shape[a] == 1)
             fit = self._fits[shape] = _Fit(
                 layout, [1.0 / h for h in lame], [1.0 / h ** 2 for h in lame],
-                christoffel, dlog, polar,
-                [buf[:size].reshape(shape) for buf in self._kernel["work"]])
+                christoffel, dlog, polar, weight, [])
+            length = max((p * (n + 6) + 6) * st for p, n, st in layout)
+            if not self._kernel or length > self._kernel[0].size:
+                self._kernel = [self._empty((length,)) for _ in range(5)]
+                for buf in self._kernel:
+                    buf.fill(0.0)
+            for kept, views in self._fits.items():
+                views.work[:] = [buf[:math.prod(kept)].reshape(kept)
+                                 for buf in self._kernel]
         return fit
 
     def laplacian_symbol(self, axes):
@@ -390,9 +397,8 @@ class BackgroundGeometry:
         stencil, denominator = _DIFFERENCES[self.fd_order][1]
         sym = -0.5 * sum(w * (-1) ** s for s, w
                          in zip(range(-2, 3), stencil)) / denominator
-        return sum((sym / (h * h) * inv for h, inv in
-                    zip(self.grid.spacing[:axes],
-                        self._fit(self.grid.shape).inv_lame2)), 0.0)
+        return sum((sym / (h * h) * (1.0 / lame ** 2) for h, lame in
+                    zip(self.grid.spacing[:axes], self.lame)), 0.0)
 
     def _polar_axis(self, axis):
         """Flux coefficients of the divergence-form operator on one polar
@@ -548,7 +554,7 @@ class BackgroundGeometry:
             return results[0], results[1], results[2] if polar else None
         width = self._polar[axis].width if polar else self.fd_order // 2
         size = pre * (n + 2 * width) * st
-        work = self._kernel["work"]
+        work = self._kernel
         p = work[0][:size + 2 * width * st]
         self.pad(f, axis, width, comp, out=p[:size])
         one, two, tmp = (buf[:size] for buf in work[1:4])
@@ -641,7 +647,7 @@ class BackgroundGeometry:
         tiles, blocks = fit.polar[axis]
         pre, n, st = fit.layout[axis]
         size = pre * (n + 2 * c.width) * st
-        du, flux, tmp = self._kernel["work"][1:4]
+        du, flux, tmp = self._kernel[1:4]
         du = np.subtract(p[st:], p[:-st], out=du[:len(p) - st])
         face = lambda k: du[(c.width - 1 + k) * st:][:size].reshape(pre, -1, st)
         flux = flux[:size].reshape(pre, -1, st)
@@ -842,13 +848,17 @@ class BackgroundGeometry:
         """Midpoint-rule integral of f against the background volume form.
 
         weight, when given, is an extra pointwise factor (e.g. a conformal
-        volume density). f and weight may be slab fields (_fit): they
-        broadcast into the grid's integrand, so the sum is the one of their
-        grid fields, bitwise. The integrand is formed in the first work
-        buffer, so f and weight may be any other temporary.
+        volume density). f and weight may be slab fields (_fit): the sum
+        runs over their broadcast shape, against vol_weight summed over
+        the axes where that shape has extent 1, so a zonal integral costs
+        one line. For grid-shaped operands that is the grid's sum. The
+        integrand is formed in the first work buffer, so f and weight may
+        be any other temporary.
         """
-        values = self._fit(self.grid.shape).work[0]
-        np.copyto(values, self.vol_weight)
+        shape = np.broadcast_shapes(np.shape(f), np.shape(weight))
+        fit = self._fit((1,) * (self.grid.ndim - len(shape)) + shape)
+        values = fit.work[0]
+        np.copyto(values, fit.weight)
         values *= f
         if weight is not None:
             values *= weight

@@ -462,8 +462,12 @@ SLAB_CASES = {
 def test_slab_state_matches_the_grid_kernels(case, axes):
     # A state evaluates its fields on the slab at index 0 along the axes u
     # is constant along. Broadcast over the grid, every field carries the
-    # bits of the grid kernels applied to the whole u, and every scalar is
-    # theirs: the integrals run over the grid.
+    # bits of the grid kernels applied to the whole u, and so do the maxima
+    # and minima. The integrals sum on the slab against the volume weight
+    # summed over its collapsed axes: for generic data (axes = n) that is
+    # the grid's sum, bitwise; on a slab the order differs, so volume,
+    # log_target_mean and F_k are held to the exactly rounded sum of the
+    # grid integrand (math.fsum) instead.
     build, k = SLAB_CASES[case]
     geom = build()
     n = geom.grid.ndim
@@ -481,22 +485,28 @@ def test_slab_state_matches_the_grid_kernels(case, axes):
               (geom.frame_derivatives(state.u_slab)[0], hess),
               ([state.sigma_w_table()], [table]),
               ([state.conformal_weight()], [weight])]
-    volume = geom.integrate(weight)
-    assert same_bits(state.volume(), volume)
+    if axes == n:
+        integral, same = geom.integrate, same_bits
+    else:
+        integral = lambda *f: math.fsum(
+            np.broadcast_to(math.prod(f, start=geom.vol_weight), u.shape).flat)
+        same = lambda x, y: abs(x - y) <= 1e-14 * abs(y)
+    volume = integral(weight)
+    assert same(state.volume(), volume)
     for l in (None, 1):
         log_target = np.log(table[..., k]) + 2.0 * (k - (l or 0)) * u
         if l:
             log_target -= np.log(table[..., l])
         fields.append(([state.log_target(l)], [log_target]))
-        assert same_bits(state.log_target_mean(l), geom.integrate(
-            log_target, weight) / volume)
+        assert same(state.log_target_mean(l),
+                    integral(log_target, weight) / volume)
     sigma = np.exp(np.log(table[..., k]) + 2.0 * k * u)
     fields.append(([state.sigma_field()], [sigma]))
     for got, want in fields:
         assert len(got) == len(want)
         assert all(same_bits(x, y) for x, y in zip(got, want))
-    f_k = volume ** (-(n - 2.0 * k) / n) * geom.integrate(sigma, weight)
-    assert same_bits(state.F_k(), f_k)
+    f_k = volume ** (-(n - 2.0 * k) / n) * integral(sigma, weight)
+    assert same(state.F_k(), f_k)
     assert same_bits(state.max_abs_w(), max(np.max(np.abs(c)) for c in w))
     assert same_bits(state.min_sigma(), np.min(sigma))
     assert same_bits(state.harnack_quantity(), np.sqrt(np.max(norm2)))

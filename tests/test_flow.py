@@ -22,7 +22,7 @@ from scipy.integrate import quad
 
 from matrix_form import matrix
 from sigmaflow import fieldalg, symfun
-from sigmaflow.conformal import ConformalState, admissible_state
+from sigmaflow.conformal import ConformalState, admissible_state, varying_axes
 from sigmaflow.errors import (
     ConeViolationError,
     ConfigurationError,
@@ -34,7 +34,6 @@ from sigmaflow.flow import (
     cfl_dt,
     diffusion_bound,
     flow_speed,
-    varying_axes,
     _record,
     _residual,
     run,
@@ -751,21 +750,13 @@ def test_run_working_set_stays_small():
     assert peak <= 48 * geom.grid.total_points * 8
 
 
-@pytest.mark.parametrize("scheme, quotient_l", (
-    ("euler", None), ("midpoint", None), ("euler", 1), ("midpoint", 1)),
-    ids=("euler", "midpoint", "euler-quotient1", "midpoint-quotient1"))
-def test_steady_step_allocates_one_grid_array(scheme, quotient_l):
-    # A steady step writes its speed, trials and new state into the arrays
-    # the state it steps from hands on, so the one grid array it allocates
-    # is u_new. Counted in numpy's tracemalloc domain whenever the step has
-    # built a trial, when all it allocated is alive and numpy's iteration
-    # buffers are freed. A speed in a new array would make it two, and so
-    # would a quotient log target of the midpoint's half step.
-    geom = build_round_sphere(3, 16, fd_order=4)
-    state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
+def grid_arrays_per_trial(state, dt, scheme, quotient_l):
+    """The grid-sized numpy arrays alive each time a steady step from state
+    has built a trial, when all the step allocated is alive and numpy's
+    iteration buffers are freed (counted in numpy's tracemalloc domain)."""
     for _ in range(3):
-        state, _, _ = step(state, 2.0 ** -11, scheme, quotient_l)
-    nbytes = geom.grid.total_points * 8
+        state, _, _ = step(state, dt, scheme, quotient_l)
+    nbytes = state.geometry.grid.total_points * 8
     numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     counts = []
 
@@ -778,22 +769,42 @@ def test_steady_step_allocates_one_grid_array(scheme, quotient_l):
     tracemalloc.start()
     try:
         with mock.patch("sigmaflow.flow.admissible_state", counting):
-            step(state, 2.0 ** -11, scheme, quotient_l)
+            step(state, dt, scheme, quotient_l)
     finally:
         tracemalloc.stop()
+    return counts
+
+
+@pytest.mark.parametrize("scheme, quotient_l", (
+    ("euler", None), ("midpoint", None), ("euler", 1), ("midpoint", 1)),
+    ids=("euler", "midpoint", "euler-quotient1", "midpoint-quotient1"))
+def test_steady_step_allocates_one_grid_array(scheme, quotient_l):
+    # A steady step writes its speed, trials and new state into the arrays
+    # the state it steps from hands on, so the one array it allocates is
+    # u_new, on the state's slab: for generic data that is the grid, one
+    # grid array per trial. A speed in a new array would make it two, and
+    # so would a quotient log target of the midpoint's half step. (Zonal
+    # data allocates none: test_zonal_step_makes_no_grid_array.)
+    geom = build_round_sphere(3, 16, fd_order=4)
+    state = ConformalState(geom, smooth_u(geom, 0.05, 11), 2)
+    assert state.axes == 3
+    counts = grid_arrays_per_trial(state, cfl_dt(state, 0.4), scheme,
+                                   quotient_l)
     assert counts == [1] * {"euler": 1, "midpoint": 2}[scheme]
 
 
 @pytest.mark.parametrize("scheme", ("euler", "midpoint"))
-def test_zonal_step_makes_one_grid_array(scheme):
+def test_zonal_step_makes_no_grid_array(scheme):
     # A zonal state lives on one line of nodes: every array _empty makes
-    # for a step from a fresh state, the speeds included, is that line's,
-    # except u_new; a steady step makes u_new alone. The midpoint's half
-    # step speed is written into a line of a work buffer. Counted as in
-    # test_fresh_w_assembly_allocation_count.
+    # for a step from a fresh state, the speeds and u_new included, is that
+    # line's; a steady step makes u_new alone, and no grid-sized array is
+    # alive at its trials, on the primary and the quotient flow. The
+    # midpoint's half step speed is written into a line of a work buffer.
+    # Counted as in test_fresh_w_assembly_allocation_count.
     geom = build_round_sphere(3, 16, fd_order=4)
     grid, dt = geom.grid.shape, 2.0 ** -11
-    state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
+    u0 = zonal(geom, lambda t: 0.1 * np.cos(t))
+    state = ConformalState(geom, u0, 2)
     speeds = []
 
     def recording(st, quotient_l=None, out=None):
@@ -812,38 +823,60 @@ def test_zonal_step_makes_one_grid_array(scheme):
         assert [s.shape for s in speeds] == [state.shape] * len(speeds)
         assert len(speeds) == {"euler": 1, "midpoint": 2}[scheme]
     fresh, *steady = shapes
-    assert fresh.count(grid) == 1 and len(fresh) > 1
-    assert all(s == grid or s == state.shape
-               or s == (state.k + 1,) + state.shape for s in fresh)
-    assert steady == [[grid]] * 2
+    assert len(fresh) > 1
+    assert all(s == state.shape or s == (state.k + 1,) + state.shape
+               for s in fresh)
+    assert steady == [[state.shape]] * 2
     if scheme == "midpoint":
-        assert np.shares_memory(speeds[1], geom._kernel["work"][0])
+        assert np.shares_memory(speeds[1], geom._kernel[0])
+    for quotient_l in (None, 1):
+        counts = grid_arrays_per_trial(ConformalState(geom, u0, 2), dt,
+                                       scheme, quotient_l)
+        assert counts == [0] * {"euler": 1, "midpoint": 2}[scheme]
 
 
 @pytest.mark.parametrize("quotient_l", (None, 1))
 def test_kept_row_allocates_less_than_one_grid_array(quotient_l):
     # Once the state's fields are cached, the residual and the monitor row
     # form their integrands, the quotient target and the |W| and |u| of
-    # their maxima in the chart's work buffers. Forming the dissipation
-    # integrand in new arrays peaked at 3 grid arrays. The integrals
-    # broadcast this state's one-line fields over the grid, and numpy's
-    # iteration buffers for that, 8192 elements by default, would be as
-    # large as this grid: shrunk here.
+    # their maxima in the chart's work buffers, all on the state's line of
+    # nodes. Forming the dissipation integrand in new arrays peaked at 3
+    # grid arrays.
     geom = build_round_sphere(3, 16, fd_order=4)
     state = ConformalState(geom, zonal(geom, lambda t: 0.1 * np.cos(t)), 2)
     state, _, _ = step(state, 2.0 ** -11, "euler", quotient_l)
     row = lambda: _record(state, 0.0, quotient_l, _residual(state, quotient_l))
     expected = row()
-    bufsize = np.setbufsize(512)
     tracemalloc.start()
     try:
         got = row()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        np.setbufsize(bufsize)
     assert repr(astuple(got)) == repr(astuple(expected))
     assert peak < geom.grid.total_points * 8
+
+
+def test_zonal_run_memory_is_a_line_of_nodes():
+    # A zonal run keeps u, its fields, the work buffers and the integrals
+    # on one line of nodes. On S^3 at 256 points per axis one grid array
+    # is 134 MB; a run of over 100 CFL-set steps from a (256, 1, 1) line,
+    # chart included, peaks at 2.2 MB of traced memory. The bound is an
+    # eighth of a grid array.
+    tracemalloc.start()
+    try:
+        geom = build_round_sphere(3, 256, fd_order=4)
+        theta = geom.grid.axis_vector(0, geom.grid.coordinates(0))
+        flow, recs = run(geom, 0.1 * np.cos(theta), FlowConfig(k=2, t_end=3e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flow.step_count >= 100 and flow.rejected == 0
+    assert peak < geom.grid.total_points * 8 / 8
+    # u reads back as the line broadcast over the grid, read-only
+    assert flow.u.shape == geom.grid.shape and flow.u.strides[1:] == (0, 0)
+    assert not flow.u.flags.writeable
+    assert recs[-1].max_abs_u == float(np.max(np.abs(flow.u[:, -1, -1])))
 
 
 def test_run_detects_fixed_point_immediately():

@@ -197,7 +197,7 @@ def test_work_buffers_alias_no_result():
             state.F_k()
             results = cached_arrays(state) + [flow.flow_speed(state)]
             assert not any(np.shares_memory(x, buf) for x in results
-                           for buf in g._kernel["work"])
+                           for buf in g._kernel)
     s1 = ConformalState(geom, smooth_u(geom, 0.05, 0.04), 2)
     kept = [np.copy(x) for x in s1.w_components() + s1.frame_gradient()
             + [s1.grad_norm2(), s1.sigma_w_table()]]
@@ -216,7 +216,7 @@ def test_work_buffers_alias_no_result():
     for state in (s1, s2):
         results += state.w_components() + state.frame_gradient() + [
             state.grad_norm2(), state.sigma_w_table()]
-    work = geom._kernel["work"]
+    work = geom._kernel
     assert not any(np.shares_memory(x, buf) for x in results for buf in work)
 
     state = s2
@@ -245,7 +245,7 @@ def test_step_path_arrays_start_apart_modulo_4k():
         for g, k, u0 in ((geom, 2, smooth_u(geom, 0.05, 0.0)),
                          (hopf, 1, smooth_u(hopf, 0.05, 0.04))):
             state = final_state(g, k, u0, scheme)
-            arrays = [state.u] + list(g._kernel["work"])
+            arrays = [state.u] + list(g._kernel)
             for key, x in state.take_arrays().items():
                 if key == "w":
                     arrays += x[0] + x[1] + [x[2]]
