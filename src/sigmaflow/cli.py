@@ -260,7 +260,9 @@ def _build_geometry(cfg):
 
 
 def _seeded_initial(geom, amplitude, seed):
-    """amplitude (cos q x1 + eta cos 2q x1) with eta drawn from the seed.
+    """amplitude (cos q x1 + eta cos 2q x1) with eta drawn from the seed,
+    as its (N, 1, ..., 1) line along the first axis (a zero (1, ..., 1)
+    array for amplitude 0), which broadcasts over the grid.
 
     q maps the first axis onto one full period, so the field is smooth on
     every chart: polar axes get the l=1 and l=2 zonal modes, periodic axes
@@ -268,13 +270,13 @@ def _seeded_initial(geom, amplitude, seed):
     """
     grid = geom.grid
     if amplitude == 0.0:
-        return np.zeros(grid.shape)
+        return np.zeros((1,) * grid.ndim)
     eta = float(np.random.default_rng(seed).uniform(-0.5, 0.5))
     x = grid.coordinates(0)
     period = grid.shape[0] * grid.spacing[0]
     q = 2.0 * math.pi / period if grid.axis_kind[0] == PERIODIC else 1.0
     u = amplitude * (np.cos(q * x) + eta * np.cos(2.0 * q * x))
-    return np.broadcast_to(grid.axis_vector(0, u), grid.shape).copy()
+    return grid.axis_vector(0, u)
 
 
 def _ensure_outdir(cfg):

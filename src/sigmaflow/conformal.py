@@ -17,7 +17,9 @@ in symfun is kept as the independent cross-check in tests. The linearization
                          - <du, drho> g0>
 
 is linear in rho through the chart's Hessian and gradient matrices alone,
-so it is kept as their pointwise weights (linearization_weights).
+so it is kept as their pointwise weights on the slab
+(linearization_weights), which the matrices of any shape the slab
+broadcasts to combine.
 
 A state keeps u and evaluates its fields on the slab of the nodes where u
 can vary: index 0 along every axis from varying_axes(u) on, along which u
@@ -115,8 +117,7 @@ class ConformalState:
     sigma_k(g), the conformal weight) has the slab's shape. Reductions
     read the slab: min, max and the cone test as the grid's, integrals
     against the volume weight summed over the collapsed axes
-    (geometry.integrate). The one grid-shaped field derived here is
-    linearization_weights.
+    (geometry.integrate).
     """
 
     def __init__(self, geom, u, k, finite=False, arrays=None):
@@ -258,16 +259,17 @@ class ConformalState:
 
         m_ab T_ab on H_ab for (a, b) in fieldalg.pairs(n), m_ab = 2 off the
         diagonal, then 2 (T du)_c - tr T du_c on G_c, with T = T_{k-1}(W)
-        and du the frame gradient of u; combine(weights) is the sparse
-        matrix of d sigma_k(W_h) at u. The array is built afresh on every
-        call and not cached, so the caller may scale it in place.
+        and du the frame gradient of u; the weights have the slab's shape,
+        and combined with the derivative matrices at a shape they
+        broadcast to (geometry.derivative_matrices) they give the sparse
+        matrix of d sigma_k(W_h) at u there. The array is built afresh on
+        every call and not cached, so the caller may scale it in place.
         """
         n = self.geometry.grid.ndim
         t_field = self.newton_components()
         grad_u = self.frame_gradient()
         pairs = fieldalg.pairs(n)
-        weights = np.empty((len(pairs) + n,) + self.geometry.grid.shape)
-        # the slab's weights broadcast over the grid
+        weights = np.empty((len(pairs) + n,) + self.shape)
         t_grad = [0.0] * n
         trace = 0.0
         for m, ((a, b), t_ab) in enumerate(zip(pairs, t_field)):

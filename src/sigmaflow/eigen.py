@@ -5,8 +5,11 @@ W(u) the deformed Schouten expression assembled by the conformal module.
 An auxiliary problem fixes (k, h); the continuation walks the right-hand
 side from an f for which u identically delta_lo is an exact solution to
 the constant lambda, warm-starting a damped Newton iteration. Each
-Newton step assembles the Frechet derivative as a sparse matrix: the
-chart's Hessian and gradient matrices, built once from its shift
+Newton step solves on the slab where its data (u, h and the right-hand
+side) can vary, a line of nodes for zonal data (conformal.varying_axes):
+J keeps fields constant along the other axes, so the direction is one
+too. J is assembled there as a sparse matrix: the chart's Hessian and
+gradient matrices at that shape, built once per shape from its shift
 matrices, combined with the conformal state's weights of d sigma_k(W),
 scaled by sigma_k^{1/k-1}/k, minus h e^u. It solves with restarted GMRES
 (the krylov module) under a two-level preconditioner. lambda* is then
@@ -31,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .conformal import ConformalState, admissible_state
+from .conformal import ConformalState, admissible_state, varying_axes
 from .errors import (
     ConfigurationError,
     ContinuationFailureError,
@@ -45,7 +48,7 @@ KRYLOV_RTOL = 1e-8
 # Near lambda* the Jacobian tends to c Lap_h, whose near-null constants
 # the coarse space of the preconditioner resolves: the lambda* searches
 # of criterion 8 on 16^3 take at most 79 applies per solve (median 1), so
-# one window of 100 holds a whole solve. The basis, restart + 1 grid
+# one window of 100 holds a whole solve. The basis, restart + 1 system
 # fields, is allocated once per solve and reused by its restarts.
 KRYLOV_RESTART = 100
 KRYLOV_MAX_RESTARTS = 2
@@ -62,7 +65,8 @@ ESCAPE_FLOOR = -50.0
 @dataclass(frozen=True)
 class AuxiliaryProblem:
     """sigma_k^{1/k}(W(u)) = h e^u + rhs on a background geometry, the
-    right-hand side given per solve. h >= 0 may be a scalar or a field.
+    right-hand side given per solve. h >= 0 may be a scalar or a field;
+    it is kept as its slab, as a state keeps u (conformal.varying_axes).
     """
 
     geometry: object
@@ -76,7 +80,10 @@ class AuxiliaryProblem:
         h = np.asarray(self.h, dtype=float)
         if not np.all(np.isfinite(h)) or np.any(h < 0.0):
             raise ConfigurationError("coefficient h must be finite and >= 0")
-        object.__setattr__(self, "h", h)
+        h = np.broadcast_to(h, self.geometry.grid.shape)
+        j = varying_axes(h)
+        object.__setattr__(self, "h", np.ascontiguousarray(
+            h[(slice(None),) * j + (slice(0, 1),) * (n - j)]))
 
     def h_field(self):
         return np.broadcast_to(self.h, self.geometry.grid.shape)
@@ -84,7 +91,7 @@ class AuxiliaryProblem:
     @functools.cached_property
     def s0(self):
         """sigma_k^{1/k}(S0), of the state u = 0; computed once, shared."""
-        base = self._state(np.zeros(self.geometry.grid.shape))
+        base = self._state(np.zeros((1,) * self.geometry.grid.ndim))
         return base.sigma_w_table()[..., self.k] ** (1.0 / self.k)
 
     # --------------------------------------------------------- evaluation
@@ -95,9 +102,9 @@ class AuxiliaryProblem:
         return state
 
     def _residual_of(self, state, rhs):
+        # the system's shape: the broadcast of the slabs of u and h and rhs
         ek = state.sigma_w_table()[..., self.k]
-        return (ek ** (1.0 / self.k) - self.h_field() * np.exp(state.u)
-                - rhs)
+        return ek ** (1.0 / self.k) - self.h * np.exp(state.u_slab) - rhs
 
     def residual(self, u, rhs):
         """Pointwise sigma_k^{1/k}(W(u)) - h e^u - rhs; u must be admissible."""
@@ -106,19 +113,20 @@ class AuxiliaryProblem:
     def jacobian(self, u):
         """The Frechet derivative of residual at u as a sparse matrix over
         the flattened grid (C order)."""
-        return self._jacobian_of(self._state(u))
+        return self._jacobian_of(self._state(u), self.geometry.grid.shape)
 
-    def _jacobian_of(self, state):
+    def _jacobian_of(self, state, shape):
         # J = diag(p) d sigma_k(W) - diag(h e^u), p = sigma_k^{1/k-1} / k,
-        # with d sigma_k(W) the chart's maps combined with the state's
-        # linearization weights, scaled by p in place.
-        maps = self.geometry.derivative_matrices()
+        # with d sigma_k(W) the chart's maps at shape (a slab holding the
+        # state's) combined with its linearization weights, scaled by p.
+        maps = self.geometry.derivative_matrices(shape)
         ek = state.sigma_w_table()[..., self.k]
         weights = state.linearization_weights()
         weights *= (ek ** (1.0 / self.k - 1.0)) / self.k
-        zeroth = self.h_field() * np.exp(state.u)
-        return maps.combine(weights.reshape(maps.count, -1),
-                            -zeroth.reshape(-1))
+        zeroth = self.h * np.exp(state.u_slab)
+        return maps.combine(
+            np.broadcast_to(weights, (maps.count,) + shape).reshape(
+                maps.count, -1), -np.broadcast_to(zeroth, shape).reshape(-1))
 
 
 def _two_level(maps, jac):
@@ -133,7 +141,7 @@ def _two_level(maps, jac):
     space in the manner of Nicolaides 1987). Z c is constant on each
     aggregate, so the sweep reads J Z c = (J Z) c, not J: J Z and Z^T J Z
     are one bincount each through the chart's map of J's pattern onto
-    J Z's (DerivativeMatrices.coarse_space, built once per chart).
+    J Z's (DerivativeMatrices.coarse_space, built once per shape).
     """
     from scipy import sparse
     agg, count, slot, indices, indptr, entry = maps.coarse_space(COARSE_BLOCK)
@@ -173,10 +181,11 @@ def _merge(acc, part, solved=True):
 
 
 def _newton_direction(problem, state, res, stats):
-    """Solve J d = -res; returns d and the number of applies of J M^{-1},
-    and merges the solve's linear counters into stats."""
-    jac = problem._jacobian_of(state)
-    precond = _two_level(problem.geometry.derivative_matrices(), jac)
+    """Solve J d = -res on res's shape, a slab of the grid or the grid;
+    returns d and the number of applies of J M^{-1}, and merges the
+    solve's linear counters into stats."""
+    jac = problem._jacobian_of(state, res.shape)
+    precond = _two_level(problem.geometry.derivative_matrices(res.shape), jac)
     op = SimpleNamespace(shape=jac.shape, dtype=jac.dtype,
                          matvec=lambda y: jac @ precond(y))
     applies = [0]
@@ -197,16 +206,18 @@ def _newton_direction(problem, state, res, stats):
 
 def newton_solve(problem, rhs, guess, stats=None):
     """Damped Newton for residual(u, rhs) = 0 to NEWTON_TOL in at most
-    NEWTON_MAX_ITER iterations, from an admissible guess.
+    NEWTON_MAX_ITER iterations, from an admissible guess; rhs is a
+    scalar, a slab (geometry's _fit) or a grid field.
 
     Line search halves the step on residual max-norm increase or on a
     cone-violating candidate; a step that cannot make progress at minimal
     damping raises NonconvergenceError. Each iteration assembles the
-    Jacobian J (problem.jacobian) and solves J d = -r by restarted GMRES
-    (krylov.gmres) on J M^{-1} preconditioned from the right, d = M^{-1} y,
-    with M^{-1} the two-level preconditioner of _two_level, whose coarse
-    correction reads J Z. GMRES returns the residual of its last iterate,
-    so an iteration costs one product by J per Krylov step and per cycle.
+    Jacobian J where u, h and rhs vary (_newton_direction) and solves
+    J d = -r there by restarted GMRES (krylov.gmres) on J M^{-1}
+    preconditioned from the right, d = M^{-1} y, with M^{-1} the two-level
+    preconditioner of _two_level, whose coarse correction reads J Z. GMRES
+    returns the residual of its last iterate, so an iteration costs one
+    product by J per Krylov step and per cycle.
 
     stats, when given, gains newton_iterations, krylov_iterations (applies
     of J M^{-1} inside the Krylov steps) and residual_history on success,
@@ -237,8 +248,8 @@ def newton_solve(problem, rhs, guess, stats=None):
         accepted = None
         while alpha >= MIN_DAMPING:
             with np.errstate(over="ignore", invalid="ignore"):
-                trial = admissible_state(geom, state.u + alpha * direction,
-                                         problem.k)
+                trial = admissible_state(
+                    geom, state.u_slab + alpha * direction, problem.k)
                 if trial is not None:
                     trial_res = problem._residual_of(trial, rhs)
                     if (np.all(np.isfinite(trial_res))
@@ -272,8 +283,7 @@ def _path_bounds(problem, lam):
     solution on the continuation path to lam obeys."""
     if not lam > 0.0:
         raise ConfigurationError(f"continuation target lambda={lam} must be > 0")
-    h = problem.h_field()
-    h_max, h_min = float(np.max(h)), float(np.min(h))
+    h_max, h_min = float(np.max(problem.h)), float(np.min(problem.h))
     if h_min <= 0.0:
         raise ConfigurationError(
             "continuation needs a strictly positive coefficient h")
@@ -320,10 +330,10 @@ def continuation_run(problem, lam, guess=None, stats=None):
     """
     bounds = _path_bounds(problem, lam)
     delta_lo = bounds[0]
-    f = problem.s0 - problem.h_field() * math.exp(delta_lo)
+    f = problem.s0 - problem.h * math.exp(delta_lo)
     stats = {} if stats is None else stats
-    start = np.full(problem.geometry.grid.shape, delta_lo) if guess is None \
-        else np.asarray(guess, dtype=float)
+    start = np.full((1,) * problem.geometry.grid.ndim, delta_lo) \
+        if guess is None else np.asarray(guess, dtype=float)
     u = newton_solve(problem, f, start, stats=stats)
     _check_solution(u, 0.0, lam, bounds)
     t = 0.0

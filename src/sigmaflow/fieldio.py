@@ -10,6 +10,7 @@ per line. Values use repr-exact %.17g so a round trip preserves every bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -36,19 +37,22 @@ def _header(geom):
 
 
 def _atomic_write(path, lines):
+    """Stream the lines (any iterable of str) into path.tmp, then move it
+    over path."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.writelines(f"{line}\n" for line in lines)
     os.replace(tmp, path)
 
 
 def write_scalar_field(path, geom, values):
-    values = np.broadcast_to(np.asarray(values, dtype=float), geom.grid.shape)
+    """Dump values, any array that broadcasts to the grid (a zonal line
+    is written without a grid copy)."""
+    values = np.asarray(values, dtype=float)
     _require_finite(values, path)
-    lines = [_header(geom)]
-    lines.extend("%.17g" % v for v in values.ravel(order="C"))
-    _atomic_write(path, lines)
+    values = np.broadcast_to(values, geom.grid.shape)
+    _atomic_write(path, itertools.chain(
+        (_header(geom),), ("%.17g" % v for v in values.flat)))
 
 
 def _parse_header(line):

@@ -26,9 +26,10 @@ upper triangle in fieldalg.pairs(n) order. Only the curvature oracle
 returns a full (..., n, n) array. frame_derivatives gives the Hessian
 and gradient of a scalar from one stencil pass per axis; derivative_matrices
 gives the same maps as sparse matrices, built from pad's shifts. The
-stencils also take a slab of the grid, index 0 along trailing axes a field
-is constant along, and give the grid's values there (_fit); integrate sums
-on a slab against the volume weight summed over its collapsed axes.
+stencils and the matrices also take a slab of the grid, index 0 along
+trailing axes a field is constant along, and give the grid's values there
+(_fit; the matrices per shape); integrate sums on a slab against the
+volume weight summed over its collapsed axes.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def _sparse_sum(terms, size):
 
 class DerivativeMatrices:
     """The frame Hessian and gradient of a scalar as sparse matrices over
-    the flattened grid (C order), on one CSR pattern.
+    the flattened fields of one shape (C order), the grid's or a slab's,
+    on one CSR pattern.
 
     The maps, in the order combine() takes their weights, are H_ab for
     (a, b) in fieldalg.pairs(n), then G_c: the order of hess + grad from
@@ -174,7 +176,7 @@ class DerivativeMatrices:
     the stacked weights w, the trace weight last.
     """
 
-    def __init__(self, grid_shape, maps):
+    def __init__(self, shape, maps):
         """maps() yields the stored maps (pointwise H_ab, G_c, then D) as
         canonical CSR arrays without explicit zeros, and is iterated once.
         The flat keys row * size + col of a map's entries form a sorted run,
@@ -182,9 +184,9 @@ class DerivativeMatrices:
         merges them) less its repeats is the pattern; a binary search in
         it places the diagonal and every map entry."""
         from scipy import sparse
-        self.grid_shape = grid_shape
-        self.size = size = math.prod(grid_shape)
-        self._n = len(grid_shape)
+        self.shape = shape
+        self.size = size = math.prod(shape)
+        self._n = len(shape)
         self._with_trace = [m for m, (a, b)
                             in enumerate(fieldalg.pairs(self._n)) if a == b]
         self._coarse = {}
@@ -242,8 +244,8 @@ class DerivativeMatrices:
         CSR pattern and the flat entry of Z^T L Z of every L Z entry.
         Built on the first call per block and kept."""
         if block not in self._coarse:
-            counts = [-(-size // block) for size in self.grid_shape]
-            agg = np.ravel_multi_index(tuple(np.indices(self.grid_shape)
+            counts = [-(-size // block) for size in self.shape]
+            agg = np.ravel_multi_index(tuple(np.indices(self.shape)
                                              // block), counts)
             agg = agg.astype(np.int32).ravel()
             count = math.prod(counts)
@@ -304,7 +306,7 @@ class BackgroundGeometry:
             self.vol_weight = self.vol_weight * c.weight
         self._fits = {}
         self._kernel = []  # the five work buffers (_fit)
-        self._derivative_matrices = None
+        self._derivative_matrices = {}  # per shape (derivative_matrices)
         self._placed = 0  # where _empty starts its next array, modulo 4 KiB
 
     def _empty(self, shape=None):
@@ -765,23 +767,30 @@ class BackgroundGeometry:
             norm2 += np.multiply(g, g, out=tmp)
         return hess, grad, norm2
 
-    def derivative_matrices(self):
+    def derivative_matrices(self, shape=None):
         """The Hessian and gradient components of frame_derivatives as
-        DerivativeMatrices; both are linear and depend only on the chart,
-        so they are built on first use (_maps) and cached."""
-        if self._derivative_matrices is None:
-            self._derivative_matrices = DerivativeMatrices(self.grid.shape,
-                                                           self._maps)
-        return self._derivative_matrices
+        DerivativeMatrices for fields of shape, the grid's by default or a
+        slab (_fit); both are linear and depend only on the chart and the
+        shape, so they are built on first use per shape (_maps) and kept."""
+        shape = shape or self.grid.shape
+        if shape not in self._derivative_matrices:
+            self._derivative_matrices[shape] = DerivativeMatrices(
+                shape, lambda: self._maps(shape))
+        return self._derivative_matrices[shape]
 
-    def _maps(self):
-        """Yield the stored maps of DerivativeMatrices one at a time, each a
-        sum of terms with one entry per row (_shift_terms). A mixed entry
-        composes the shifts along a with the first difference along b; a
-        polar defect is _polar_defect's flux difference over the density
-        less the pointwise part, plus its antipodal rows (same 1/H_a^2)."""
-        n, size = self.grid.ndim, self.grid.total_points
-        fit = self._fit(self.grid.shape)
+    def _maps(self, shape=None):
+        """Yield the stored maps of DerivativeMatrices at shape (the grid's
+        by default) one at a time, each a sum of terms with one entry per
+        row (_shift_terms). A mixed entry composes the shifts along a with
+        the first difference along b; a polar defect is _polar_defect's
+        flux difference over the density less the pointwise part, plus its
+        antipodal rows (same 1/H_a^2). An axis of extent 1 adds no terms
+        (no differences along it, no G_c, no H_ab with b on it and no
+        polar defect), as _stencil gives +0 there; the Christoffel terms
+        of its H_aa along the other axes stay."""
+        shape = shape or self.grid.shape
+        n, size = self.grid.ndim, math.prod(shape)
+        fit = self._fit(shape)
 
         def weights(axis, order, factor=1.0):
             stencil, denominator = _DIFFERENCES[self.fd_order][order - 1]
@@ -790,10 +799,11 @@ class BackgroundGeometry:
                     for s, w in zip(range(-2, 3), stencil) if w}
 
         d1 = lambda c, factor=1.0, comp=None: self._shift_terms(
-            c, weights(c, 1, factor), comp=comp)
+            shape, c, weights(c, 1, factor), comp=comp)
         for a, b in fieldalg.pairs(n):
             if a == b:
-                terms = self._shift_terms(a, weights(a, 2, fit.inv_lame2[a]))
+                terms = self._shift_terms(shape, a,
+                                          weights(a, 2, fit.inv_lame2[a]))
                 for c, coef in fit.christoffel[a]:
                     terms += d1(c, coef)
             else:
@@ -802,15 +812,16 @@ class BackgroundGeometry:
                 terms = [(col_b[col_a], val_a * val_b[col_a])
                          for col_a, val_a in d1(a, inv, comp=b)
                          for col_b, val_b in inner]
-                if self.dlog[b][a] is not None:
-                    terms += d1(b, -self.dlog[b][a] * inv)
+                if fit.dlog[b][a] is not None:
+                    terms += d1(b, -fit.dlog[b][a] * inv)
             yield _sparse_sum(terms, size)
         for c in range(n):
             yield _sparse_sum(d1(c, fit.inv_lame[c]), size)
         terms = []
-        for a, c in self._polar.items():
+        for a, (_, blocks) in fit.polar.items():
             # out_i = F_{i+1} - F_i with F_i = sum_k coef_k(i) du_{i+k}, less
             # the pointwise d2 + kappa d1
+            c = self._polar[a]
             parts = [(s, -w) for order, factor in ((2, 1.0), (1, c.kappa))
                      for s, w in weights(a, order, factor).items()]
             for k, coef in c.flux:
@@ -820,19 +831,21 @@ class BackgroundGeometry:
             defect = {}
             for s, v in parts:
                 defect[s] = defect.get(s, 0.0) + 0.5 * fit.inv_lame2[a] * v
-            axis = self._shift_terms(a, defect, c.width)
-            antipode = self._antipode(np.arange(size).reshape(self.grid.shape),
-                                      fit.polar[a][1],
-                                      np.empty(self.grid.shape, int)).reshape(-1)
+            axis = self._shift_terms(shape, a, defect, c.width)
+            antipode = self._antipode(np.arange(size).reshape(shape), blocks,
+                                      np.empty(shape, int)).reshape(-1)
             terms += axis + [(col[antipode], val[antipode]) for col, val in axis]
         yield _sparse_sum(terms, size)
 
-    def _shift_terms(self, axis, weights, width=None, comp=None):
+    def _shift_terms(self, shape, axis, weights, width=None, comp=None):
         """The terms (columns, values) of sum_s diag(weights[s]) S_s, |s| <=
-        width (fd_order / 2 by default): S_s shifts by s along the axis
-        through the ghost layers with the parity sign of the comp-th partial, as
-        pad gives them for the node indices and ones."""
-        shape, size = self.grid.shape, self.grid.total_points
+        width (fd_order / 2 by default), for fields of shape: S_s shifts by
+        s along the axis through the ghost layers with the parity sign of
+        the comp-th partial, as pad gives them for the node indices and
+        ones; none along an axis of extent 1."""
+        if shape[axis] == 1:
+            return []
+        size = math.prod(shape)
         width = width or self.fd_order // 2
         source = self.pad(np.arange(size, dtype=np.int32).reshape(shape),
                           axis, width)

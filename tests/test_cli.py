@@ -216,6 +216,9 @@ def test_seeded_initial_data_is_deterministic_and_admissible():
     c = cli._seeded_initial(sphere, 0.1, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # the zonal line itself, which the flow and the solver broadcast
+    assert a.shape == (16, 1, 1) and a.flags.c_contiguous
+    assert cli._seeded_initial(sphere, 0.0, seed=5).shape == (1, 1, 1)
     assert np.max(np.abs(cli._seeded_initial(sphere, 0.0, seed=5))) == 0.0
     ConformalState(sphere, a, 2).require_admissible()
     hopf = build_hopf_product(3, 1.0, 8)

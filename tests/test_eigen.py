@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import jacobian_reference as ref
-from sigmaflow import eigen
+from sigmaflow import cli, eigen
 from sigmaflow.eigen import (
     AuxiliaryProblem,
     continuation_run,
@@ -224,25 +224,29 @@ def test_singular_coarse_matrix_is_a_nonconvergence(monkeypatch):
     assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_coarse_space_is_built_once_per_chart(monkeypatch):
-    # Every Newton iteration reads the chart's one map from J's pattern
-    # onto J Z's; the map is built on the first and kept.
+def test_coarse_space_is_built_once_per_shape(monkeypatch):
+    # Every Newton iteration reads the one map from J's pattern onto J Z's
+    # of its system's shape; the map is built on the first and kept. A
+    # scalar rhs from a zonal guess solves on the line of nodes along the
+    # first axis, a grid-shaped rhs on the grid.
     geom = build_round_sphere(3, 16)
-    maps = geom.derivative_matrices()
-    seen = []
-    coarse_space = maps.coarse_space
-    monkeypatch.setattr(maps, "coarse_space",
-                        lambda block: seen.append(coarse_space(block))
-                        or seen[-1])
     prob = AuxiliaryProblem(geom, 2)
-    rhs = constant(geom, S_OF_K[2] - 1.0)
-    stats = {}
-    newton_solve(prob, rhs, zonal(geom, lambda t: 0.05 * np.cos(t)),
-                 stats=stats)
-    assert stats["newton_iterations"] >= 3
-    assert len(seen) == stats["linear_solves"] == stats["newton_iterations"]
-    assert all(space is seen[0] for space in seen)
-    assert list(maps._coarse) == [eigen.COARSE_BLOCK]
+    for rhs, shape in ((S_OF_K[2] - 1.0, (16, 1, 1)),
+                       (constant(geom, S_OF_K[2] - 1.0), geom.grid.shape)):
+        maps = geom.derivative_matrices(shape)
+        seen = []
+        coarse_space = maps.coarse_space
+        monkeypatch.setattr(maps, "coarse_space",
+                            lambda block: seen.append(coarse_space(block))
+                            or seen[-1])
+        stats = {}
+        newton_solve(prob, rhs, zonal(geom, lambda t: 0.05 * np.cos(t)),
+                     stats=stats)
+        assert stats["newton_iterations"] >= 3
+        assert len(seen) == stats["linear_solves"] == stats["newton_iterations"]
+        assert all(space is seen[0] for space in seen)
+        assert list(maps._coarse) == [eigen.COARSE_BLOCK]
+    assert list(geom._derivative_matrices) == [(16, 1, 1), geom.grid.shape]
 
 
 # ------------------------------------------------------------ Newton
@@ -430,6 +434,81 @@ def test_lambda_star_search_bracket_and_linear_solves():
     assert stats["linear_solves"] >= stats["newton_iterations"] > 0
     assert stats["linear_misses"] == 0
     assert 0.0 < stats["worst_linear_residual"] <= eigen.KRYLOV_RTOL
+
+
+def test_zonal_search_solves_on_the_line_of_nodes(monkeypatch):
+    # From the CLI's seeded zonal guess with constant h, J maps zonal
+    # fields to zonal fields, so every Newton direction is solved on the
+    # line of nodes along the first axis and every state stays zonal
+    # (axes <= 1); the search is the eigen-k2-16 workload's and its
+    # bracket the grid solver's.
+    shapes = []
+    direction = eigen._newton_direction
+
+    def recorded(problem, state, res, stats):
+        d, applies = direction(problem, state, res, stats)
+        shapes.append((state.axes, d.shape))
+        return d, applies
+
+    monkeypatch.setattr(eigen, "_newton_direction", recorded)
+    geom = build_round_sphere(3, 16)
+    stats = {}
+    phi, _ = lambda_star_search(AuxiliaryProblem(geom, 2), 2.5e-3,
+                                guess=cli._seeded_initial(geom, 0.1, 1),
+                                stats=stats)
+    assert stats["bracket"] == (0.86450309350434895, 0.86602540378443871)
+    assert stats["newton_iterations"] == 63
+    assert len(shapes) == stats["linear_solves"]
+    assert all(axes <= 1 and shape in ((16, 1, 1), (1, 1, 1))
+               for axes, shape in shapes)
+    assert geom.grid.shape not in geom._derivative_matrices
+    assert float(np.max(np.abs(phi))) == 0.0
+
+
+def test_seeded_k1_search_meets_every_krylov_tolerance():
+    # With the grid solver 8 of the 85 GMRES solves of this search (the
+    # CLI's defaults at k = 1) ended above KRYLOV_RTOL, chasing rounding
+    # noise off the zonal subspace; on the line of nodes every solve meets
+    # it, and the bracket is the grid solver's.
+    geom = build_round_sphere(3, 16)
+    stats = {}
+    lambda_star_search(AuxiliaryProblem(geom, 1), 1e-4,
+                       guess=cli._seeded_initial(geom, 0.1, 0), stats=stats)
+    assert stats["bracket"] == (1.4999176025390626, 1.5)
+    assert stats["linear_solves"] == stats["newton_iterations"] == 85
+    assert stats["linear_misses"] == 0
+    assert stats["worst_linear_residual"] <= eigen.KRYLOV_RTOL
+
+
+def test_zonal_h_builds_no_grid_matrices():
+    # h = 1 + cos(theta_1)/2 is kept as its line, so the unions of the
+    # slabs of u, h and rhs are that line or, for the constant start, the
+    # single node, and no grid-shaped matrix is ever built.
+    geom = build_round_sphere(3, 16)
+    h = 1.0 + 0.5 * zonal(geom, np.cos)
+    prob = AuxiliaryProblem(geom, 2, h=h)
+    assert prob.h.shape == (16, 1, 1)
+    assert np.array_equal(prob.h_field(), h)
+    stats = {}
+    _, lam = lambda_star_search(prob, 1e-4, stats=stats)
+    assert abs(lam - S_OF_K[2]) <= 1e-4
+    assert stats["linear_misses"] == 0
+    assert set(geom._derivative_matrices) <= {(16, 1, 1), (1, 1, 1)}
+
+
+def test_generic_h_search_solves_on_the_grid():
+    # h = 1 + sin t1 sin t2 cos phi / 5 varies along every axis, so every
+    # Newton step solves on the grid as before: the counts and the
+    # bracket are the grid solver's.
+    geom = build_round_sphere(3, 16)
+    t = [geom.grid.axis_vector(a, geom.grid.coordinates(a)) for a in range(3)]
+    h = 1.0 + 0.2 * np.sin(t[0]) * np.sin(t[1]) * np.cos(t[2])
+    stats = {}
+    _, lam = lambda_star_search(AuxiliaryProblem(geom, 2, h=h), 2.5e-3,
+                                stats=stats)
+    assert stats["bracket"] == (0.864503093504349, 0.8660254037844387)
+    assert stats["newton_iterations"] == stats["linear_solves"] == 60
+    assert list(geom._derivative_matrices) == [geom.grid.shape]
 
 
 def test_lambda_star_search_midpoint_records():
