@@ -72,6 +72,13 @@ def varying_axes(u):
     return axes
 
 
+def unbroadcast(u):
+    """u at index 0 along its axes of stride 0: the array a broadcast
+    view repeats, u itself when it has none. Its values, and so its min
+    and max, are u's, read without a pass over the broadcast shape."""
+    return u[tuple(slice(0, 1) if s == 0 else slice(None) for s in u.strides)]
+
+
 def w_components(geom, u, out=None):
     """W(u) in the orthonormal frame as fieldalg components, with the frame
     gradient components and |grad u|^2 it is built from.
@@ -81,14 +88,19 @@ def w_components(geom, u, out=None):
     over the Hessian's arrays. u is a grid or slab field, and so are the
     results. out, when given, is an earlier result of u's shape on the
     same chart whose arrays are overwritten instead of allocating; the
-    products are formed in a work buffer of the chart.
+    products and |grad u|^2 / 2 are formed in work buffers of the chart.
+    A gradient component along an axis of extent 1 is +0, so its
+    products, +0 as well, are not added.
     """
     w, grad, norm2 = geom.frame_derivatives(u, out=out)
-    tmp = geom._fit(norm2.shape).work[0]
+    shape = norm2.shape
+    tmp, half = geom._fit(shape).work[:2]
+    np.multiply(norm2, 0.5, out=half)
     for (a, b), w_ab in zip(fieldalg.pairs(geom.grid.ndim), w):
-        w_ab += np.multiply(grad[a], grad[b], out=tmp)
+        if shape[a] > 1 and shape[b] > 1:
+            w_ab += np.multiply(grad[a], grad[b], out=tmp)
         if a == b:
-            w_ab -= np.multiply(norm2, 0.5, out=tmp)
+            w_ab -= half
         if geom.schouten0[a, b] != 0.0:
             w_ab += geom.schouten0[a, b]
     return w, grad, norm2
@@ -98,7 +110,7 @@ def admissible_state(geom, u, k, arrays=None):
     """The state at a trial u, or None when u is not finite or W(u) leaves
     the Gamma_k+ cone; trial steps of the flow and of Newton use it.
     arrays is passed on to the state (see ConformalState)."""
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         return None
     state = ConformalState(geom, u, k, finite=True, arrays=arrays)
     if not state.cone_report().label.inside:
@@ -136,7 +148,7 @@ class ConformalState:
         if not 1 <= k <= n:
             raise ConfigurationError(f"curvature order k={k} outside 1..{n}")
         u = np.asarray(u, dtype=float)
-        if not (finite or np.all(np.isfinite(u))):
+        if not (finite or np.isfinite(unbroadcast(u)).all()):
             raise ConfigurationError("conformal factor contains non-finite values")
         self.geometry = geom
         self.k = k
@@ -192,7 +204,7 @@ class ConformalState:
         return self._w()[0]
 
     def max_abs_w(self):
-        return float(max(np.max(np.abs(c, out=self._work[1]))
+        return float(max(np.abs(c, out=self._work[1]).max()
                          for c in self.w_components()))
 
     def frame_gradient(self):
@@ -244,7 +256,7 @@ class ConformalState:
             self.log_target(), out=self._out("sigma")))
 
     def min_sigma(self):
-        return float(np.min(self.sigma_field()))
+        return float(self.sigma_field().min())
 
     def newton_components(self):
         """T_{k-1}(W), the gradient of sigma_k at W, as components. Only the
@@ -333,4 +345,4 @@ class ConformalState:
 
     def harnack_quantity(self):
         """sup |grad u|_{g0}; equals sup |grad v|/v for v = e^u."""
-        return float(np.sqrt(np.max(self.grad_norm2())))
+        return float(np.sqrt(self.grad_norm2().max()))

@@ -34,7 +34,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .conformal import ConformalState, admissible_state, varying_axes
+from .conformal import (ConformalState, admissible_state, unbroadcast,
+                         varying_axes)
 from .errors import (
     ConfigurationError,
     ContinuationFailureError,
@@ -301,9 +302,10 @@ def _path_bounds(problem, lam):
 def _check_solution(u, t, lam, bounds):
     """Raise unless u lies within the maximum-principle bounds (a
     NonconvergenceError) and max u is at or above ESCAPE_FLOOR (a
-    ContinuationFailureError: lam presumed >= lambda*)."""
+    ContinuationFailureError: lam presumed >= lambda*), read on u's slab."""
     delta_lo, delta_hi = bounds
-    u_min, u_max = float(np.min(u)), float(np.max(u))
+    u = unbroadcast(u)
+    u_min, u_max = float(u.min()), float(u.max())
     slack = 1e-8 * (1.0 + abs(delta_lo) + abs(delta_hi))
     if u_min < delta_lo - slack or u_max > delta_hi + slack:
         raise NonconvergenceError(
@@ -425,8 +427,9 @@ def _solve_midpoint(problem, lam, warm_start, acc):
 def lambda_star_search(problem, tolerance, guess=None, stats=None):
     """Bisect lambda between solvable and unsolvable; return (phi, lambda*).
 
-    phi = u - max u from the largest solvable lambda found; lambda* is the
-    final bracket midpoint. The lower end starts at a tenth of the worst
+    phi = u - max u from the largest solvable lambda found, formed on u's
+    slab and broadcast (read-only) over the grid; lambda* is the final
+    bracket midpoint. The lower end starts at a tenth of the worst
     constant-state value (guaranteed solvable), the upper end at the
     Maclaurin ceiling (at or above lambda*, hence unsolvable); the lower
     end is solved by continuation from scratch.
@@ -474,7 +477,8 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
             lo, u_best = mid, u
         midpoints.append(record)
 
-    phi = u_best - float(np.max(u_best))
+    slab = unbroadcast(u_best)
+    phi = np.broadcast_to(slab - float(slab.max()), u_best.shape)
     lambda_star = 0.5 * (lo + hi)
     if stats is not None:
         stats.update(acc, bisections=len(midpoints), ceiling=lam_hi,

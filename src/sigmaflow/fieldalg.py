@@ -65,7 +65,9 @@ def sigma_table(w, n, kmax, out=None):
         raise ValueError(f"kmax={kmax} out of range for n={n}")
     idx = _index(n)
     shape = np.broadcast_shapes(*(np.shape(c) for c in w))
-    e = np.empty((kmax + 1,) + shape) if out is None else np.moveaxis(out, -1, 0)
+    # the order axis first, as transpose views (np.moveaxis costs more)
+    e = (np.empty((kmax + 1,) + shape) if out is None
+         else out.transpose((-1, *range(len(shape)))))
     if kmax >= 1:
         e[1] = w[idx[0, 0]]
         for a in range(1, n):
@@ -88,7 +90,7 @@ def sigma_table(w, n, kmax, out=None):
             for i in range(1, j + 1):
                 acc = acc + (-1.0) ** (i - 1) * e[j - i] * p[i - 1]
             e[j] = acc / j
-    return np.moveaxis(e, 0, -1) if out is None else out
+    return e.transpose((*range(1, e.ndim), 0)) if out is None else out
 
 
 def power_sums(w, n, kmax):
@@ -147,7 +149,7 @@ def worst_violation(e, k):
     for j in range(1, k + 1):
         ej = e[..., j]
         bad = ej <= 0.0
-        if np.any(bad):
+        if bad.any():
             flat = np.where(bad.ravel(), ej.ravel(), np.inf).argmin()
             node = np.unravel_index(flat, ej.shape)
             return j, node, float(ej[node])

@@ -16,11 +16,14 @@ import os
 
 import numpy as np
 
+from .conformal import unbroadcast
 from .errors import ConfigurationError, NumericError
 from .geometry import PERIODIC, POLE
 
 FORMAT_TAG = "sigmaflow-field"
 FORMAT_VERSION = 1
+# a dump writes a repeated line in blocks of at most this many copies
+BLOCK_LINES = 1024
 
 
 def _require_finite(values, path):
@@ -36,23 +39,37 @@ def _header(geom):
             f"axis={axis}; chart={geom.name}")
 
 
-def _atomic_write(path, lines):
-    """Stream the lines (any iterable of str) into path.tmp, then move it
-    over path."""
+def _atomic_write(path, lines, end="\n"):
+    """Stream the lines (any iterable of str), each followed by end,
+    into path.tmp, then move it over path."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
+        fh.writelines(f"{line}{end}" for line in lines)
     os.replace(tmp, path)
 
 
 def write_scalar_field(path, geom, values):
-    """Dump values, any array that broadcasts to the grid (a zonal line
-    is written without a grid copy)."""
-    values = np.asarray(values, dtype=float)
+    """Dump values, any array that broadcasts to the grid. Each value
+    stored (conformal.unbroadcast: a grid, a line, a constant) is
+    formatted once and its line repeated, BLOCK_LINES at a time, as often
+    as the later axes repeat it: a zonal line costs N formats, not N^3."""
+    shape = geom.grid.shape
+    values = unbroadcast(np.broadcast_to(np.asarray(values, dtype=float),
+                                         shape))
     _require_finite(values, path)
-    values = np.broadcast_to(values, geom.grid.shape)
-    _atomic_write(path, itertools.chain(
-        (_header(geom),), ("%.17g" % v for v in values.flat)))
+    lead = max((a + 1 for a, s in enumerate(values.shape) if s > 1),
+               default=0)
+    repeat = math.prod(shape[lead:])
+    rows = np.broadcast_to(values.reshape(values.shape[:lead]), shape[:lead])
+    lines = map("%.17g\n".__mod__, rows.flat)
+    if repeat > 1:
+        blocks = [min(BLOCK_LINES, repeat - start)
+                  for start in range(0, repeat, BLOCK_LINES)]
+        text = (line * count for line in lines for count in blocks)
+    else:
+        text = iter(lambda: "".join(itertools.islice(lines, BLOCK_LINES)), "")
+    _atomic_write(path, itertools.chain((_header(geom) + "\n",), text),
+                  end="")
 
 
 def _parse_header(line):

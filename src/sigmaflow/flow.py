@@ -184,7 +184,7 @@ def diffusion_bound(state):
     order min(n, 2k - 2) is built from W. The max is the slab's, which is
     the grid's. cfl_dt takes D before the max.
     """
-    return 0.5 * float(np.max(_diffusion_ratio(state)))
+    return 0.5 * float(_diffusion_ratio(state).max())
 
 
 def cfl_dt(state, cfl_safety):
@@ -208,7 +208,7 @@ def cfl_dt(state, cfl_safety):
     """
     ratio = _diffusion_ratio(state)
     ratio *= state.geometry.laplacian_symbol(state.axes)
-    return cfl_safety / (state.k + 0.5 * float(np.max(ratio)))
+    return cfl_safety / (state.k + 0.5 * float(ratio.max()))
 
 
 # ---------------------------------------------------------------- stepping
@@ -310,7 +310,7 @@ def _record(state, time, quotient_l, residual):
         min_sigma=state.min_sigma(),
         max_abs_W=state.max_abs_w(),
         harnack=state.harnack_quantity(),
-        max_abs_u=float(np.max(np.abs(state.u_slab, out=state._work[1]))),
+        max_abs_u=float(np.abs(state.u_slab, out=state._work[1]).max()),
         dissipation_rhs=rhs,
         rel_residual=rel,
     )

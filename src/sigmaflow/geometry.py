@@ -535,8 +535,9 @@ class BackgroundGeometry:
         constant along the axis difference to bitwise zero; a plain
         weighted sum leaves ~1e-17 dust on constants, and near the poles
         that dust seeds stiff rows that an explicit step then amplifies.
-        Along an axis of extent 1 every result is that +0, the value the
-        grid's stencils give at index 0 for a field constant along it.
+        Along an axis of extent 1 both differences are that +0, the value
+        the grid's stencils give at index 0 for a field constant along it,
+        and the defect, +0 as well, is None: it adds no term.
         A shift by s nodes is a flat shift by s strides of the padded buffer,
         so every operand is a contiguous run of a work buffer; the last
         operation of each chain takes the interior out into a result array.
@@ -544,16 +545,14 @@ class BackgroundGeometry:
         f = np.asarray(f)
         h = self.grid.spacing[axis]
         pre, n, st = self._fit(f.shape).layout[axis]
-        polar = second and axis in self._polar
+        polar = second and axis in self._polar and n > 1
         dest = (out if second else (out,)) if out is not None else (None,) * 3
         if n == 1:
             results = [self._empty(f.shape) if r is None else r
-                       for r in dest[:1 + second + polar]]
+                       for r in dest[:1 + second]]
             for r in results:
                 r.fill(0.0)
-            if not second:
-                return results[0]
-            return results[0], results[1], results[2] if polar else None
+            return (*results, None) if second else results[0]
         width = self._polar[axis].width if polar else self.fd_order // 2
         size = pre * (n + 2 * width) * st
         work = self._kernel
@@ -624,7 +623,7 @@ class BackgroundGeometry:
         (its pole flux is zero and its first weights fit the even part). The
         sum of the returned defect against the weights equals that of
         L - P, so sum(weights * (P + defect)) is zero to rounding for
-        every u.
+        every u. Where every later axis has extent 1 u is even, as is.
 
         Node weights are the midpoint weights s_i, except next to the poles
         of axes with odd m. There the flux the midpoint rule needs has an
@@ -663,8 +662,9 @@ class BackgroundGeometry:
         out -= d2
         tmp = fit.work[3]
         out -= np.multiply(c.kappa, first, out=tmp)
-        out += self._antipode(out, blocks, tmp)
-        out *= 0.5
+        if st > 1:  # else the antipode maps every line onto itself
+            out += self._antipode(out, blocks, tmp)
+            out *= 0.5
         return out
 
     def d1(self, f, axis, comp=None, out=None):
@@ -679,12 +679,12 @@ class BackgroundGeometry:
 
         Returns (parts, seconds, defect): the per-axis lists, and the
         amount by which the divergence-form Laplacian exceeds the trace of
-        the pointwise Hessian (0.0 on charts without polar axes). Sharing
-        this between the Hessian and the gradient halves the number of
-        ghost-layer passes. u is a grid or slab field (_fit), and so are
-        the results. out, when given, is a (parts, seconds, defect) of
-        arrays of u's shape to write into; a defect stays 0.0 without
-        polar axes.
+        the pointwise Hessian (0.0 where no polar axis has more than one
+        node). Sharing this between the Hessian and the gradient halves
+        the number of ghost-layer passes. u is a grid or slab field
+        (_fit), and so are the results. out, when given, is a (parts,
+        seconds, defect) of arrays of u's shape to write into; a defect
+        that stays 0.0 leaves its array unwritten.
         """
         u = np.asarray(u, dtype=float)
         fit = self._fit(u.shape)
@@ -712,7 +712,9 @@ class BackgroundGeometry:
         hess + grad is the order of the DerivativeMatrices maps. u is a
         grid or slab field (_fit), and so are the results: on a slab the
         Hessian and gradient are the grid's at the slab's nodes, bitwise,
-        for a u constant along its axes of extent 1.
+        for a u constant along its axes of extent 1. Along those d_c u is
+        the grid's +0, so every term it enters is skipped: H_ab with b
+        there is filled with +0, the rest leave the bits as they are.
 
         (Hess u)_ab = d_a d_b u - Gamma^c_ab d_c u in coordinates, divided
         by H_a H_b for the frame. The traceless part is the pointwise
@@ -737,7 +739,8 @@ class BackgroundGeometry:
                                 if a == b], out[2])
         parts, seconds, defect = self.scalar_jet(u, out=jet_out)
         iso = np.divide(defect, n, out=defect if np.ndim(defect) else None)
-        fit = self._fit(parts[0].shape)
+        shape = parts[0].shape
+        fit = self._fit(shape)
         tmp = fit.work[4]
         hess = []
         for m, (a, b) in enumerate(pairs):
@@ -751,8 +754,12 @@ class BackgroundGeometry:
                 val = np.multiply(seconds[a], fit.inv_lame2[a],
                                   out=seconds[a] if dest is None else dest)
                 for c, coef in fit.christoffel[a]:
-                    val += np.multiply(coef, parts[c], out=tmp)
+                    if shape[c] > 1:
+                        val += np.multiply(coef, parts[c], out=tmp)
                 val += iso
+            elif shape[b] == 1:  # d_b u is +0, and so is every term
+                val = self._empty(shape) if dest is None else dest
+                val.fill(0.0)
             else:
                 # a nested-sine chart sets dlog[b][a] only (a < b)
                 val = self.d1(parts[b], a, comp=b, out=dest)
@@ -760,11 +767,13 @@ class BackgroundGeometry:
                     val -= np.multiply(fit.dlog[b][a], parts[b], out=tmp)
                 val *= fit.inv_lame[a] * fit.inv_lame[b]
             hess.append(val)
-        grad = [np.multiply(p, inv, out=p) for p, inv in zip(parts, fit.inv_lame)]
-        norm2 = np.square(grad[0], out=(self._empty(tmp.shape) if out is None
+        grad = [np.multiply(p, inv, out=p) if s > 1 else p
+                for p, inv, s in zip(parts, fit.inv_lame, shape)]
+        norm2 = np.square(grad[0], out=(self._empty(shape) if out is None
                                         else out[2]))
-        for g in grad[1:]:
-            norm2 += np.multiply(g, g, out=tmp)
+        for g, s in zip(grad[1:], shape[1:]):
+            if s > 1:
+                norm2 += np.multiply(g, g, out=tmp)
         return hess, grad, norm2
 
     def derivative_matrices(self, shape=None):
@@ -866,7 +875,8 @@ class BackgroundGeometry:
         the axes where that shape has extent 1, so a zonal integral costs
         one line. For grid-shaped operands that is the grid's sum. The
         integrand is formed in the first work buffer, so f and weight may
-        be any other temporary.
+        be any other temporary, and summed by its own sum(): the C
+        reduction np.sum runs, without its Python dispatch.
         """
         shape = np.broadcast_shapes(np.shape(f), np.shape(weight))
         fit = self._fit((1,) * (self.grid.ndim - len(shape)) + shape)
@@ -875,7 +885,7 @@ class BackgroundGeometry:
         values *= f
         if weight is not None:
             values *= weight
-        return float(np.sum(values))
+        return float(values.sum())
 
     def volume(self):
         return self.integrate(np.ones((1,) * self.grid.ndim))

@@ -510,3 +510,71 @@ def test_slab_state_matches_the_grid_kernels(case, axes):
     assert same_bits(state.max_abs_w(), max(np.max(np.abs(c)) for c in w))
     assert same_bits(state.min_sigma(), np.min(sigma))
     assert same_bits(state.harnack_quantity(), np.sqrt(np.max(norm2)))
+
+
+SKIP_CASES = {
+    "S3-fd2": lambda: build_round_sphere(3, 16, fd_order=2),
+    "S3-fd4": lambda: build_round_sphere(3, 16, fd_order=4),
+    "S4": lambda: build_round_sphere(4, 16, fd_order=4),
+    "S1xS2": lambda: build_hopf_product(3, 1.3, 16, fd_order=4),
+    # an S0 with nonzero off-diagonals: W_ab keeps it where H_ab is +0
+    "synthetic": lambda: build_synthetic(
+        3, [[0.5, 0.1, 0.2], [0.1, -0.2, 0.3], [0.2, 0.3, 0.7]], 8),
+}
+
+
+@pytest.mark.parametrize("axes", (0, 1, 2))
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_slab_skips_carry_the_grid_bits(case, axes):
+    # On the slab d_c u is +0 along every axis c of extent 1 (c >= axes),
+    # so the assembly skips what it enters: H_ab with b on such an axis
+    # is filled with +0, d_c u is not scaled, and W_ab gets no gradient
+    # product. Each skipped component carries the grid's bits, and the
+    # zeros among them are +0.
+    geom = SKIP_CASES[case]()
+    n = geom.grid.ndim
+    u = field_with_axes(geom, axes)
+    slab = np.ascontiguousarray(u[(slice(None),) * axes
+                                  + (slice(0, 1),) * (n - axes)])
+    w, grad, _ = w_components(geom, u)
+    w_slab, grad_slab, _ = w_components(geom, slab)
+    hess, hess_slab = (geom.frame_derivatives(f)[0] for f in (u, slab))
+    unsigned = lambda f: not np.signbit(f).any()
+    for m, (a, b) in enumerate(fieldalg.pairs(n)):
+        if b < axes:
+            continue
+        assert same_bits(w_slab[m], w[m])
+        if a < b:
+            assert same_bits(hess_slab[m], hess[m]) and unsigned(hess_slab[m])
+            assert not hess_slab[m].any()
+            assert geom.schouten0[a, b] != 0.0 or unsigned(w_slab[m])
+    for c in range(axes, n):
+        assert same_bits(grad_slab[c], grad[c]) and unsigned(grad_slab[c])
+
+
+@pytest.mark.parametrize("reuse", (False, True))
+def test_zonal_w_assembly_pads_along_axis_0_only(reuse):
+    # A zonal (N, 1, 1) W assembly on S^3 at fd4 runs the jet's three
+    # second=True stencils, and only the one along axis 0 pads: along the
+    # axes of extent 1 a stencil is a fill of +0, and no stencil runs on
+    # their partials d_b u, which are +0, as is every H_ab with b >= 1.
+    geom = build_round_sphere(3, 32, fd_order=4)
+    line = np.ascontiguousarray(field_with_axes(geom, 1)[:, :1, :1])
+    out = w_components(geom, line) if reuse else None
+    stencil, pad, calls = geom._stencil, geom.pad, []
+
+    def recorded_stencil(f, axis, comp=None, second=False, out=None):
+        calls.append(("stencil", axis, comp, second))
+        return stencil(f, axis, comp, second, out)
+
+    def recorded_pad(f, axis, width, comp=None, out=None):
+        calls.append(("pad", axis))
+        return pad(f, axis, width, comp, out)
+
+    with mock.patch.object(geom, "_stencil", recorded_stencil), \
+            mock.patch.object(geom, "pad", recorded_pad):
+        w = w_components(geom, line, out=out)[0]
+    assert calls == [("stencil", 0, None, True), ("pad", 0),
+                     ("stencil", 1, None, True), ("stencil", 2, None, True)]
+    assert all(c.shape == (32, 1, 1) for c in w)
+    assert out is None or all(x is y for x, y in zip(w, out[0]))

@@ -12,6 +12,7 @@ orders above measured values.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,28 @@ def test_zonal_search_solves_on_the_line_of_nodes(monkeypatch):
                for axes, shape in shapes)
     assert geom.grid.shape not in geom._derivative_matrices
     assert float(np.max(np.abs(phi))) == 0.0
+
+
+def test_zonal_search_at_128_keeps_its_peak_at_the_line_scale():
+    # phi is formed on the slab of the last solvable u and broadcast over
+    # the grid, and every check of a solution reads that slab: a warm
+    # 128^3 zonal search (the CLI's seeded guess) traces a peak of 0.28
+    # MB, where a grid phi and the finiteness check of a broadcast guess
+    # each take a grid array (16.8 MB of doubles, 2.1 MB of booleans).
+    geom = build_round_sphere(3, 128)
+    problem = AuxiliaryProblem(geom, 2)
+    guess = cli._seeded_initial(geom, 0.1, 1)
+    lambda_star_search(problem, 2.5e-3, guess=guess)  # the chart's caches
+    tracemalloc.start()
+    try:
+        phi, lam = lambda_star_search(problem, 2.5e-3, guess=guess)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * geom.grid.total_points / 16
+    assert abs(lam - S_OF_K[2]) <= 2.5e-3
+    assert phi.shape == geom.grid.shape and not phi.flags.writeable
+    assert float(phi.max()) == 0.0
 
 
 def test_seeded_k1_search_meets_every_krylov_tolerance():

@@ -691,6 +691,27 @@ def test_zonal_dump_streams_without_a_grid_copy(tmp_path):
     assert peak < 8 * geom.grid.total_points / 2
 
 
+def test_dump_is_the_per_node_format_of_its_values(tmp_path):
+    # Each stored value is formatted once and its line repeated where the
+    # grid repeats it; the bytes are those of "%.17g" at every node in
+    # grid order, for a line (signed zeros included), a constant, a
+    # broadcast view, a field along a middle axis and a generic field.
+    geom = build_round_sphere(3, 16)
+    shape = geom.grid.shape
+    line = geom.grid.axis_vector(0, np.cos(geom.grid.coordinates(0)))
+    line[::5] = -0.0
+    cases = {"line": line, "constant": np.full((1, 1, 1), -0.25),
+             "scalar": 0.1, "view": np.broadcast_to(line, shape),
+             "middle": geom.grid.axis_vector(1, geom.grid.coordinates(1)),
+             "generic": np.random.default_rng(5).standard_normal(shape)}
+    for name, values in cases.items():
+        path = tmp_path / f"{name}.field"
+        fieldio.write_scalar_field(path, geom, values)
+        nodes = np.broadcast_to(values, shape).flat
+        assert path.read_text() == "".join(
+            [fieldio._header(geom) + "\n"] + ["%.17g\n" % v for v in nodes])
+
+
 def test_dump_rejects_garbage(tmp_path):
     path = tmp_path / "bad.dump"
     path.write_text("not-a-dump v1; dims=2; axis=periodic; chart=x\n0\n0\n")

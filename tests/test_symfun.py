@@ -419,6 +419,25 @@ def test_component_kernels_into_given_arrays_bitwise(n):
         assert np.array_equal(bits(out), bits(want))
 
 
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_sigma_table_keeps_every_pair_of_one_node(n):
+    # The cone check of the CLI's parse_config passes components of shape
+    # (1,), one node of a background whose off-diagonals may be nonzero:
+    # an extent of 1 is no collapsed axis, so every pair enters the table
+    # and each order carries the bits it has on a longer shape.
+    rng = np.random.default_rng(70 + n)
+    s0 = random_sym(rng, n) + 2.0 * np.eye(n)
+    pairs = fieldalg.pairs(n)
+    bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+    one = fieldalg.sigma_table([s0[a, b:b + 1] for a, b in pairs], n, n)
+    long = fieldalg.sigma_table([np.full(7, s0[a, b]) for a, b in pairs],
+                                n, n)
+    assert one.shape == (1, n + 1)
+    assert all(np.array_equal(bits(one[0]), bits(row)) for row in long)
+    want = symfun.sigma_all(np.linalg.eigvalsh(s0), n)
+    assert np.allclose(one[0], want, rtol=1e-10, atol=1e-10)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_newton_lambda_max_on_random_symmetric_fields(n, seed):
