@@ -21,15 +21,14 @@ so it is kept as their pointwise weights on the slab
 (linearization_weights), which the matrices of any shape the slab
 broadcasts to combine.
 
-A state keeps u and evaluates its fields on the slab of the nodes where u
-can vary: index 0 along every axis from varying_axes(u) on, along which u
-is bitwise constant, and so are W and everything built from it (frame
-factors vary only along the axes before their own). On that slab the
-fields are the grid's, bitwise; they broadcast against grid arrays, and
-the integrals sum on the slab against the volume weight summed over its
-collapsed axes. For generic data the slab is the whole grid and every sum
-the grid's. A zonal u, which the flow keeps zonal, costs one line of
-nodes and one line of memory.
+A state keeps u as its slab (see slab). W and every field built from it
+are constant along the slab's collapsed axes as u is (frame factors vary
+only along the axes before their own), so the state evaluates them on
+the slab, where they are the grid's, bitwise; they broadcast against
+grid arrays, and the integrals sum on the slab against the volume weight
+summed over its collapsed axes. For generic data the slab is the whole
+grid and every sum the grid's. A zonal u, which the flow keeps zonal,
+costs one line of nodes and one line of memory.
 """
 
 from __future__ import annotations
@@ -53,14 +52,15 @@ class ConeReport:
 
 
 def varying_axes(u):
-    """1 + the last axis along which u is not bitwise constant: 0 for a
-    constant u, 1 for a zonal one, u.ndim for generic data. A step keeps u
-    bitwise constant along the axes from there on, so the modes along them
-    are never excited. One pass: the last axis is peeled off, keeping its
-    first slice, while u is constant along it; generic data is told apart
-    by its first line along the last axis alone. An axis of extent 1 or
-    stride 0 (a broadcast view) is peeled unread, so a line broadcast over
-    the grid costs a scan of the line."""
+    """1 + the last axis along which u's float64 bits are not constant (so
+    +0.0 and -0.0 differ): 0 for a constant u, 1 for a zonal one, u.ndim
+    for generic data. A step keeps u bitwise constant along the axes from
+    there on, so the modes along them are never excited. One pass: the
+    last axis is peeled off, keeping its first slice, while u is constant
+    along it; generic data is told apart by its first line along the last
+    axis alone. An axis of extent 1 or stride 0 (a broadcast view) is
+    peeled unread, so a line broadcast over the grid costs a scan of it."""
+    u = np.asarray(u, dtype=float).view(np.uint64)
     axes = u.ndim
     while axes:
         if u.shape[-1] > 1 and u.strides[-1]:
@@ -72,11 +72,17 @@ def varying_axes(u):
     return axes
 
 
-def unbroadcast(u):
-    """u at index 0 along its axes of stride 0: the array a broadcast
-    view repeats, u itself when it has none. Its values, and so its min
-    and max, are u's, read without a pass over the broadcast shape."""
-    return u[tuple(slice(0, 1) if s == 0 else slice(None) for s in u.strides)]
+def slab(u, shape):
+    """(axes, slab) of u, any array that broadcasts to shape: axes =
+    varying_axes(u), and the slab is u at index 0 along the axes from axes
+    on, a contiguous float array (a view of u where it can be) that,
+    broadcast to shape, is u bit for bit. The one rule by which fields are
+    kept (a state's u, an auxiliary problem's h) and read (bounds, dumps)
+    without their repeats."""
+    u = np.broadcast_to(np.asarray(u, dtype=float), shape)
+    axes = varying_axes(u)
+    return axes, np.ascontiguousarray(
+        u[(slice(None),) * axes + (slice(0, 1),) * (len(shape) - axes)])
 
 
 def w_components(geom, u, out=None):
@@ -112,7 +118,7 @@ def admissible_state(geom, u, k, arrays=None):
     arrays is passed on to the state (see ConformalState)."""
     if not np.isfinite(u).all():
         return None
-    state = ConformalState(geom, u, k, finite=True, arrays=arrays)
+    state = ConformalState(geom, u, k, arrays=arrays)
     if not state.cone_report().label.inside:
         return None
     return state
@@ -121,10 +127,9 @@ def admissible_state(geom, u, k, arrays=None):
 class ConformalState:
     """u plus lazily cached derived fields; a new u makes a new state.
 
-    axes = varying_axes(u), and u_slab, the one copy of u the state keeps,
-    is u at index 0 along the later axes: a contiguous array of the slab's
-    shape `shape`, the grid's extent on the first `axes` axes and 1 on the
-    rest. u is u_slab broadcast over the grid, a read-only view. Every
+    (axes, u_slab) = slab(u, grid shape): u_slab, the one copy of u the
+    state keeps, is a contiguous array of the slab's shape `shape`, and
+    the u property broadcasts it over the grid (a read-only view). Every
     field (W, its gradient, |grad u|^2, the sigma table, the log targets,
     sigma_k(g), the conformal weight) has the slab's shape. Reductions
     read the slab: min, max and the cone test as the grid's, integrals
@@ -132,11 +137,11 @@ class ConformalState:
     (geometry.integrate).
     """
 
-    def __init__(self, geom, u, k, finite=False, arrays=None):
+    def __init__(self, geom, u, k, arrays=None):
         """u is any array that broadcasts to the grid, such as a grid
         field or an (N, 1, 1) line; the state copies it only where the
-        slab is not a contiguous view of it. finite=True skips the check
-        of u for a caller that made it.
+        slab is not a contiguous view of it, and checks that the slab is
+        finite.
 
         arrays, from take_arrays of a state on the same chart and k, are
         overwritten with this state's fields instead of allocating new
@@ -147,20 +152,20 @@ class ConformalState:
         n = geom.grid.ndim
         if not 1 <= k <= n:
             raise ConfigurationError(f"curvature order k={k} outside 1..{n}")
-        u = np.asarray(u, dtype=float)
-        if not (finite or np.isfinite(unbroadcast(u)).all()):
+        self.axes, self.u_slab = slab(u, geom.grid.shape)
+        if not np.isfinite(self.u_slab).all():
             raise ConfigurationError("conformal factor contains non-finite values")
         self.geometry = geom
         self.k = k
-        u = np.broadcast_to(u, geom.grid.shape)
-        self.axes = j = varying_axes(u)
-        self.u_slab = np.ascontiguousarray(
-            u[(slice(None),) * j + (slice(0, 1),) * (n - j)])
-        self.u = np.broadcast_to(self.u_slab, geom.grid.shape)
         self.shape = self.u_slab.shape
         self._work = geom._fit(self.shape).work
         self._cache = {}
         self._arrays = {} if arrays is None else arrays
+
+    @property
+    def u(self):
+        """u_slab broadcast over the grid, a read-only view."""
+        return np.broadcast_to(self.u_slab, self.geometry.grid.shape)
 
     def take_arrays(self):
         """Hand over the arrays of W with its gradient and of every field
@@ -233,9 +238,9 @@ class ConformalState:
         # the slab's first worst node is the grid's, and each slab node
         # stands for the grid nodes its collapsed axes span
         j, node, value = worst
-        n_bad = (np.size(self.u_slab) - np.count_nonzero(
+        repeats = self.geometry.grid.total_points // self.u_slab.size
+        n_bad = repeats * (self.u_slab.size - np.count_nonzero(
             fieldalg.cone_mask(etable, self.k)))
-        n_bad = int(n_bad * (np.size(self.u) // np.size(self.u_slab)))
         return ConeReport(ConeLabel(k=self.k, inside=False, first_failing_j=j),
                           node, value, n_bad)
 

@@ -5,10 +5,10 @@ W(u) the deformed Schouten expression assembled by the conformal module.
 An auxiliary problem fixes (k, h); the continuation walks the right-hand
 side from an f for which u identically delta_lo is an exact solution to
 the constant lambda, warm-starting a damped Newton iteration. Each
-Newton step solves on the slab where its data (u, h and the right-hand
-side) can vary, a line of nodes for zonal data (conformal.varying_axes):
-J keeps fields constant along the other axes, so the direction is one
-too. J is assembled there as a sparse matrix: the chart's Hessian and
+Newton step solves on the broadcast of the slabs (conformal.slab) of its
+data, u, h and the right-hand side: a line of nodes for zonal data. J
+keeps fields constant along the other axes, so the direction is one too.
+J is assembled there as a sparse matrix: the chart's Hessian and
 gradient matrices at that shape, built once per shape from its shift
 matrices, combined with the conformal state's weights of d sigma_k(W),
 scaled by sigma_k^{1/k-1}/k, minus h e^u. It solves with restarted GMRES
@@ -34,8 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .conformal import (ConformalState, admissible_state, unbroadcast,
-                         varying_axes)
+from .conformal import ConformalState, admissible_state, slab
 from .errors import (
     ConfigurationError,
     ContinuationFailureError,
@@ -67,7 +66,7 @@ ESCAPE_FLOOR = -50.0
 class AuxiliaryProblem:
     """sigma_k^{1/k}(W(u)) = h e^u + rhs on a background geometry, the
     right-hand side given per solve. h >= 0 may be a scalar or a field;
-    it is kept as its slab, as a state keeps u (conformal.varying_axes).
+    it is kept as its slab (conformal.slab), as a state keeps u.
     """
 
     geometry: object
@@ -78,13 +77,10 @@ class AuxiliaryProblem:
         n = self.geometry.grid.ndim
         if not 1 <= self.k <= n:
             raise ConfigurationError(f"curvature order k={self.k} outside 1..{n}")
-        h = np.asarray(self.h, dtype=float)
+        _, h = slab(self.h, self.geometry.grid.shape)
         if not np.all(np.isfinite(h)) or np.any(h < 0.0):
             raise ConfigurationError("coefficient h must be finite and >= 0")
-        h = np.broadcast_to(h, self.geometry.grid.shape)
-        j = varying_axes(h)
-        object.__setattr__(self, "h", np.ascontiguousarray(
-            h[(slice(None),) * j + (slice(0, 1),) * (n - j)]))
+        object.__setattr__(self, "h", h)
 
     def h_field(self):
         return np.broadcast_to(self.h, self.geometry.grid.shape)
@@ -304,7 +300,7 @@ def _check_solution(u, t, lam, bounds):
     NonconvergenceError) and max u is at or above ESCAPE_FLOOR (a
     ContinuationFailureError: lam presumed >= lambda*), read on u's slab."""
     delta_lo, delta_hi = bounds
-    u = unbroadcast(u)
+    _, u = slab(u, u.shape)
     u_min, u_max = float(u.min()), float(u.max())
     slack = 1e-8 * (1.0 + abs(delta_lo) + abs(delta_hi))
     if u_min < delta_lo - slack or u_max > delta_hi + slack:
@@ -432,7 +428,10 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     bracket midpoint. The lower end starts at a tenth of the worst
     constant-state value (guaranteed solvable), the upper end at the
     Maclaurin ceiling (at or above lambda*, hence unsolvable); the lower
-    end is solved by continuation from scratch.
+    end is solved by continuation_run from guess when one is given (the
+    CLI passes its seeded zonal line unless amplitude=0), else from its
+    exact start delta_lo, which takes fewer iterations (the FOUND on this
+    start in CHANGES.md; ROADMAP item 9).
 
     Each midpoint is first solved by damped Newton on the target equation
     from the last solvable u (route "warm"). When that fails, or its
@@ -477,8 +476,8 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
             lo, u_best = mid, u
         midpoints.append(record)
 
-    slab = unbroadcast(u_best)
-    phi = np.broadcast_to(slab - float(slab.max()), u_best.shape)
+    _, u_slab = slab(u_best, u_best.shape)
+    phi = np.broadcast_to(u_slab - float(u_slab.max()), u_best.shape)
     lambda_star = 0.5 * (lo + hi)
     if stats is not None:
         stats.update(acc, bisections=len(midpoints), ceiling=lam_hi,

@@ -64,10 +64,10 @@ def sigma_table(w, n, kmax, out=None):
     if not 0 <= kmax <= n:
         raise ValueError(f"kmax={kmax} out of range for n={n}")
     idx = _index(n)
-    shape = np.broadcast_shapes(*(np.shape(c) for c in w))
-    # the order axis first, as transpose views (np.moveaxis costs more)
-    e = (np.empty((kmax + 1,) + shape) if out is None
-         else out.transpose((-1, *range(len(shape)))))
+    if out is None:
+        e = np.empty((kmax + 1,) + np.broadcast(*w).shape)
+    else:  # the order axis first, as a transpose view (np.moveaxis costs more)
+        e = out.transpose((-1, *range(out.ndim - 1)))
     if kmax >= 1:
         e[1] = w[idx[0, 0]]
         for a in range(1, n):

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .conformal import unbroadcast
+from .conformal import slab
 from .errors import ConfigurationError, NumericError
 from .geometry import PERIODIC, POLE
 
@@ -49,19 +49,15 @@ def _atomic_write(path, lines, end="\n"):
 
 
 def write_scalar_field(path, geom, values):
-    """Dump values, any array that broadcasts to the grid. Each value
-    stored (conformal.unbroadcast: a grid, a line, a constant) is
-    formatted once and its line repeated, BLOCK_LINES at a time, as often
-    as the later axes repeat it: a zonal line costs N formats, not N^3."""
+    """Dump values, any array that broadcasts to the grid. Each value of
+    its slab (conformal.slab: a grid, a line, a constant) is formatted
+    once and its line repeated, BLOCK_LINES at a time, as often as the
+    later axes repeat it: a zonal line costs N formats, not N^3."""
     shape = geom.grid.shape
-    values = unbroadcast(np.broadcast_to(np.asarray(values, dtype=float),
-                                         shape))
+    lead, values = slab(values, shape)
     _require_finite(values, path)
-    lead = max((a + 1 for a, s in enumerate(values.shape) if s > 1),
-               default=0)
     repeat = math.prod(shape[lead:])
-    rows = np.broadcast_to(values.reshape(values.shape[:lead]), shape[:lead])
-    lines = map("%.17g\n".__mod__, rows.flat)
+    lines = map("%.17g\n".__mod__, values.flat)
     if repeat > 1:
         blocks = [min(BLOCK_LINES, repeat - start)
                   for start in range(0, repeat, BLOCK_LINES)]
@@ -83,8 +79,9 @@ def _parse_header(line):
     for part in parts[1:]:
         key, _, value = part.partition("=")
         meta[key.strip()] = value.strip()
-    if "dims" not in meta or "axis" not in meta or "chart" not in meta:
-        raise ConfigurationError("field dump header is missing required keys")
+    for key in ("dims", "axis", "chart"):
+        if key not in meta:
+            raise ConfigurationError(f"field dump header has no key '{key}'")
     meta["dims"] = tuple(int(d) if d.strip().isdigit() else 0
                          for d in meta["dims"].split(","))
     meta["axis"] = tuple(meta["axis"].split(","))
@@ -99,24 +96,20 @@ def read_field(path):
     with open(path) as fh:
         header = fh.readline()
         meta = _parse_header(header)
-        data = [line.split(",") for line in fh if line.strip()]
+        data = [line for line in fh if line.strip()]
     shape = meta["dims"]
     count = int(np.prod(shape))
     if len(data) != count:
         raise ConfigurationError(
             f"field dump has {len(data)} rows, grid needs {count}")
-    width = max(len(row) for row in data)
-    if width != 1:
-        raise ConfigurationError(
-            f"field dump rows have up to {width} entries; expected 1")
     values = np.empty(count)
     for i, row in enumerate(data):
         try:
-            values[i] = float(row[0])
+            values[i] = float(row)
         except ValueError:
             values[i] = math.nan
         if not math.isfinite(values[i]):
             raise ConfigurationError(
-                f"field dump row {i + 1} holds {row[0].strip()!r}; "
+                f"field dump row {i + 1} holds {row.strip()!r}; "
                 "expected a finite number")
     return values.reshape(shape), meta

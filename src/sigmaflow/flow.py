@@ -17,12 +17,11 @@ only that of axis 0. A run takes the bound fresh before every step.
 A quotient variant drives log(sigma_k/sigma_l) instead; sigma_0 = 1 makes
 l = 0 coincide with the primary flow.
 
-Every field of a step lives on its state's slab (see conformal): the
-nodes at index 0 along the axes u is constant along. The speed, the new
-u = u + h speed, the bound, the monitor's maxima, minima and integrals
-all stay there, so a zonal step does one line of work and allocates no
-grid array. Grid arrays appear only where u leaves the flow, as
-FlowState.u, a broadcast view that its readers copy or write out.
+Every field of a step lives on its state's slab (conformal.slab). The
+speed, the new u = u + h speed, the bound, the monitor's maxima, minima
+and integrals all stay there, so a zonal step does one line of work and
+allocates no grid array. Grid arrays appear only where u leaves the flow,
+as FlowState.u, a broadcast view that its readers copy or write out.
 
 A run builds a full monitor row only where it keeps one; between those
 rows the convergence detector evaluates the residual alone. The state
@@ -123,8 +122,9 @@ class MonitorRecord:
 
 @dataclass
 class FlowState:
-    """Mutable bookkeeping for a run; u is the current conformal factor,
-    the state's slab broadcast over the grid (a read-only view).
+    """Mutable bookkeeping for a run; u is the conformal factor, a
+    read-only grid view of the state's slab, set before each on_record
+    call and at return.
 
     cfl_limited counts the accepted steps whose dt the CFL bound set
     (rather than dt_initial or t_end). cfl_axes is the axes count the bound
@@ -133,7 +133,7 @@ class FlowState:
     """
 
     time: float
-    u: np.ndarray
+    u: np.ndarray | None = None
     step_count: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -336,13 +336,14 @@ def run(geom, u0, config, on_record=None):
     makes the constant a gauge choice, so only monitors are reported).
     The detector reads the residual after every step, and cfl_dt is taken
     fresh before every step. on_record, when given, is called with
-    (flow, state, record) for every kept monitor row; callers hang
-    snapshot writers off it. u0 is any array that broadcasts to the grid,
-    such as an (N, 1, 1) line for zonal data on a round sphere.
+    (flow, state, record) for every kept monitor row, flow.u set to
+    state.u; callers hang snapshot writers off it. u0 is any array that
+    broadcasts to the grid, such as an (N, 1, 1) line for zonal data on a
+    round sphere.
     """
     state = ConformalState(geom, u0, config.k)
     state.require_admissible()
-    flow = FlowState(time=0.0, u=state.u, cfl_axes=state.axes)
+    flow = FlowState(time=0.0, cfl_axes=state.axes)
     records = []
     t_end = float(config.t_end)
     detecting = config.convergence_tol > 0
@@ -360,6 +361,7 @@ def run(geom, u0, config, on_record=None):
                 rec = _record(state, flow.time, config.quotient_l, residual)
                 records.append(rec)
                 if on_record is not None:
+                    flow.u = state.u
                     on_record(flow, state, rec)
             if converged:
                 flow.converged = True
@@ -380,6 +382,6 @@ def run(geom, u0, config, on_record=None):
         flow.rejected += n_rej
         if dt == cfl:
             flow.cfl_limited += 1
-        flow.u = state.u
+    flow.u = state.u
     return flow, records
 

@@ -878,7 +878,7 @@ class BackgroundGeometry:
         be any other temporary, and summed by its own sum(): the C
         reduction np.sum runs, without its Python dispatch.
         """
-        shape = np.broadcast_shapes(np.shape(f), np.shape(weight))
+        shape = np.broadcast(f, weight).shape
         fit = self._fit((1,) * (self.grid.ndim - len(shape)) + shape)
         values = fit.work[0]
         np.copyto(values, fit.weight)

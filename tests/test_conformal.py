@@ -7,16 +7,20 @@ the scalar recurrence) and demand agreement.
 Scaling laws under u -> u + c pin the conformal weights independently.
 """
 
+import functools
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrix_form import hessian, matrix, w_matrix
 from sigmaflow import fieldalg, geometry, symfun
-from sigmaflow.conformal import ConeReport, ConformalState, w_components
+from sigmaflow.conformal import (ConeReport, ConformalState, slab,
+                                 varying_axes, w_components)
 from sigmaflow.errors import ConeViolationError, ConfigurationError
 from sigmaflow.geometry import (
     build_hopf_product,
@@ -406,6 +410,62 @@ def test_state_validation():
         ConformalState(geom, np.zeros(geom.grid.shape), k=4)
     with pytest.raises(ConfigurationError):
         ConformalState(geom, np.full(geom.grid.shape, np.nan), k=2)
+
+
+@functools.lru_cache(maxsize=None)
+def box(n):
+    return build_synthetic(n, [0.5] * n, 8)
+
+
+# value palettes: signed zeros alone, with NaN, with ordinary values
+PALETTES = ((0.0, -0.0), (0.0, -0.0, math.nan), (-0.0, 1.5, math.nan),
+            (0.0, -0.0, math.nan, 1.5, -3.0, 1e-300), (-0.0,), (0.25, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from((3, 4)), data=st.data())
+def test_slab_is_the_field_bit_for_bit(n, data):
+    # A field drawn on a slab of random rank from values that include
+    # +0.0, -0.0 and NaN, broadcast over the grid: slab finds 1 + the
+    # last axis along which its bits vary, the slab is contiguous and
+    # broadcasts back to the field's bytes, for a grid copy, a broadcast
+    # view and the slab-shaped array alike; a state built from finite
+    # data reads u back with the field's bytes.
+    geom = box(n)
+    shape = geom.grid.shape
+    axes = data.draw(st.integers(0, n), label="axes")
+    palette = data.draw(st.sampled_from(PALETTES), label="palette")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    drawn = rng.choice(palette, size=shape[:axes] + (1,) * (n - axes))
+    field = np.broadcast_to(drawn, shape).copy()
+    bits = field.view(np.uint64)
+    varies = [a for a in range(n)
+              if (bits != np.take(bits, [0], axis=a)).any()]
+    want = 1 + max(varies, default=-1)
+    for u in (field, np.broadcast_to(drawn, shape), drawn):
+        got, values = slab(u, shape)
+        assert got == want == varying_axes(u)
+        assert values.shape == shape[:want] + (1,) * (n - want)
+        assert values.flags.c_contiguous
+        assert np.broadcast_to(values, shape).tobytes() == field.tobytes()
+        if np.isfinite(field).all():
+            state = ConformalState(geom, u, 1)
+            assert state.axes == want
+            assert state.u.tobytes() == field.tobytes()
+
+
+def test_state_keeps_the_signed_zeros_of_a_zonal_u():
+    # u is zonal by value, but its (0, :, 0) column is +0.0 and its
+    # (0, :, 1:) nodes are -0.0: the bits vary along the last axis, so
+    # the state keeps the grid and reads u back with every -0.0.
+    geom = build_round_sphere(3, 16)
+    u = np.broadcast_to(0.1 * np.cos(mesh(geom)[0]), geom.grid.shape).copy()
+    u[0] = 0.0
+    u[0, :, 1:] = -0.0
+    state = ConformalState(geom, u, 2)
+    assert state.axes == 3 and state.shape == geom.grid.shape
+    assert state.u.tobytes() == u.tobytes()
+    assert not state.u.flags.writeable
 
 
 def test_zonal_state_fields_stay_bitwise_zonal():

@@ -879,6 +879,30 @@ def test_zonal_run_memory_is_a_line_of_nodes():
     assert recs[-1].max_abs_u == float(np.max(np.abs(flow.u[:, -1, -1])))
 
 
+@pytest.mark.parametrize("ending", ("t_end", "converged"))
+def test_flow_u_is_the_observed_state_u(ending):
+    # run sets FlowState.u where it is observed: inside on_record, at every
+    # kept row, flow.u is the state's u, grid-shaped and read-only, and
+    # after the run it is the last state's u, for a run that reaches t_end
+    # and for one that converges.
+    geom = build_round_sphere(3, 16, fd_order=4)
+    theta = geom.grid.axis_vector(0, geom.grid.coordinates(0))
+    cfg = FlowConfig(k=2, t_end=0.05 if ending == "t_end" else 20.0,
+                     monitor_every=3, convergence_tol=1e-4)
+    seen = []
+
+    def observe(flow, state, rec):
+        assert flow.u.shape == geom.grid.shape
+        assert not flow.u.flags.writeable
+        assert same_bits(flow.u, state.u)
+        seen.append(state)
+
+    flow, recs = run(geom, 0.1 * np.cos(theta), cfg, on_record=observe)
+    assert flow.converged == (ending == "converged")
+    assert len(seen) == len(recs) > 3 and flow.step_count > 5
+    assert same_bits(flow.u, seen[-1].u) and flow.u.shape == geom.grid.shape
+
+
 def test_run_detects_fixed_point_immediately():
     geom = build_round_sphere(3, 16)
     cfg = FlowConfig(k=2, t_end=5.0, convergence_tol=1e-5)

@@ -13,6 +13,7 @@ Closed forms used as oracles:
 
 import functools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -710,6 +711,69 @@ def test_dump_is_the_per_node_format_of_its_values(tmp_path):
         nodes = np.broadcast_to(values, shape).flat
         assert path.read_text() == "".join(
             [fieldio._header(geom) + "\n"] + ["%.17g\n" % v for v in nodes])
+
+
+def test_dump_writes_minus_zero_on_exactly_its_negative_zeros(tmp_path):
+    # A zonal grid field whose (0, :, 0) column is +0.0 and whose
+    # (0, :, 1:) nodes are -0.0 is constant along the trailing axes by
+    # value but not by bits: the dump writes "-0" on exactly those 240
+    # nodes and reads back bit for bit.
+    geom = build_round_sphere(3, 16)
+    u = np.broadcast_to(
+        geom.grid.axis_vector(0, np.cos(geom.grid.coordinates(0))),
+        geom.grid.shape).copy()
+    u[0] = 0.0
+    u[0, :, 1:] = -0.0
+    path = tmp_path / "signed.field"
+    fieldio.write_scalar_field(path, geom, u)
+    rows = path.read_text().splitlines()[1:]
+    minus = [i for i, row in enumerate(rows) if row == "-0"]
+    assert minus == list(np.flatnonzero(np.signbit(u) & (u == 0.0)))
+    assert len(minus) == 240
+    assert fieldio.read_field(path)[0].tobytes() == u.tobytes()
+
+
+def dump_text(header, rows):
+    """A field dump: the header line, then one line per row."""
+    return f"{header}\n" + "".join(f"{row}\n" for row in rows)
+
+
+GOOD_HEADER = ("sigmaflow-field v1; dims=2,2; axis=pole_shifted,periodic; "
+               "chart=round_sphere")
+
+
+@pytest.mark.parametrize("text, message", (
+    (dump_text("not-a-dump v1; dims=2; axis=periodic; chart=x", ["0"] * 2),
+     "not a field dump: bad header"),
+    (dump_text("sigmaflow-field v2; dims=2; axis=periodic; chart=x", ["0"] * 2),
+     "unsupported field dump version 2"),
+    (dump_text("sigmaflow-field v1; axis=periodic; chart=x", ["0"] * 2),
+     "header has no key 'dims'"),
+    (dump_text("sigmaflow-field v1; dims=2; chart=x", ["0"] * 2),
+     "header has no key 'axis'"),
+    (dump_text("sigmaflow-field v1; dims=2; axis=periodic", ["0"] * 2),
+     "header has no key 'chart'"),
+    (dump_text("sigmaflow-field v1; dims=0,2; axis=periodic,periodic; "
+               "chart=x", []), "bad dims or axis kinds"),
+    (dump_text("sigmaflow-field v1; dims=1.5,2; axis=periodic,periodic; "
+               "chart=x", ["0"] * 3), "bad dims or axis kinds"),
+    (dump_text("sigmaflow-field v1; dims=2; axis=polar; chart=x", ["0"] * 2),
+     "bad dims or axis kinds"),
+    (dump_text(GOOD_HEADER, ["0"] * 3), "field dump has 3 rows, grid needs 4"),
+    (dump_text(GOOD_HEADER, ["0", "nan", "0", "0"]),
+     "row 2 holds 'nan'; expected a finite number"),
+    (dump_text(GOOD_HEADER, ["0", "0", "1,2", "0"]),
+     "row 3 holds '1,2'; expected a finite number"),
+), ids=("tag", "version", "no-dims", "no-axis", "no-chart", "zero-dim",
+        "non-integer-dim", "axis-kind", "row-count", "non-finite",
+        "two-entries"))
+def test_read_field_names_each_rejection(tmp_path, text, message):
+    path = tmp_path / "bad.field"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        fieldio.read_field(path)
+    path.write_text(dump_text(GOOD_HEADER, ["0", "-0", "1.5", "-2"]))
+    assert fieldio.read_field(path)[0].tolist() == [[0.0, -0.0], [1.5, -2.0]]
 
 
 def test_dump_rejects_garbage(tmp_path):
