@@ -14,10 +14,10 @@ matrices, combined with the conformal state's weights of d sigma_k(W),
 scaled by sigma_k^{1/k-1}/k, minus h e^u. It solves with restarted GMRES
 (the krylov module) under a two-level preconditioner. lambda* is then
 the supremum of solvable lambda, located by bisection, and the
-eigenfunction is recovered by the renormalization phi = u - max u. Each
-bisection midpoint is first solved by Newton on the target equation from
-the last solvable u; only when that fails, or its result fails the
-continuation's checks, is the continuation rerun from scratch for it.
+eigenfunction is recovered by the renormalization phi = u - max u. Every
+lambda is solved by Newton on the target equation from the field at hand
+(the guess at the lower end, the last solvable u at a midpoint), else by
+the walk from its exact start (no field, no convergence, a failed check).
 
 Admissibility (W(u) in the Gamma_k+ cone) is enforced on the initial
 guess, on every accepted Newton iterate, and during line searches, where a
@@ -315,7 +315,7 @@ def _check_solution(u, t, lam, bounds):
             diagnostics={"t": t, "max_u": u_max, "lam": lam})
 
 
-def continuation_run(problem, lam, guess=None, stats=None):
+def continuation_run(problem, lam, stats=None):
     """Walk the right-hand side from f to the constant lam; return the
     solution u at lam.
 
@@ -330,8 +330,7 @@ def continuation_run(problem, lam, guess=None, stats=None):
     delta_lo = bounds[0]
     f = problem.s0 - problem.h * math.exp(delta_lo)
     stats = {} if stats is None else stats
-    start = np.full((1,) * problem.geometry.grid.ndim, delta_lo) \
-        if guess is None else np.asarray(guess, dtype=float)
+    start = np.full((1,) * problem.geometry.grid.ndim, delta_lo)
     u = newton_solve(problem, f, start, stats=stats)
     _check_solution(u, 0.0, lam, bounds)
     t = 0.0
@@ -393,17 +392,18 @@ def maclaurin_ceiling(geometry, k):
     return math.comb(n, k) ** (1.0 / k) * trace / n
 
 
-def _solve_midpoint(problem, lam, warm_start, acc):
-    """One bisection midpoint: Newton from warm_start (_warm_solve), else
-    continuation from scratch.
+def _solve_lambda(problem, lam, warm_start, acc):
+    """One lambda of the search: Newton from warm_start (_warm_solve),
+    else, or when warm_start is None, continuation from its exact start.
 
     Returns (u, record): u is None when lam is unsolvable, and record is
-    the midpoint record of lambda_star_search. acc gains the counters of
-    every solve the midpoint ran by _merge's rule: the Newton and Krylov
-    counts are those of the route that gave a solvable verdict.
+    the record of lambda_star_search. acc gains the counters of every
+    solve run for lam by _merge's rule: the Newton and Krylov counts are
+    those of the route that gave a solvable verdict.
     """
     warm, walk = {}, {}
-    u = _warm_solve(problem, lam, warm_start, warm)
+    u = None if warm_start is None else _warm_solve(problem, lam,
+                                                    warm_start, warm)
     record = {"lam": lam, "solvable": True, "route": "warm", "error": None,
               "message": None}
     if u is None:
@@ -427,24 +427,23 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     slab and broadcast (read-only) over the grid; lambda* is the final
     bracket midpoint. The lower end starts at a tenth of the worst
     constant-state value (guaranteed solvable), the upper end at the
-    Maclaurin ceiling (at or above lambda*, hence unsolvable); the lower
-    end is solved by continuation_run from guess when one is given (the
-    CLI passes its seeded zonal line unless amplitude=0), else from its
-    exact start delta_lo, which takes fewer iterations (the FOUND on this
-    start in CHANGES.md; ROADMAP item 9).
+    Maclaurin ceiling (at or above lambda*, hence unsolvable).
 
-    Each midpoint is first solved by damped Newton on the target equation
-    from the last solvable u (route "warm"). When that fails, or its
-    result fails the checks of continuation_run, the midpoint falls back
-    to continuation from scratch (route "continuation"), whose outcome is
-    the verdict.
+    One rule (_solve_lambda) solves every lambda: damped Newton on the
+    target equation from the field at hand (route "warm"), which is guess
+    for the lower end (the CLI passes its seeded zonal line unless
+    amplitude=0) and the last solvable u for each midpoint. When that
+    fails, its result fails the checks of continuation_run, or no guess
+    is given, continuation_run walks from its exact start (route
+    "continuation"), and its outcome is the verdict.
 
     stats, when given, gains the bracket, the ceiling, the bisection count,
-    the counters of every solve by _merge's rule, and `midpoints`: one
-    record per midpoint with lam, solvable, route, newton_iterations (of
-    the Newton solves that converged), linear_solves (one per Newton
-    iteration run, failed attempts included), and for an unsolvable
-    midpoint the error class and message.
+    the counters of every solve by _merge's rule, `lower_end`, the record
+    of lam_lo, and `midpoints`, one record per bisection midpoint. A
+    record holds lam, solvable, route, newton_iterations (of the Newton
+    solves that converged), linear_solves (one per Newton iteration run,
+    failed attempts included), and for an unsolvable lambda the error
+    class and message.
     """
     if not tolerance > 0.0:
         raise ConfigurationError(f"tolerance={tolerance} must be > 0")
@@ -457,19 +456,17 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     acc = {"newton_iterations": 0, "krylov_iterations": 0,
            "linear_solves": 0, "linear_misses": 0,
            "worst_linear_residual": 0.0}
-    walk = {}
-    try:
-        u_best = continuation_run(problem, lam_lo, guess=guess, stats=walk)
-    except ContinuationFailureError as failure:
+    u_best, lower_end = _solve_lambda(problem, lam_lo, guess, acc)
+    if u_best is None:
         raise ConfigurationError(
-            f"no solvable lambda found (failed at {lam_lo:.6g}); "
-            "the chart does not admit the k-th cone problem") from failure
-    _merge(acc, walk)
+            f"no solvable lambda found (failed at {lam_lo:.6g}: "
+            f"{lower_end['message']}); "
+            "the chart does not admit the k-th cone problem")
     lo, hi = lam_lo, lam_hi
     midpoints = []
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        u, record = _solve_midpoint(problem, mid, u_best, acc)
+        u, record = _solve_lambda(problem, mid, u_best, acc)
         if u is None:
             hi = mid
         else:
@@ -482,5 +479,5 @@ def lambda_star_search(problem, tolerance, guess=None, stats=None):
     if stats is not None:
         stats.update(acc, bisections=len(midpoints), ceiling=lam_hi,
                      bracket=(lo, hi), lambda_solvable=lo,
-                     midpoints=midpoints)
+                     lower_end=lower_end, midpoints=midpoints)
     return phi, lambda_star

@@ -10,9 +10,9 @@ periodic) and the radius of axis 0; BackgroundGeometry derives the rest.
   hopf_product  S^1(r) x S^{n-1}: periodic circle coordinate, then the
                 (n-1)-sphere chart. Frame Schouten = diag(-1/2, 1/2, ...).
   synthetic     flat periodic box [0, 2pi)^n with the identity metric and a
-                constant override for the Schouten tensor. Pure stencil test
-                bed: its curvature monitors are not meaningful, so the
-                variational flag is off.
+                constant override for the Schouten tensor; a stencil test
+                bed. Its variational flag is off, which only makes
+                geometry-validate check summation by parts, not curvature.
 
 Polar axes use shifted nodes theta_i = (i + 1/2) h so no node sits on a
 coordinate pole. Ghost values across a pole come from the smooth
@@ -276,6 +276,9 @@ class BackgroundGeometry:
     the grid as a broadcastable array. dlog[a][b] holds d_b H_a / H_a,
     cot(theta_b) for those pairs and None elsewhere. schouten0 is the
     constant frame Schouten tensor of the background (background_schouten).
+    variational=False (build_synthetic) only makes cli.run_geometry_validate
+    check summation by parts in place of the curvature oracle; flows, F_k
+    and the dissipation monitors never read it.
     """
 
     def __init__(self, name, kinds, points, schouten0, radius=1.0,
@@ -955,8 +958,8 @@ def build_synthetic(n, s0, points_per_axis=16, fd_order=4):
     """Flat periodic box [0, 2pi)^n with a constant Schouten override.
 
     s0 is either a length-n diagonal or a full symmetric matrix. The chart
-    is a stencil test bed; curvature-based variational monitors are
-    disabled on it.
+    is a stencil test bed; a flow runs on it as on any chart, and its
+    variational=False only picks geometry-validate's check.
     """
     s0 = background_schouten("synthetic", n, s0)
     _check_resolution(points_per_axis, 8)

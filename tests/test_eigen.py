@@ -315,15 +315,6 @@ def test_continuation_solutions_decrease_in_lambda():
     assert np.all(high < low)
 
 
-def test_continuation_guess_does_not_change_the_solution():
-    geom = build_round_sphere(3, 16)
-    prob = AuxiliaryProblem(geom, 1)
-    a = continuation_run(prob, 1.3)
-    shifted = float(np.min(a)) - 1.0 + zonal(geom, lambda t: 0.2 * np.cos(t))
-    b = continuation_run(prob, 1.3, guess=shifted)
-    assert np.max(np.abs(a - b)) <= 1e-6
-
-
 def test_failed_walk_keeps_its_linear_counters(monkeypatch):
     # Newton capped at one iteration cannot follow the path, so every
     # t-step fails until the step underflows; the stats of the failed walk
@@ -442,7 +433,9 @@ def test_zonal_search_solves_on_the_line_of_nodes(monkeypatch):
     # fields to zonal fields, so every Newton direction is solved on the
     # line of nodes along the first axis and every state stays zonal
     # (axes <= 1); the search is the eigen-k2-16 workload's and its
-    # bracket the grid solver's.
+    # bracket the grid solver's. Newton from the seeded line solves the
+    # lower end in 4 iterations, where the walk from its exact start
+    # takes 16.
     shapes = []
     direction = eigen._newton_direction
 
@@ -458,7 +451,10 @@ def test_zonal_search_solves_on_the_line_of_nodes(monkeypatch):
                                 guess=cli._seeded_initial(geom, 0.1, 1),
                                 stats=stats)
     assert stats["bracket"] == (0.86450309350434895, 0.86602540378443871)
-    assert stats["newton_iterations"] == 63
+    assert stats["newton_iterations"] == 46
+    lower_end = stats["lower_end"]
+    assert lower_end["route"] == "warm" and lower_end["solvable"]
+    assert lower_end["newton_iterations"] == lower_end["linear_solves"] == 4
     assert len(shapes) == stats["linear_solves"]
     assert all(axes <= 1 and shape in ((16, 1, 1), (1, 1, 1))
                for axes, shape in shapes)
@@ -498,7 +494,7 @@ def test_seeded_k1_search_meets_every_krylov_tolerance():
     lambda_star_search(AuxiliaryProblem(geom, 1), 1e-4,
                        guess=cli._seeded_initial(geom, 0.1, 0), stats=stats)
     assert stats["bracket"] == (1.4999176025390626, 1.5)
-    assert stats["linear_solves"] == stats["newton_iterations"] == 85
+    assert stats["linear_solves"] == stats["newton_iterations"] == 67
     assert stats["linear_misses"] == 0
     assert stats["worst_linear_residual"] <= eigen.KRYLOV_RTOL
 
@@ -554,18 +550,44 @@ def test_lambda_star_search_midpoint_records():
 
 
 def test_lambda_star_search_totals_add_up():
-    # Every midpoint of this search is solved warm, so the search's totals
-    # are the lower end's walk, rerun here on its own, plus the records.
+    # Every lambda of these searches is solved on its first route, so the
+    # search's totals are those of the lower end's record plus the
+    # midpoints'. Without a guess the lower end walks from its exact
+    # start; from the CLI's seeded line it is solved warm.
     geom = build_round_sphere(3, 16)
-    prob = AuxiliaryProblem(geom, 2)
-    stats, walk = {}, {}
-    lambda_star_search(prob, 2.5e-3, stats=stats)
-    s0 = prob._state(np.zeros(geom.grid.shape)).sigma_w_table()[..., 2] ** 0.5
-    continuation_run(prob, 0.1 * float(np.min(s0)), stats=walk)
-    assert all(r["route"] == "warm" for r in stats["midpoints"])
-    for key in ("newton_iterations", "linear_solves"):
-        assert stats[key] == walk[key] + sum(r[key]
-                                             for r in stats["midpoints"])
+    for guess, route in ((None, "continuation"),
+                         (cli._seeded_initial(geom, 0.1, 1), "warm")):
+        stats = {}
+        lambda_star_search(AuxiliaryProblem(geom, 2), 2.5e-3, guess=guess,
+                           stats=stats)
+        lower_end, midpoints = stats["lower_end"], stats["midpoints"]
+        assert lower_end["solvable"] and lower_end["route"] == route
+        assert len(midpoints) == stats["bisections"]
+        assert all(r["route"] == "warm" for r in midpoints)
+        for key in ("newton_iterations", "linear_solves"):
+            assert stats[key] == lower_end[key] + sum(r[key]
+                                                      for r in midpoints)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_far_guess_falls_back_to_the_walk(k):
+    # Newton on the target equation stalls from the admissible u = -60, so
+    # the lower end falls back to the walk from its exact start, the
+    # stalled attempt's linear solve stays counted, and the search is the
+    # unseeded one bit for bit.
+    geom = build_round_sphere(3, 16)
+    prob = AuxiliaryProblem(geom, k)
+    plain, far = {}, {}
+    phi_plain, lam_plain = lambda_star_search(prob, 2.5e-3, stats=plain)
+    phi_far, lam_far = lambda_star_search(
+        prob, 2.5e-3, guess=np.full((1, 1, 1), -60.0), stats=far)
+    assert lam_far == lam_plain
+    assert far["bracket"] == plain["bracket"]
+    assert np.array_equal(phi_far, phi_plain)
+    assert far["lower_end"]["route"] == "continuation"
+    assert far["lower_end"]["solvable"]
+    assert far["lower_end"]["linear_solves"] > plain["lower_end"][
+        "linear_solves"]
 
 
 def test_lambda_star_search_falls_back_when_warm_start_fails(monkeypatch):
@@ -632,6 +654,7 @@ def test_lambda_star_search_validation():
         lambda_star_search(AuxiliaryProblem(geom, 1), 0.0)
     # an enormous h pushes the start state below the escape floor, so not
     # even the guaranteed-solvable low end works
-    with pytest.raises(ConfigurationError, match="no solvable lambda"):
+    with pytest.raises(ConfigurationError,
+                       match="no solvable lambda.*solutions escaping"):
         lambda_star_search(AuxiliaryProblem(geom, 1, h=1e300), 0.1)
 
