@@ -78,8 +78,14 @@ def slab(u, shape):
     on, a contiguous float array (a view of u where it can be) that,
     broadcast to shape, is u bit for bit. The one rule by which fields are
     kept (a state's u, an auxiliary problem's h) and read (bounds, dumps)
-    without their repeats."""
-    u = np.broadcast_to(np.asarray(u, dtype=float), shape)
+    without their repeats. A u that has a slab's layout already,
+    shape[:j] + (1,) * (len - j), is read as it stands."""
+    u = np.asarray(u, dtype=float)
+    j = u.ndim
+    while j and u.shape[j - 1] == 1:
+        j -= 1
+    if u.shape != shape[:j] + (1,) * (len(shape) - j):
+        u = np.broadcast_to(u, shape)
     axes = varying_axes(u)
     return axes, np.ascontiguousarray(
         u[(slice(None),) * axes + (slice(0, 1),) * (len(shape) - axes)])

@@ -68,20 +68,24 @@ def sigma_table(w, n, kmax, out=None):
         e = np.empty((kmax + 1,) + np.broadcast(*w).shape)
     else:  # the order axis first, as a transpose view (np.moveaxis costs more)
         e = out.transpose((-1, *range(out.ndim - 1)))
+    # each e_j bound once: e[j] += x would also write the view back onto
+    # itself, a second pass
     if kmax >= 1:
-        e[1] = w[idx[0, 0]]
+        e1 = e[1]
+        e1[...] = w[idx[0, 0]]
         for a in range(1, n):
-            e[1] += w[idx[a, a]]
+            e1 += w[idx[a, a]]
     if kmax >= 2:
-        tmp = e[0]
-        e[2] = 0.0
+        tmp, e2 = e[0], e[2]
+        e2.fill(0.0)
         for a, b in itertools.combinations(range(n), 2):
-            e[2] += np.multiply(w[idx[a, a]], w[idx[b, b]], out=tmp)
-            e[2] -= np.multiply(w[idx[a, b]], w[idx[a, b]], out=tmp)
+            e2 += np.multiply(w[idx[a, a]], w[idx[b, b]], out=tmp)
+            e2 -= np.multiply(w[idx[a, b]], w[idx[a, b]], out=tmp)
     if kmax >= 3:
-        e[3] = 0.0
+        e3 = e[3]
+        e3.fill(0.0)
         for a, b, c in itertools.combinations(range(n), 3):
-            e[3] += _minor3(w, idx, a, b, c)
+            e3 += _minor3(w, idx, a, b, c)
     e[0] = 1.0
     if kmax >= 4:
         p = power_sums(w, n, kmax)

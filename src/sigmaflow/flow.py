@@ -197,7 +197,8 @@ def cfl_dt(state, cfl_safety):
 
     with D(x) the coefficient diffusion_bound maximizes, axes =
     state.axes = varying_axes(state.u) (u constant along the later axes
-    excites no mode along them) and the sum geometry.laplacian_symbol(axes);
+    excites no mode along them) and the sum geometry.laplacian_symbol(axes),
+    kept with the slab's stencil tables (the symbol of its _fit);
     the +k term accounts for the zeroth-order 2ku part of log sigma_k(g).
     The rows next to a pole lift the zonal rho of the round S^3 a few
     percent above the bound; cfl_safety covers that.
@@ -207,7 +208,7 @@ def cfl_dt(state, cfl_safety):
     varies along the axes before a): the grid's max bitwise.
     """
     ratio = _diffusion_ratio(state)
-    ratio *= state.geometry.laplacian_symbol(state.axes)
+    ratio *= state.geometry._fit(state.shape).symbol
     return cfl_safety / (state.k + 0.5 * float(ratio.max()))
 
 

@@ -90,11 +90,54 @@ class _Fit(NamedTuple):
     layout: list         # (nodes before, along, after) each axis in C order
     inv_lame: list       # 1/H_a
     inv_lame2: list      # 1/H_a^2
+    unit: list           # per a, (1/H_a, 1/H_a^2) each exactly 1.0
     christoffel: list    # per a, (c, dlog[a][c] / H_c^2) for c != a
     dlog: list           # dlog[a][b], None where it vanishes
     polar: dict          # polar axis of full extent: (flux tiles, blocks)
     weight: np.ndarray   # vol_weight summed over the grid axes of extent 1
+    symbol: object       # laplacian_symbol over the axes of extent > 1
     work: list           # the work buffers at the shape
+    stencils: list       # per axis, None at extent 1, else _stencil's
+                         # _Stencil for second=False and for second=True
+
+
+class _Pad(NamedTuple):
+    """A padded field's views for fields of one shape, along one axis at
+    one ghost width (pad)."""
+
+    width: int
+    padded: np.ndarray   # the field's shape, n + 2 width nodes along the axis
+    nodes: np.ndarray    # where the field's own nodes go
+    ghosts: tuple        # (ghost block, the nodes it copies)
+    flips: tuple         # the comps whose ghosts change sign
+
+
+class _Stencil(NamedTuple):
+    """_stencil's views of the work buffers for fields of one shape along
+    one axis of extent > 1, at one ghost width (_fit)."""
+
+    pad: _Pad            # the padded field, in the first buffer
+    take: tuple          # its runs shifted by s = -2..2 nodes (None past width)
+    runs: tuple          # one, two, tmp: runs of the next three buffers
+    interior: tuple      # the nodes of one and of two, in the field's shape
+    scale: tuple         # 1 / (denominator h^order) of the two differences
+    defect: object       # a polar axis's _Defect at second=True, else None
+
+
+class _Defect(NamedTuple):
+    """_polar_defect's views of the work buffers (see _Stencil)."""
+
+    du: tuple            # (out, minuend, subtrahend): the face differences
+    flux: tuple          # (flux tile, face differences it weights)
+    total: np.ndarray    # the flux: one run, laid out as the padded field
+    tmp: np.ndarray      # a run in the same layout
+    upper: np.ndarray    # the flux above each node, in the field's shape
+    lower: np.ndarray    # and below it
+    hs: np.ndarray       # _PolarAxis.hs
+    kappa: np.ndarray    # _PolarAxis.kappa
+    work: np.ndarray     # a buffer in the field's shape
+    antipode: tuple      # (block of work, index into the defect it copies);
+                         # empty where every later axis has extent 1
 
 
 class _PolarAxis(NamedTuple):
@@ -344,9 +387,14 @@ class BackgroundGeometry:
         extent has its flux
         coefficients as tiles of the padded layout (zero past the faces)
         and the pole identification as view blocks (_antipode_blocks),
-        which pad, _polar_defect and _maps all cross the pole through.
-        weight is vol_weight summed over the axes where shape has extent 1
-        (integrate); at the grid's shape it is vol_weight itself.
+        which _polar_defect and _maps cross the pole through, as pad's
+        ghost views do (_pad_views).
+        A factor 1/H_a or 1/H_a^2 that is exactly 1.0 is flagged in unit,
+        and the multiplies by it are skipped (they change no bit). weight
+        is vol_weight summed over the axes where shape has extent 1
+        (integrate); at the grid's shape it is vol_weight itself. symbol
+        is laplacian_symbol(1 + the last axis of extent > 1), the sum over
+        a slab's varying axes (flow.cfl_dt).
 
         The work buffers are viewed at the shape, each from its start as
         _empty placed it: every temporary of the chart, its states and the
@@ -354,7 +402,9 @@ class BackgroundGeometry:
         chart's five buffers (_kernel: a padded field and its shifts, at
         most 3 ghost layers, zeroed) are sized for the largest shape asked
         for so far; a larger one replaces them, and every kept shape's
-        views follow. No result aliases them."""
+        views follow: work, and the stencils' views of the buffers
+        (_stencil_views), so no view outlives the buffer it reads. No
+        result aliases them."""
         fit = self._fits.get(shape)
         if fit is None:
             at = tuple(slice(None) if s > 1 else slice(0, 1) for s in shape)
@@ -380,9 +430,15 @@ class BackgroundGeometry:
             weight = np.sum(w, tuple(a for a in collapsed if w.shape[a] > 1),
                             keepdims=True) * math.prod(
                 grid[a] for a in collapsed if w.shape[a] == 1)
+            inv = [1.0 / h for h in lame]
+            inv2 = [1.0 / h ** 2 for h in lame]
+            unit = [(bool(np.all(f == 1.0)), bool(np.all(f2 == 1.0)))
+                    for f, f2 in zip(inv, inv2)]
+            varying = max((a + 1 for a, s in enumerate(shape) if s > 1),
+                          default=0)
             fit = self._fits[shape] = _Fit(
-                layout, [1.0 / h for h in lame], [1.0 / h ** 2 for h in lame],
-                christoffel, dlog, polar, weight, [])
+                layout, inv, inv2, unit, christoffel, dlog, polar, weight,
+                self.laplacian_symbol(varying), [], [])
             length = max((p * (n + 6) + 6) * st for p, n, st in layout)
             if not self._kernel or length > self._kernel[0].size:
                 self._kernel = [self._empty((length,)) for _ in range(5)]
@@ -391,7 +447,59 @@ class BackgroundGeometry:
             for kept, views in self._fits.items():
                 views.work[:] = [buf[:math.prod(kept)].reshape(kept)
                                  for buf in self._kernel]
+                views.stencils[:] = self._stencil_views(kept, views)
         return fit
+
+    def _stencil_views(self, shape, fit):
+        """fit.stencils on the current work buffers (fit.work must be
+        theirs already): per axis of extent > 1 the _Stencil of a first
+        difference and of a second one, the same where the axis is not
+        polar; None at extent 1."""
+        tables = []
+        for axis, (pre, n, st) in enumerate(fit.layout):
+            c = self._polar.get(axis)
+            first = (None if n == 1 else
+                     self._stencil_at(shape, fit, axis, self.fd_order // 2))
+            tables.append(None if first is None else (
+                first, first if c is None else
+                self._stencil_at(shape, fit, axis, c.width, c)))
+        return tables
+
+    def _stencil_at(self, shape, fit, axis, width, polar=None):
+        """The _Stencil of one axis at one ghost width; polar, the axis's
+        _PolarAxis, adds its _Defect."""
+        pre, n, st = fit.layout[axis]
+        size = pre * (n + 2 * width) * st
+        buffers = self._kernel
+        p = buffers[0][:size + 2 * width * st]
+        runs = tuple(buf[:size] for buf in buffers[1:4])
+        defect = None
+        if polar is not None:
+            tiles, blocks = fit.polar[axis]
+            du = buffers[1][:len(p) - st]
+            total, tmp = (buf[:size].reshape(pre, -1, st)
+                          for buf in buffers[2:4])
+            work = fit.work[3]
+            defect = _Defect(
+                (du, p[st:], p[:-st]),
+                tuple((tile, du[(width - 1 + k) * st:][:size].reshape(
+                    pre, -1, st)) for tile, (k, _) in zip(tiles, polar.flux)),
+                total, tmp, total[:, 1:n + 1].reshape(shape),
+                total[:, :n].reshape(shape), polar.hs, polar.kappa, work,
+                tuple((work[dst], src) for dst, src in blocks)
+                if st > 1 else ())
+        h = self.grid.spacing[axis]
+        return _Stencil(
+            self._pad_views(shape, axis, width, p[:size].reshape(
+                shape[:axis] + (n + 2 * width,) + shape[axis + 1:])),
+            tuple(p[(width + s) * st:][:size] if abs(s) <= width else None
+                  for s in range(-2, 3)),
+            runs,
+            tuple(r.reshape(pre, -1, st)[:, :n].reshape(shape)
+                  for r in runs[:2]),
+            (0.5 / h, 1.0 / (h * h)) if self.fd_order == 2 else
+            (1.0 / (12.0 * h), 1.0 / (12.0 * h * h)),
+            defect)
 
     def laplacian_symbol(self, axes):
         """sum over the axes a < axes of sym / (h_a H_a)^2 at every node,
@@ -488,41 +596,60 @@ class BackgroundGeometry:
             out[dst] = f[src]
         return out
 
+    def _pad_views(self, shape, axis, width, padded):
+        """The _Pad of padded, an array of shape with n + 2 width nodes
+        along the axis (n = shape[axis] > 1): a periodic axis's ghost
+        layers copy the two end slabs, a polar axis's its edge rows
+        mirrored about the pole and carried across it through
+        _antipode_blocks. flips lists the comps that are the axis itself
+        or a later polar angle: d/dx_comp flips across the pole (those
+        reflect under the antipode)."""
+        n, kinds = shape[axis], self.grid.axis_kind
+        at = lambda sl, rest=(): padded[(slice(None),) * axis + (sl,)][rest]
+        if kinds[axis] == PERIODIC:
+            ghosts = ((at(slice(0, width)), at(slice(n, n + width))),
+                      (at(slice(width + n, None)), at(slice(width, 2 * width))))
+            flips = ()
+        else:
+            blocks = self._antipode_blocks(axis, shape)
+            ghosts = tuple(
+                (at(ghost, dst), at(mirror, src))
+                for ghost, mirror in (
+                    (slice(0, width), slice(2 * width - 1, width - 1, -1)),
+                    (slice(width + n, None),
+                     slice(width + n - 1, n - 1, -1)))
+                for dst, src in blocks)
+            flips = tuple(c for c in range(len(shape)) if c == axis
+                          or c > axis and kinds[c] == POLE)
+        return _Pad(width, padded, at(slice(width, width + n)), ghosts, flips)
+
     def pad(self, f, axis, width, comp=None, out=None):
         """Extend f, a grid or slab field (_fit), by ghost layers along one
-        axis of full extent; out, when given, is a flat buffer of the
-        padded size to fill.
+        axis of full extent, into a new array, or into out, the _Pad of
+        f's shape at that width to fill (the stencils' from _fit).
 
         A periodic axis wraps: its ghost layers are the two end slabs. A
         polar axis's are its edge rows mirrored about the pole and carried
-        across it by _antipode. comp labels f as the comp-th partial
-        derivative of a scalar (None for plain scalars); pole ghost layers
-        of such components carry the parity sign of the identification.
+        across it by the pole identification (_pad_views). comp labels f
+        as the comp-th partial derivative of a scalar (None for plain
+        scalars); pole ghost layers of such components carry the parity
+        sign of the identification. Each ghost block copies the padded
+        field's own nodes, which are f's.
         """
-        f = np.asarray(f)
-        fit = self._fit(f.shape)
-        pre, n, st = fit.layout[axis]
-        shape = f.shape[:axis] + (n + 2 * width,) + f.shape[axis + 1:]
-        p = np.empty(shape, f.dtype) if out is None else out.reshape(shape)
-        body, rows = p.reshape(pre, n + 2 * width, st), f.reshape(pre, n, st)
-        body[:, width:width + n] = rows
-        if self.grid.axis_kind[axis] == PERIODIC:
-            body[:, :width] = rows[:, n - width:]
-            body[:, width + n:] = rows[:, :width]
-            return p
-        # d/dx_comp flips across the pole when comp is the axis itself or
-        # a later polar angle (those reflect under the antipode)
-        flip = comp is not None and (
-            comp == axis or comp > axis and self.grid.axis_kind[comp] == POLE)
-        for ghost, mirror in ((slice(0, width), slice(width - 1, None, -1)),
-                              (slice(width + n, None),
-                               slice(n - 1, n - 1 - width, -1))):
-            layers = self._antipode(_slice_axis(f, axis, mirror),
-                                    fit.polar[axis][1],
-                                    _slice_axis(p, axis, ghost))
-            if flip:
-                np.negative(layers, out=layers)
-        return p
+        if out is None:
+            f = np.asarray(f)
+            shape = f.shape[:axis] + (f.shape[axis] + 2 * width,) + f.shape[
+                axis + 1:]
+            out = self._pad_views(f.shape, axis, width,
+                                  np.empty(shape, f.dtype))
+        np.copyto(out.nodes, f)
+        if comp in out.flips:
+            for ghost, nodes in out.ghosts:
+                np.negative(nodes, out=ghost)
+        else:
+            for ghost, nodes in out.ghosts:
+                np.copyto(ghost, nodes)
+        return out.padded
 
     # ----------------------------------------------------------- stencils
 
@@ -544,60 +671,46 @@ class BackgroundGeometry:
         A shift by s nodes is a flat shift by s strides of the padded buffer,
         so every operand is a contiguous run of a work buffer; the last
         operation of each chain takes the interior out into a result array.
+        Every view comes from f's _Stencil (_fit).
         """
         f = np.asarray(f)
-        h = self.grid.spacing[axis]
-        pre, n, st = self._fit(f.shape).layout[axis]
-        polar = second and axis in self._polar and n > 1
+        views = self._fit(f.shape).stencils[axis]
         dest = (out if second else (out,)) if out is not None else (None,) * 3
-        if n == 1:
+        if views is None:
             results = [self._empty(f.shape) if r is None else r
                        for r in dest[:1 + second]]
             for r in results:
                 r.fill(0.0)
             return (*results, None) if second else results[0]
-        width = self._polar[axis].width if polar else self.fd_order // 2
-        size = pre * (n + 2 * width) * st
-        work = self._kernel
-        p = work[0][:size + 2 * width * st]
-        self.pad(f, axis, width, comp, out=p[:size])
-        one, two, tmp = (buf[:size] for buf in work[1:4])
-        take = lambda s: p[(width + s) * st:(width + s) * st + size]
-
-        def interior(buf, scale, result):
-            result = self._empty(f.shape) if result is None else result
-            np.multiply(buf.reshape(pre, -1, st)[:, :n], scale,
-                        out=result.reshape(pre, n, st))
-            return result
-
-        first = np.subtract(take(1), take(-1), out=one)
-        if self.fd_order == 2:
-            first = interior(first, 0.5 / h, dest[0])
-            if not second:
-                return first
-            d2 = np.subtract(take(-1), take(0), out=two)
-            d2 += np.subtract(take(1), take(0), out=tmp)
-            d2 = interior(d2, 1.0 / (h * h), dest[1])
-        else:
+        v = views[second]
+        self.pad(f, axis, v.pad.width, comp, v.pad)
+        m2, m1, t0, p1, p2 = v.take
+        one, two, tmp = v.runs
+        first = np.subtract(p1, m1, out=one)
+        if self.fd_order == 4:
             first *= 8.0
-            first += np.subtract(take(-2), take(2), out=tmp)
-            first = interior(first, 1.0 / (12.0 * h), dest[0])
-            if not second:
-                return first
-            t0 = take(0)
-            d2 = np.subtract(take(-1), t0, out=two)
-            d2 += np.subtract(take(1), t0, out=tmp)
+            first += np.subtract(m2, p2, out=tmp)
+        first = np.multiply(v.interior[0], v.scale[0], out=(
+            self._empty(f.shape) if dest[0] is None else dest[0]))
+        if not second:
+            return first
+        d2 = np.subtract(m1, t0, out=two)
+        d2 += np.subtract(p1, t0, out=tmp)
+        if self.fd_order == 4:
             d2 *= 16.0
-            d2 -= np.subtract(take(-2), t0, out=tmp)
-            d2 -= np.subtract(take(2), t0, out=tmp)
-            d2 = interior(d2, 1.0 / (12.0 * h * h), dest[1])
-        defect = (self._polar_defect(p, first, d2, axis, out=dest[2])
-                  if polar else None)
+            d2 -= np.subtract(m2, t0, out=tmp)
+            d2 -= np.subtract(p2, t0, out=tmp)
+        d2 = np.multiply(v.interior[1], v.scale[1], out=(
+            self._empty(f.shape) if dest[1] is None else dest[1]))
+        defect = (None if v.defect is None else
+                  self._polar_defect(v.defect, first, d2, out=dest[2]))
         return first, d2, defect
 
-    def _polar_defect(self, p, first, d2, axis, out=None):
+    def _polar_defect(self, views, first, d2, out=None):
         """Divergence-form minus pointwise Laplacian part of a polar axis,
-        even part, written into out (a new array from _empty when None).
+        even part, written into out (a new array from _empty when None),
+        from the padded field's face differences; views is the axis's
+        _Defect at the shape of first (_fit).
 
         Along a polar axis the Laplacian carries (1/s)(s u')' with density
         s = sin^m(theta) (m later axes carry sin(theta) in their Lame
@@ -647,26 +760,21 @@ class BackgroundGeometry:
         product-rule remainder of the dissipation identity (acceptance
         criterion 7), so it goes without them.
         """
-        c, fit = self._polar[axis], self._fit(first.shape)
-        tiles, blocks = fit.polar[axis]
-        pre, n, st = fit.layout[axis]
-        size = pre * (n + 2 * c.width) * st
-        du, flux, tmp = self._kernel[1:4]
-        du = np.subtract(p[st:], p[:-st], out=du[:len(p) - st])
-        face = lambda k: du[(c.width - 1 + k) * st:][:size].reshape(pre, -1, st)
-        flux = flux[:size].reshape(pre, -1, st)
-        (k, coef), *rest = zip((k for k, _ in c.flux), tiles)
-        np.multiply(coef, face(k), out=flux)
-        for k, coef in rest:
-            flux += np.multiply(coef, face(k), out=tmp[:size].reshape(flux.shape))
+        du, above, below = views.du
+        np.subtract(above, below, out=du)
+        (coef, face), *rest = views.flux
+        flux = np.multiply(coef, face, out=views.total)
+        for coef, face in rest:
+            flux += np.multiply(coef, face, out=views.tmp)
         out = self._empty(first.shape) if out is None else out
-        np.subtract(flux[:, 1:n + 1], flux[:, :n], out=out.reshape(pre, n, st))
-        out /= c.hs
+        np.subtract(views.upper, views.lower, out=out)
+        out /= views.hs
         out -= d2
-        tmp = fit.work[3]
-        out -= np.multiply(c.kappa, first, out=tmp)
-        if st > 1:  # else the antipode maps every line onto itself
-            out += self._antipode(out, blocks, tmp)
+        out -= np.multiply(views.kappa, first, out=views.work)
+        if views.antipode:  # else the antipode maps every line onto itself
+            for block, src in views.antipode:
+                np.copyto(block, out[src])
+            out += views.work
             out *= 0.5
         return out
 
@@ -703,7 +811,8 @@ class BackgroundGeometry:
             parts.append(first)
             seconds.append(second)
             if extra is not None:
-                extra *= fit.inv_lame2[a]
+                if not fit.unit[a][1]:
+                    extra *= fit.inv_lame2[a]
                 defect = np.add(defect, extra,
                                 out=extra if out is None else out[2])
         return parts, seconds, defect
@@ -717,7 +826,8 @@ class BackgroundGeometry:
         Hessian and gradient are the grid's at the slab's nodes, bitwise,
         for a u constant along its axes of extent 1. Along those d_c u is
         the grid's +0, so every term it enters is skipped: H_ab with b
-        there is filled with +0, the rest leave the bits as they are.
+        there is filled with +0, the rest leave the bits as they are, as
+        does a multiply by a frame factor that is exactly 1.0 (_fit).
 
         (Hess u)_ab = d_a d_b u - Gamma^c_ab d_c u in coordinates, divided
         by H_a H_b for the frame. The traceless part is the pointwise
@@ -754,8 +864,10 @@ class BackgroundGeometry:
                 # depend on later coordinates. Fields constant along later
                 # axes then produce bitwise-constant output along them, so
                 # exact discrete symmetries of initial data survive stepping.
-                val = np.multiply(seconds[a], fit.inv_lame2[a],
-                                  out=seconds[a] if dest is None else dest)
+                # seconds[a] is dest, when given: the jet wrote it there
+                val = seconds[a]
+                if not fit.unit[a][1]:
+                    val *= fit.inv_lame2[a]
                 for c, coef in fit.christoffel[a]:
                     if shape[c] > 1:
                         val += np.multiply(coef, parts[c], out=tmp)
@@ -770,8 +882,9 @@ class BackgroundGeometry:
                     val -= np.multiply(fit.dlog[b][a], parts[b], out=tmp)
                 val *= fit.inv_lame[a] * fit.inv_lame[b]
             hess.append(val)
-        grad = [np.multiply(p, inv, out=p) if s > 1 else p
-                for p, inv, s in zip(parts, fit.inv_lame, shape)]
+        grad = [np.multiply(p, inv, out=p) if s > 1 and not unit else p
+                for p, inv, s, (unit, _) in zip(parts, fit.inv_lame, shape,
+                                                fit.unit)]
         norm2 = np.square(grad[0], out=(self._empty(shape) if out is None
                                         else out[2]))
         for g, s in zip(grad[1:], shape[1:]):

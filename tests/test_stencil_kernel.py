@@ -153,6 +153,82 @@ def test_fresh_w_assembly_allocation_count(name, fd_order, count):
     assert all(call.args == (geom.grid.shape,) for call in empty.call_args_list)
 
 
+def slab_field(geom, axes, seed):
+    """(slab, grid field): random values on the first axes nodes, index 0
+    along the rest, and their broadcast over the grid."""
+    g = geom.grid
+    shape = g.shape[:axes] + (1,) * (g.ndim - axes)
+    f = np.random.default_rng(seed).standard_normal(shape)
+    return f, np.broadcast_to(f, g.shape).copy()
+
+
+def views_read_the_live_buffers(geom):
+    """Every kept shape's stencil views are views of the chart's current
+    work buffers (geometry._fit rebuilds them when the buffers grow)."""
+    kernel = geom._kernel
+    for fit in geom._fits.values():
+        for buf, view in zip(kernel, fit.work):
+            assert np.shares_memory(view, buf)
+        for views in filter(None, fit.stencils):
+            for v in views:
+                assert np.shares_memory(v.pad.padded, kernel[0])
+                for run, buf in zip(v.runs, kernel[1:4]):
+                    assert np.shares_memory(run, buf)
+                if v.defect is not None:
+                    assert np.shares_memory(v.defect.total, kernel[2])
+                    assert np.shares_memory(v.defect.work, kernel[3])
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("name", CHARTS)
+def test_slab_views_survive_a_regrowth(name, fd_order):
+    # Each shape's stencil views are built once and rebuilt where a larger
+    # shape replaces the work buffers. A zonal line, an (N, N, 1, ...) slab
+    # and a single node run first, then a grid field, which regrows the
+    # buffers, then the slabs again: every result is the oracle's on the
+    # broadcast field at the slab's nodes, bit for bit (signed zeros
+    # included), and every view reads the live buffers. The old buffers
+    # stay alive behind a stale view, so the values alone cannot tell.
+    geom = chart.__wrapped__(name, fd_order)  # fresh: its buffers grow here
+    n = geom.grid.ndim
+    seeds = {1: 11, 2: 12, 0: 13, n: 14}
+
+    def check(axes):
+        f, u = slab_field(geom, axes, seeds[axes])
+        at = (slice(None),) * axes + (slice(0, 1),) * (n - axes)
+        same = lambda got, want: assert_same(
+            np.broadcast_to(got, f.shape),
+            np.broadcast_to(want, u.shape)[at])
+        parts, seconds, defect = geom.scalar_jet(f)
+        r_parts, r_seconds, r_defect = ref.scalar_jet(geom, u)
+        for got, want in zip(parts + seconds + [defect],
+                             r_parts + r_seconds + [r_defect]):
+            same(got, want)
+        hess, grad, norm2 = geom.frame_derivatives(f)
+        for got, want in zip(hess, ref.hessian_components(geom, u)):
+            same(got, want)
+        r_grad, r_norm2 = ref.frame_gradient(geom, r_parts)
+        for got, want in zip(grad + [norm2], r_grad + [r_norm2]):
+            same(got, want)
+        w, grad, norm2 = w_components(geom, 0.01 * f)
+        r_w, r_norm2 = ref.w_components(geom, 0.01 * u)
+        for got, want in zip(w + [norm2], r_w + [r_norm2]):
+            same(got, want)
+        # a partial that flips across a pole differences to nonzero near
+        # it even where it is constant: only the varying axes are the grid's
+        for a, comp in itertools.product(range(axes), range(n)):
+            same(geom.d1(f, a, comp=comp), ref.stencil(geom, u, a, comp=comp))
+        views_read_the_live_buffers(geom)
+
+    for axes in (1, 2, 0):
+        check(axes)
+    size = geom._kernel[0].size
+    check(n)
+    assert geom._kernel[0].size > size
+    for axes in (1, 2, 0):
+        check(axes)
+
+
 def smooth_u(geom, a, b):
     t1, t2, phi = (geom.grid.axis_vector(i, geom.grid.coordinates(i))
                    for i in range(3))
