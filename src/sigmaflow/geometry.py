@@ -91,12 +91,14 @@ class _Fit(NamedTuple):
     inv_lame: list       # 1/H_a
     inv_lame2: list      # 1/H_a^2
     unit: list           # per a, (1/H_a, 1/H_a^2) each exactly 1.0
+    mixed: dict          # per pair a < b, 1/H_a * 1/H_b
     christoffel: list    # per a, (c, dlog[a][c] / H_c^2) for c != a
     dlog: list           # dlog[a][b], None where it vanishes
     polar: dict          # polar axis of full extent: (flux tiles, blocks)
     weight: np.ndarray   # vol_weight summed over the grid axes of extent 1
     symbol: object       # laplacian_symbol over the axes of extent > 1
-    work: list           # the work buffers at the shape
+    buffers: list        # the shape's five work buffers, flat and zeroed
+    work: list           # each buffer from its start, in the shape
     stencils: list       # per axis, None at extent 1, else _stencil's
                          # _Stencil for second=False and for second=True
 
@@ -351,7 +353,6 @@ class BackgroundGeometry:
         for c in self._polar.values():
             self.vol_weight = self.vol_weight * c.weight
         self._fits = {}
-        self._kernel = []  # the five work buffers (_fit)
         self._derivative_matrices = {}  # per shape (derivative_matrices)
         self._placed = 0  # where _empty starts its next array, modulo 4 KiB
 
@@ -390,21 +391,20 @@ class BackgroundGeometry:
         which _polar_defect and _maps cross the pole through, as pad's
         ghost views do (_pad_views).
         A factor 1/H_a or 1/H_a^2 that is exactly 1.0 is flagged in unit,
-        and the multiplies by it are skipped (they change no bit). weight
+        and the multiplies by it are skipped (they change no bit); mixed
+        keeps the mixed Hessian entries' factor 1/(H_a H_b). weight
         is vol_weight summed over the axes where shape has extent 1
         (integrate); at the grid's shape it is vol_weight itself. symbol
         is laplacian_symbol(1 + the last axis of extent > 1), the sum over
         a slab's varying axes (flow.cfl_dt).
 
-        The work buffers are viewed at the shape, each from its start as
-        _empty placed it: every temporary of the chart, its states and the
-        flow step, each dead before the next call into it or a state. The
-        chart's five buffers (_kernel: a padded field and its shifts, at
-        most 3 ghost layers, zeroed) are sized for the largest shape asked
-        for so far; a larger one replaces them, and every kept shape's
-        views follow: work, and the stencils' views of the buffers
-        (_stencil_views), so no view outlives the buffer it reads. No
-        result aliases them."""
+        Each shape owns five work buffers from _empty, zeroed, each long
+        enough for a padded field of the shape and its shifts (at most 3
+        ghost layers): work views them at the shape, each from its start,
+        and the stencils' views (_stencil_views) read them. They hold every
+        temporary of the chart, its states and the flow step at the shape,
+        each dead before the next call into it or a state. No result
+        aliases them, and no other shape reads them."""
         fit = self._fits.get(shape)
         if fit is None:
             at = tuple(slice(None) if s > 1 else slice(0, 1) for s in shape)
@@ -432,29 +432,28 @@ class BackgroundGeometry:
                 grid[a] for a in collapsed if w.shape[a] == 1)
             inv = [1.0 / h for h in lame]
             inv2 = [1.0 / h ** 2 for h in lame]
+            mixed = {(a, b): inv[a] * inv[b]
+                     for a, b in fieldalg.pairs(len(shape)) if a < b}
             unit = [(bool(np.all(f == 1.0)), bool(np.all(f2 == 1.0)))
                     for f, f2 in zip(inv, inv2)]
             varying = max((a + 1 for a, s in enumerate(shape) if s > 1),
                           default=0)
-            fit = self._fits[shape] = _Fit(
-                layout, inv, inv2, unit, christoffel, dlog, polar, weight,
-                self.laplacian_symbol(varying), [], [])
             length = max((p * (n + 6) + 6) * st for p, n, st in layout)
-            if not self._kernel or length > self._kernel[0].size:
-                self._kernel = [self._empty((length,)) for _ in range(5)]
-                for buf in self._kernel:
-                    buf.fill(0.0)
-            for kept, views in self._fits.items():
-                views.work[:] = [buf[:math.prod(kept)].reshape(kept)
-                                 for buf in self._kernel]
-                views.stencils[:] = self._stencil_views(kept, views)
+            buffers = [self._empty((length,)) for _ in range(5)]
+            for buf in buffers:
+                buf.fill(0.0)
+            fit = _Fit(layout, inv, inv2, unit, mixed, christoffel, dlog,
+                       polar, weight, self.laplacian_symbol(varying), buffers,
+                       [buf[:math.prod(shape)].reshape(shape)
+                        for buf in buffers], None)
+            fit = self._fits[shape] = fit._replace(
+                stencils=self._stencil_views(shape, fit))
         return fit
 
     def _stencil_views(self, shape, fit):
-        """fit.stencils on the current work buffers (fit.work must be
-        theirs already): per axis of extent > 1 the _Stencil of a first
-        difference and of a second one, the same where the axis is not
-        polar; None at extent 1."""
+        """fit.stencils on fit's buffers: per axis of extent > 1 the
+        _Stencil of a first difference and of a second one, the same where
+        the axis is not polar; None at extent 1."""
         tables = []
         for axis, (pre, n, st) in enumerate(fit.layout):
             c = self._polar.get(axis)
@@ -470,7 +469,7 @@ class BackgroundGeometry:
         _PolarAxis, adds its _Defect."""
         pre, n, st = fit.layout[axis]
         size = pre * (n + 2 * width) * st
-        buffers = self._kernel
+        buffers = fit.buffers
         p = buffers[0][:size + 2 * width * st]
         runs = tuple(buf[:size] for buf in buffers[1:4])
         defect = None
@@ -596,20 +595,25 @@ class BackgroundGeometry:
             out[dst] = f[src]
         return out
 
+    def _flips(self, axis):
+        """The comps whose partials d/dx_comp flip sign across a pole of
+        the axis: on a polar axis the axis itself and every later polar
+        angle (those reflect under the antipode), on a periodic one none."""
+        kinds = self.grid.axis_kind
+        return tuple(c for c in range(len(kinds)) if kinds[axis] == POLE
+                     and (c == axis or c > axis and kinds[c] == POLE))
+
     def _pad_views(self, shape, axis, width, padded):
         """The _Pad of padded, an array of shape with n + 2 width nodes
         along the axis (n = shape[axis] > 1): a periodic axis's ghost
         layers copy the two end slabs, a polar axis's its edge rows
         mirrored about the pole and carried across it through
-        _antipode_blocks. flips lists the comps that are the axis itself
-        or a later polar angle: d/dx_comp flips across the pole (those
-        reflect under the antipode)."""
+        _antipode_blocks, with the sign flipped for the comps of _flips."""
         n, kinds = shape[axis], self.grid.axis_kind
         at = lambda sl, rest=(): padded[(slice(None),) * axis + (sl,)][rest]
         if kinds[axis] == PERIODIC:
             ghosts = ((at(slice(0, width)), at(slice(n, n + width))),
                       (at(slice(width + n, None)), at(slice(width, 2 * width))))
-            flips = ()
         else:
             blocks = self._antipode_blocks(axis, shape)
             ghosts = tuple(
@@ -619,9 +623,8 @@ class BackgroundGeometry:
                     (slice(width + n, None),
                      slice(width + n - 1, n - 1, -1)))
                 for dst, src in blocks)
-            flips = tuple(c for c in range(len(shape)) if c == axis
-                          or c > axis and kinds[c] == POLE)
-        return _Pad(width, padded, at(slice(width, width + n)), ghosts, flips)
+        return _Pad(width, padded, at(slice(width, width + n)), ghosts,
+                    self._flips(axis))
 
     def pad(self, f, axis, width, comp=None, out=None):
         """Extend f, a grid or slab field (_fit), by ghost layers along one
@@ -653,13 +656,13 @@ class BackgroundGeometry:
 
     # ----------------------------------------------------------- stencils
 
-    def _stencil(self, f, axis, comp=None, second=False, out=None):
+    def _stencil(self, f, axis, comp, second, out):
         """Centered first difference along an axis; with second=True also
         the second difference and, on polar axes, the divergence-form
         Laplacian defect of _polar_defect (None elsewhere). f is a grid or
         slab field (_fit), and so are the results. out holds the arrays
-        of f's shape the results are written into (new ones from _empty
-        when None): the first difference, or (first, second, defect).
+        of f's shape the results are written into: the first difference,
+        or (first, second, defect).
 
         Every stencil is a sum of differences between nodes, so fields
         constant along the axis difference to bitwise zero; a plain
@@ -667,21 +670,23 @@ class BackgroundGeometry:
         that dust seeds stiff rows that an explicit step then amplifies.
         Along an axis of extent 1 both differences are that +0, the value
         the grid's stencils give at index 0 for a field constant along it,
-        and the defect, +0 as well, is None: it adds no term.
+        and the defect, +0 as well, is None: it adds no term. A comp that
+        flips across that axis's pole (_flips) raises ValueError there:
+        the grid's difference of such a partial is nonzero next to the
+        poles, so it is not constant along the axis and no slab holds it.
         A shift by s nodes is a flat shift by s strides of the padded buffer,
         so every operand is a contiguous run of a work buffer; the last
         operation of each chain takes the interior out into a result array.
         Every view comes from f's _Stencil (_fit).
         """
-        f = np.asarray(f)
         views = self._fit(f.shape).stencils[axis]
-        dest = (out if second else (out,)) if out is not None else (None,) * 3
+        dest = out if second else (out,)
         if views is None:
-            results = [self._empty(f.shape) if r is None else r
-                       for r in dest[:1 + second]]
-            for r in results:
+            if comp in self._flips(axis):
+                raise ValueError(f"d/dx_{comp} flips across axis {axis}'s poles")
+            for r in dest[:2]:
                 r.fill(0.0)
-            return (*results, None) if second else results[0]
+            return (*dest[:2], None) if second else out
         v = views[second]
         self.pad(f, axis, v.pad.width, comp, v.pad)
         m2, m1, t0, p1, p2 = v.take
@@ -690,8 +695,7 @@ class BackgroundGeometry:
         if self.fd_order == 4:
             first *= 8.0
             first += np.subtract(m2, p2, out=tmp)
-        first = np.multiply(v.interior[0], v.scale[0], out=(
-            self._empty(f.shape) if dest[0] is None else dest[0]))
+        first = np.multiply(v.interior[0], v.scale[0], out=dest[0])
         if not second:
             return first
         d2 = np.subtract(m1, t0, out=two)
@@ -700,17 +704,16 @@ class BackgroundGeometry:
             d2 *= 16.0
             d2 -= np.subtract(m2, t0, out=tmp)
             d2 -= np.subtract(p2, t0, out=tmp)
-        d2 = np.multiply(v.interior[1], v.scale[1], out=(
-            self._empty(f.shape) if dest[1] is None else dest[1]))
+        d2 = np.multiply(v.interior[1], v.scale[1], out=dest[1])
         defect = (None if v.defect is None else
-                  self._polar_defect(v.defect, first, d2, out=dest[2]))
+                  self._polar_defect(v.defect, first, d2, dest[2]))
         return first, d2, defect
 
-    def _polar_defect(self, views, first, d2, out=None):
+    def _polar_defect(self, views, first, d2, out):
         """Divergence-form minus pointwise Laplacian part of a polar axis,
-        even part, written into out (a new array from _empty when None),
-        from the padded field's face differences; views is the axis's
-        _Defect at the shape of first (_fit).
+        even part, written into out, from the padded field's face
+        differences; views is the axis's _Defect at the shape of first
+        (_fit).
 
         Along a polar axis the Laplacian carries (1/s)(s u')' with density
         s = sin^m(theta) (m later axes carry sin(theta) in their Lame
@@ -766,7 +769,6 @@ class BackgroundGeometry:
         flux = np.multiply(coef, face, out=views.total)
         for coef, face in rest:
             flux += np.multiply(coef, face, out=views.tmp)
-        out = self._empty(first.shape) if out is None else out
         np.subtract(views.upper, views.lower, out=out)
         out /= views.hs
         out -= d2
@@ -779,9 +781,11 @@ class BackgroundGeometry:
         return out
 
     def d1(self, f, axis, comp=None, out=None):
-        """Centered first difference along a coordinate axis (into out,
-        when given)."""
-        return self._stencil(f, axis, comp, out=out)
+        """Centered first difference along a coordinate axis, into out or
+        a new array (_stencil)."""
+        f = np.asarray(f)
+        return self._stencil(f, axis, comp, False,
+                             self._empty(f.shape) if out is None else out)
 
     # ------------------------------------------------------- differential ops
 
@@ -793,28 +797,27 @@ class BackgroundGeometry:
         the pointwise Hessian (0.0 where no polar axis has more than one
         node). Sharing this between the Hessian and the gradient halves
         the number of ghost-layer passes. u is a grid or slab field
-        (_fit), and so are the results. out, when given, is a (parts,
-        seconds, defect) of arrays of u's shape to write into; a defect
-        that stays 0.0 leaves its array unwritten.
+        (_fit), and so are the results. out is a (parts, seconds, defect)
+        of arrays of u's shape to write into; a defect that stays 0.0
+        leaves its array unwritten.
         """
         u = np.asarray(u, dtype=float)
-        fit = self._fit(u.shape)
-        parts, seconds, defect = [], [], 0.0
-        for a in range(self.grid.ndim):
-            dest = None
-            if out is not None:
-                # the first polar axis writes out's defect, a later one a
-                # work buffer that is then added to it
-                dest = (out[0][a], out[1][a], out[2] if np.isscalar(defect)
-                        else fit.work[4])
-            first, second, extra = self._stencil(u, a, second=True, out=dest)
-            parts.append(first)
-            seconds.append(second)
+        n, fit = self.grid.ndim, self._fit(u.shape)
+        if out is None:
+            out = ([self._empty(u.shape) for _ in range(n)],
+                   [self._empty(u.shape) for _ in range(n)],
+                   self._empty(u.shape) if fit.polar else None)
+        (parts, seconds, total), defect = out, 0.0
+        for a in range(n):
+            # the first polar axis writes the defect's array, a later one
+            # a work buffer that is then added to it
+            extra = self._stencil(u, a, None, True, (
+                parts[a], seconds[a],
+                total if np.isscalar(defect) else fit.work[4]))[2]
             if extra is not None:
                 if not fit.unit[a][1]:
                     extra *= fit.inv_lame2[a]
-                defect = np.add(defect, extra,
-                                out=extra if out is None else out[2])
+                defect = np.add(defect, extra, out=total)
         return parts, seconds, defect
 
     def frame_derivatives(self, u, out=None):
@@ -844,28 +847,26 @@ class BackgroundGeometry:
         the partials (scaled in place), and the Laplacian defect in
         norm2's array until |grad u|^2 replaces it.
         """
-        n = self.grid.ndim
+        u = np.asarray(u, dtype=float)
+        n, shape = self.grid.ndim, u.shape
         pairs = fieldalg.pairs(n)
-        jet_out = None
-        if out is not None:
-            jet_out = (out[1], [out[0][m] for m, (a, b) in enumerate(pairs)
-                                if a == b], out[2])
-        parts, seconds, defect = self.scalar_jet(u, out=jet_out)
+        if out is None:
+            out = ([self._empty(shape) for _ in pairs],
+                   [self._empty(shape) for _ in range(n)], self._empty(shape))
+        hess, grad, norm2 = out
+        parts, seconds, defect = self.scalar_jet(u, out=(
+            grad, [h for h, (a, b) in zip(hess, pairs) if a == b], norm2))
         iso = np.divide(defect, n, out=defect if np.ndim(defect) else None)
-        shape = parts[0].shape
         fit = self._fit(shape)
         tmp = fit.work[4]
-        hess = []
-        for m, (a, b) in enumerate(pairs):
-            dest = None if out is None else out[0][m]
+        for val, (a, b) in zip(hess, pairs):
             if a == b:
                 # Each term has its frame factor divided out already: the
                 # coefficient of d_c u is dlog[a][c]/H_c^2, which does not
                 # depend on later coordinates. Fields constant along later
                 # axes then produce bitwise-constant output along them, so
                 # exact discrete symmetries of initial data survive stepping.
-                # seconds[a] is dest, when given: the jet wrote it there
-                val = seconds[a]
+                # the jet wrote seconds[a] into val
                 if not fit.unit[a][1]:
                     val *= fit.inv_lame2[a]
                 for c, coef in fit.christoffel[a]:
@@ -873,20 +874,17 @@ class BackgroundGeometry:
                         val += np.multiply(coef, parts[c], out=tmp)
                 val += iso
             elif shape[b] == 1:  # d_b u is +0, and so is every term
-                val = self._empty(shape) if dest is None else dest
                 val.fill(0.0)
             else:
                 # a nested-sine chart sets dlog[b][a] only (a < b)
-                val = self.d1(parts[b], a, comp=b, out=dest)
+                self.d1(parts[b], a, comp=b, out=val)
                 if fit.dlog[b][a] is not None:
                     val -= np.multiply(fit.dlog[b][a], parts[b], out=tmp)
-                val *= fit.inv_lame[a] * fit.inv_lame[b]
-            hess.append(val)
-        grad = [np.multiply(p, inv, out=p) if s > 1 and not unit else p
-                for p, inv, s, (unit, _) in zip(parts, fit.inv_lame, shape,
-                                                fit.unit)]
-        norm2 = np.square(grad[0], out=(self._empty(shape) if out is None
-                                        else out[2]))
+                val *= fit.mixed[a, b]
+        for g, inv, s, (unit, _) in zip(grad, fit.inv_lame, shape, fit.unit):
+            if s > 1 and not unit:
+                g *= inv
+        np.square(grad[0], out=norm2)
         for g, s in zip(grad[1:], shape[1:]):
             if s > 1:
                 norm2 += np.multiply(g, g, out=tmp)
@@ -932,7 +930,7 @@ class BackgroundGeometry:
                 for c, coef in fit.christoffel[a]:
                     terms += d1(c, coef)
             else:
-                inv = fit.inv_lame[a] * fit.inv_lame[b]
+                inv = fit.mixed[a, b]
                 inner = d1(b)
                 terms = [(col_b[col_a], val_a * val_b[col_a])
                          for col_a, val_a in d1(a, inv, comp=b)

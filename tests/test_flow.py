@@ -828,7 +828,7 @@ def test_zonal_step_makes_no_grid_array(scheme):
                for s in fresh)
     assert steady == [[state.shape]] * 2
     if scheme == "midpoint":
-        assert np.shares_memory(speeds[1], geom._kernel[0])
+        assert np.shares_memory(speeds[1], geom._fits[state.shape].buffers[0])
     for quotient_l in (None, 1):
         counts = grid_arrays_per_trial(ConformalState(geom, u0, 2), dt,
                                        scheme, quotient_l)

@@ -135,21 +135,22 @@ def test_w_assembly_into_given_arrays(name, fd_order):
 
 
 @pytest.mark.parametrize("fd_order", (2, 4))
-@pytest.mark.parametrize("name, count", (("S3", 12), ("S4", 18), ("S5", 25),
-                                         ("S1xS2", 11), ("S1xS3", 17),
+@pytest.mark.parametrize("name, count", (("S3", 10), ("S4", 15), ("S5", 21),
+                                         ("S1xS2", 10), ("S1xS3", 15),
                                          ("synthetic", 10)))
 def test_fresh_w_assembly_allocation_count(name, fd_order, count):
-    # A fresh W takes from _empty 2 grid arrays per axis for the jet, 1
-    # per polar axis for its defect, 1 per off-diagonal Hessian entry and
-    # 1 for |grad u|^2. Where _empty places an array depends on how many
-    # came before it (geometry._PLACEMENT_STRIDE), and the step's speed
-    # on those places.
+    # A fresh W takes from _empty exactly its results, grid arrays all:
+    # n(n+1)/2 Hessian entries, n gradient components and |grad u|^2. The
+    # jet writes into them, and every temporary is a work buffer. Where
+    # _empty places an array depends on how many came before it
+    # (geometry._PLACEMENT_STRIDE), and the step's speed on those places.
     geom = chart(name, fd_order)
+    n = geom.grid.ndim
     u = 0.01 * random_field(geom, 8)
-    w_components(geom, u)  # builds the chart's work buffers
+    w_components(geom, u)  # builds the grid shape's work buffers
     with mock.patch.object(geom, "_empty", side_effect=geom._empty) as empty:
         w_components(geom, u)
-    assert empty.call_count == count
+    assert empty.call_count == count == n * (n + 1) // 2 + n + 1
     assert all(call.args == (geom.grid.shape,) for call in empty.call_args_list)
 
 
@@ -162,34 +163,47 @@ def slab_field(geom, axes, seed):
     return f, np.broadcast_to(f, g.shape).copy()
 
 
-def views_read_the_live_buffers(geom):
-    """Every kept shape's stencil views are views of the chart's current
-    work buffers (geometry._fit rebuilds them when the buffers grow)."""
-    kernel = geom._kernel
-    for fit in geom._fits.values():
-        for buf, view in zip(kernel, fit.work):
-            assert np.shares_memory(view, buf)
-        for views in filter(None, fit.stencils):
-            for v in views:
-                assert np.shares_memory(v.pad.padded, kernel[0])
-                for run, buf in zip(v.runs, kernel[1:4]):
-                    assert np.shares_memory(run, buf)
-                if v.defect is not None:
-                    assert np.shares_memory(v.defect.total, kernel[2])
-                    assert np.shares_memory(v.defect.work, kernel[3])
+def buffer_views(fit):
+    """Every view of the work buffers a _Fit holds: its work arrays and
+    the arrays its stencils read and write (not the flux tables, density
+    and kappa, which are the chart's)."""
+    views = list(fit.work)
+    for v in itertools.chain(*filter(None, fit.stencils)):
+        views += [v.pad.padded, v.pad.nodes, *itertools.chain(*v.pad.ghosts),
+                  *(x for x in v.take if x is not None), *v.runs, *v.interior]
+        if v.defect is not None:
+            d = v.defect
+            views += [*d.du, *(face for _, face in d.flux), d.total, d.tmp,
+                      d.upper, d.lower, d.work,
+                      *(block for block, _ in d.antipode)]
+    return views
+
+
+def arrays_in(x):
+    """Every array in x, through nested lists, tuples and dict values."""
+    found, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, dict):
+            todo += x.values()
+        elif isinstance(x, (list, tuple)):
+            todo += x
+    return found
 
 
 @pytest.mark.parametrize("fd_order", (2, 4))
 @pytest.mark.parametrize("name", CHARTS)
-def test_slab_views_survive_a_regrowth(name, fd_order):
-    # Each shape's stencil views are built once and rebuilt where a larger
-    # shape replaces the work buffers. A zonal line, an (N, N, 1, ...) slab
-    # and a single node run first, then a grid field, which regrows the
-    # buffers, then the slabs again: every result is the oracle's on the
-    # broadcast field at the slab's nodes, bit for bit (signed zeros
-    # included), and every view reads the live buffers. The old buffers
-    # stay alive behind a stale view, so the values alone cannot tell.
-    geom = chart.__wrapped__(name, fd_order)  # fresh: its buffers grow here
+def test_each_shape_keeps_its_own_views(name, fd_order):
+    # Each field shape's _Fit owns its work buffers and is built once. A
+    # zonal line, an (N, N, 1, ...) slab and a single node run first, then
+    # a grid field, then the slabs again: every result is the oracle's on
+    # the broadcast field at the slab's nodes, bit for bit (signed zeros
+    # included). Building a shape leaves every earlier _Fit as it was, the
+    # object and each of its arrays (the tables' values too), and every
+    # view a _Fit holds reads its own buffers and no other shape's.
+    geom = chart.__wrapped__(name, fd_order)  # fresh: no shape built yet
     n = geom.grid.ndim
     seeds = {1: 11, 2: 12, 0: 13, n: 14}
 
@@ -218,15 +232,63 @@ def test_slab_views_survive_a_regrowth(name, fd_order):
         # it even where it is constant: only the varying axes are the grid's
         for a, comp in itertools.product(range(axes), range(n)):
             same(geom.d1(f, a, comp=comp), ref.stencil(geom, u, a, comp=comp))
-        views_read_the_live_buffers(geom)
 
-    for axes in (1, 2, 0):
+    def tables(fit):
+        """Copies of fit's arrays that no work buffer holds."""
+        return [np.copy(x) for x in arrays_in(fit)
+                if not any(np.shares_memory(x, buf) for buf in fit.buffers)]
+
+    kept = {}
+    for axes in (1, 2, 0, n, 1, 2, 0):
         check(axes)
-    size = geom._kernel[0].size
-    check(n)
-    assert geom._kernel[0].size > size
-    for axes in (1, 2, 0):
-        check(axes)
+        for shape, (fit, arrays, values) in kept.items():
+            assert geom._fits[shape] is fit
+            now = arrays_in(fit)
+            assert len(now) == len(arrays)
+            assert all(x is y for x, y in zip(now, arrays))
+            for got, want in zip(tables(fit), values):
+                assert_same(got, want)
+        for shape, fit in geom._fits.items():
+            kept.setdefault(shape, (fit, arrays_in(fit), tables(fit)))
+    assert len(kept) == 4
+    for shape, fit in geom._fits.items():
+        others = [buf for s, other in geom._fits.items() if s != shape
+                  for buf in other.buffers]
+        assert len(fit.buffers) == 5
+        for view in buffer_views(fit):
+            assert any(np.shares_memory(view, buf) for buf in fit.buffers)
+            assert not any(np.shares_memory(view, buf) for buf in others)
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("name", CHARTS)
+def test_d1_along_an_axis_of_extent_1(name, fd_order):
+    # Along an axis of extent 1, d1 of a slab is the grid's +0 at the
+    # slab's nodes, bit for bit, for a plain scalar and for every comp
+    # that keeps its sign across that axis's poles. A comp that flips
+    # there (the axis itself, or a later polar angle, on a polar axis)
+    # differences to nonzero next to the poles, where the grid field is
+    # constant along the axis: no slab holds that, and d1 raises.
+    geom = chart(name, fd_order)
+    n, kinds = geom.grid.ndim, geom.grid.axis_kind
+    if name == "S3":
+        line = slab_field(geom, 1, 21)[0]
+        with pytest.raises(ValueError):
+            geom.d1(line, 1, comp=1)
+        with pytest.raises(ValueError):
+            geom.d1(slab_field(geom, 0, 22)[0], 0, comp=0)
+    for axes in range(n):
+        f, u = slab_field(geom, axes, 23 + axes)
+        at = (slice(None),) * axes + (slice(0, 1),) * (n - axes)
+        for a, comp in itertools.product(range(axes, n), (None, *range(n))):
+            flips = kinds[a] == geometry.POLE and comp is not None and (
+                comp == a or comp > a and kinds[comp] == geometry.POLE)
+            if flips:
+                with pytest.raises(ValueError):
+                    geom.d1(f, a, comp=comp)
+            else:
+                assert_same(geom.d1(f, a, comp=comp),
+                            ref.stencil(geom, u, a, comp=comp)[at])
 
 
 def smooth_u(geom, a, b):
@@ -247,14 +309,7 @@ def final_state(geom, k, u0, scheme):
 
 def cached_arrays(state):
     """u and every array the state's cache holds, nested ones included."""
-    found, todo = [state.u], list(state._cache.values())
-    while todo:
-        x = todo.pop()
-        if isinstance(x, (list, tuple)):
-            todo += x
-        elif isinstance(x, np.ndarray):
-            found.append(x)
-    return found
+    return [state.u] + arrays_in(state._cache)
 
 
 def test_work_buffers_alias_no_result():
@@ -273,7 +328,7 @@ def test_work_buffers_alias_no_result():
             state.F_k()
             results = cached_arrays(state) + [flow.flow_speed(state)]
             assert not any(np.shares_memory(x, buf) for x in results
-                           for buf in g._kernel)
+                           for fit in g._fits.values() for buf in fit.buffers)
     s1 = ConformalState(geom, smooth_u(geom, 0.05, 0.04), 2)
     kept = [np.copy(x) for x in s1.w_components() + s1.frame_gradient()
             + [s1.grad_norm2(), s1.sigma_w_table()]]
@@ -292,7 +347,7 @@ def test_work_buffers_alias_no_result():
     for state in (s1, s2):
         results += state.w_components() + state.frame_gradient() + [
             state.grad_norm2(), state.sigma_w_table()]
-    work = geom._kernel
+    work = [buf for fit in geom._fits.values() for buf in fit.buffers]
     assert not any(np.shares_memory(x, buf) for x in results for buf in work)
 
     state = s2
@@ -321,7 +376,7 @@ def test_step_path_arrays_start_apart_modulo_4k():
         for g, k, u0 in ((geom, 2, smooth_u(geom, 0.05, 0.0)),
                          (hopf, 1, smooth_u(hopf, 0.05, 0.04))):
             state = final_state(g, k, u0, scheme)
-            arrays = [state.u] + list(g._kernel)
+            arrays = [state.u] + list(g._fits[state.shape].buffers)
             for key, x in state.take_arrays().items():
                 if key == "w":
                     arrays += x[0] + x[1] + [x[2]]
