@@ -223,8 +223,8 @@ def parse_config(subcommand, pairs):
             f"got {values['tolerance']}")
 
     cfg = RunConfig(subcommand=subcommand, **values)
-    if subcommand == "eigen":  # the solve's sparse matrices load here
-        import scipy.sparse  # noqa: F401
+    if subcommand == "eigen":  # the seeded guess's, before the timed solve
+        import numpy.random  # noqa: F401
     if subcommand in ("flow", "eigen"):
         # the cone test of ConformalState.cone_report, on one node
         s0 = background_schouten(cfg.chart, cfg.n, cfg.s0_diag)

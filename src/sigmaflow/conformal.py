@@ -284,8 +284,9 @@ class ConformalState:
         diagonal, then 2 (T du)_c - tr T du_c on G_c, with T = T_{k-1}(W)
         and du the frame gradient of u; the weights have the slab's shape,
         and combined with the derivative matrices at a shape they
-        broadcast to (geometry.derivative_matrices) they give the sparse
-        matrix of d sigma_k(W_h) at u there. The array is built afresh on
+        broadcast to (geometry.derivative_matrices) they give the matrix
+        of d sigma_k(W_h) at u there, dense or CSR as the shape's storage
+        is. The array is built afresh on
         every call and not cached, so the caller may scale it in place.
         """
         n = self.geometry.grid.ndim

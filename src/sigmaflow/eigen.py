@@ -8,7 +8,8 @@ the constant lambda, warm-starting a damped Newton iteration. Each
 Newton step solves on the broadcast of the slabs (conformal.slab) of its
 data, u, h and the right-hand side: a line of nodes for zonal data. J
 keeps fields constant along the other axes, so the direction is one too.
-J is assembled there as a sparse matrix: the chart's Hessian and
+J is assembled there, dense on a line of nodes or one node and CSR
+elsewhere (geometry.derivative_matrices): the chart's Hessian and
 gradient matrices at that shape, built once per shape from its shift
 matrices, combined with the conformal state's weights of d sigma_k(W),
 scaled by sigma_k^{1/k-1}/k, minus h e^u. It solves with restarted GMRES
@@ -108,8 +109,9 @@ class AuxiliaryProblem:
         return self._residual_of(self._state(u), rhs)
 
     def jacobian(self, u):
-        """The Frechet derivative of residual at u as a sparse matrix over
-        the flattened grid (C order)."""
+        """The Frechet derivative of residual at u over the flattened grid
+        (C order), as a CSR array: the grid's storage in
+        geometry.derivative_matrices."""
         return self._jacobian_of(self._state(u), self.geometry.grid.shape)
 
     def _jacobian_of(self, state, shape):
@@ -136,23 +138,19 @@ def _two_level(maps, jac):
     Near lambda* J tends to c Lap_h, whose smooth low modes Jacobi alone
     cannot resolve; the piecewise constants of Z carry them (a coarse
     space in the manner of Nicolaides 1987). Z c is constant on each
-    aggregate, so the sweep reads J Z c = (J Z) c, not J: J Z and Z^T J Z
-    are one bincount each through the chart's map of J's pattern onto
-    J Z's (DerivativeMatrices.coarse_space, built once per shape).
+    aggregate, so the sweep reads J Z c = (J Z) c, not J. maps, the
+    storage J was combined in, forms J Z and Z^T J Z (coarse_products,
+    through its coarse space of the shape, built once) and reads J's
+    diagonal, so the algorithm is one for a CSR and a dense J.
     """
-    from scipy import sparse
-    agg, count, slot, indices, indptr, entry = maps.coarse_space(COARSE_BLOCK)
-    jz = np.bincount(slot, weights=jac.data, minlength=len(indices))
-    coarse = np.bincount(entry, weights=jz,
-                         minlength=count * count).reshape(count, count)
-    jz = sparse.csr_array((jz, indices, indptr), shape=(maps.size, count))
+    agg, count, jz, coarse = maps.coarse_products(jac, COARSE_BLOCK)
     try:
         coarse_inv = np.linalg.inv(coarse)
     except np.linalg.LinAlgError as err:
         raise NonconvergenceError(
             "coarse matrix Z^T J Z is singular (singular linearization)",
             diagnostics={"coarse_size": count}) from err
-    inv_diag = 1.0 / jac.data[maps.diagonal]
+    inv_diag = 1.0 / maps.diagonal_of(jac)
 
     def apply(y):
         c = coarse_inv @ np.bincount(agg, weights=y, minlength=count)

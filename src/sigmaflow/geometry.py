@@ -25,11 +25,12 @@ lists of grid arrays: vectors by component, symmetric tensors by their
 upper triangle in fieldalg.pairs(n) order. Only the curvature oracle
 returns a full (..., n, n) array. frame_derivatives gives the Hessian
 and gradient of a scalar from one stencil pass per axis; derivative_matrices
-gives the same maps as sparse matrices, built from pad's shifts. The
-stencils and the matrices also take a slab of the grid, index 0 along
-trailing axes a field is constant along, and give the grid's values there
-(_fit; the matrices per shape); integrate sums on a slab against the
-volume weight summed over its collapsed axes.
+gives the same maps as matrices built from pad's shifts: dense on a line
+of nodes or one node, scipy.sparse CSR (loaded there only) where two or
+more axes vary. The stencils and the matrices also take a slab of the
+grid, index 0 along trailing axes a field is constant along, and give the
+grid's values there (_fit; the matrices per shape); integrate sums on a
+slab against the volume weight summed over its collapsed axes.
 """
 
 from __future__ import annotations
@@ -189,12 +190,19 @@ def _slice_axis(arr, axis, sl):
     return arr[tuple(idx)]
 
 
+def _stack_terms(terms, size):
+    """The columns (int32) and the values of terms (columns, values), one
+    entry per row each, as two (len(terms), size) arrays."""
+    columns = np.array([c for c, _ in terms], dtype=np.int32)
+    values = np.array([v for _, v in terms], dtype=float)
+    return columns.reshape(-1, size), values.reshape(-1, size)
+
+
 def _sparse_sum(terms, size):
     """The sum of terms (columns, values), one entry per row each, as a
     size x size CSR array without repeats or explicit zeros."""
     from scipy import sparse
-    columns = np.array([c for c, _ in terms], dtype=np.int32).reshape(-1, size)
-    values = np.array([v for _, v in terms], dtype=float).reshape(-1, size)
+    columns, values = _stack_terms(terms, size)
     # an int32 indptr keeps scipy's indices int32 too
     dtype = np.int32 if size * len(terms) < 2 ** 31 else np.int64
     out = sparse.csr_array(
@@ -205,46 +213,81 @@ def _sparse_sum(terms, size):
     return out
 
 
-class DerivativeMatrices:
-    """The frame Hessian and gradient of a scalar as sparse matrices over
-    the flattened fields of one shape (C order), the grid's or a slab's,
-    on one CSR pattern.
+class _MapStorage:
+    """What both storages of the frame Hessian and gradient of a scalar
+    share, for the flattened fields of one shape (C order).
 
     The maps, in the order combine() takes their weights, are H_ab for
     (a, b) in fieldalg.pairs(n), then G_c: the order of hess + grad from
     BackgroundGeometry.frame_derivatives. Its Hessian adds the
     divergence-form trace correction D / n to each diagonal entry, so H_aa
     is stored as its pointwise part and D once, with the weight
-    sum_a w_aa / n. What is kept is the assembly operator A: row p, column
-    m * size + r holds the value of stored map m at pattern entry p, whose
-    row is r, so the pattern values of sum_m diag(w_m) L_m are A @ w for
-    the stacked weights w, the trace weight last.
+    sum_a w_aa / n. A storage is built from maps(), which yields each
+    stored map's terms (pointwise H_ab, G_c, then D;
+    BackgroundGeometry._maps) and is iterated once.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.size = math.prod(shape)
+        self._n = len(shape)
+        pairs = fieldalg.pairs(self._n)
+        self.count = len(pairs) + self._n
+        self._with_trace = [m for m, (a, b) in enumerate(pairs) if a == b]
+        self._coarse = {}
+
+    def _stack(self, weights):
+        """The stored maps' weights, flat: weights (count, size), then the
+        trace weight."""
+        stacked = np.empty((self.count + 1, self.size))
+        stacked[:-1] = weights
+        stacked[-1] = sum(weights[m] for m in self._with_trace) / self._n
+        return stacked.reshape(-1)
+
+    def coarse_space(self, block):
+        """The aggregates of block nodes per axis: (agg, count, ...), the
+        aggregate of every node, their number, then what coarse_products
+        reads (_coarse_pattern). Built on the first call per block and
+        kept."""
+        if block not in self._coarse:
+            counts = [-(-size // block) for size in self.shape]
+            agg = np.ravel_multi_index(tuple(np.indices(self.shape)
+                                             // block), counts)
+            self._coarse[block] = self._coarse_pattern(
+                agg.astype(np.int32).ravel(), math.prod(counts))
+        return self._coarse[block]
+
+
+class DerivativeMatrices(_MapStorage):
+    """The maps of _MapStorage as sparse matrices on one CSR pattern, the
+    storage of shapes with two or more axes of extent > 1 (the grid, or a
+    slab); it builds at any shape.
+
+    What is kept is the assembly operator A: row p, column m * size + r
+    holds the value of stored map m at pattern entry p, whose row is r,
+    so the pattern values of sum_m diag(w_m) L_m are A @ w for the
+    stacked weights w, the trace weight last.
     """
 
     def __init__(self, shape, maps):
-        """maps() yields the stored maps (pointwise H_ab, G_c, then D) as
-        canonical CSR arrays without explicit zeros, and is iterated once.
-        The flat keys row * size + col of a map's entries form a sorted run,
-        and so do the diagonal's. One stable sort of all runs (timsort
-        merges them) less its repeats is the pattern; a binary search in
-        it places the diagonal and every map entry."""
+        """Each map's terms are summed to a canonical CSR array without
+        explicit zeros (_sparse_sum). The flat keys row * size + col of a
+        map's entries form a sorted run, and so do the diagonal's. One
+        stable sort of all runs (timsort merges them) less its repeats is
+        the pattern; a binary search in it places the diagonal and every
+        map entry."""
         from scipy import sparse
-        self.shape = shape
-        self.size = size = math.prod(shape)
-        self._n = len(shape)
-        self._with_trace = [m for m, (a, b)
-                            in enumerate(fieldalg.pairs(self._n)) if a == b]
-        self._coarse = {}
+        super().__init__(shape)
+        size = self.size
         # the kept arrays first, below the merge's temporaries in the heap:
         # the values, and position, which holds the maps' columns (int32,
         # as _sparse_sum builds them) until their positions replace them
         per_row, position, data = zip(*(
             (np.diff(stored.indptr), stored.indices, stored.data)
-            for stored in maps()))
+            for stored in (_sparse_sum(terms, size) for terms in maps())))
         data, position = np.concatenate(data), np.concatenate(position)
         column_end = np.zeros(len(per_row) * size + 1, dtype=np.int32)
         np.cumsum(np.concatenate(per_row), out=column_end[1:])
-        self.count = len(per_row) - 1
         dtype = np.int32 if (size + 1) * size < 2 ** 31 else np.int64
         starts = np.arange(0, (size + 1) * size, size, dtype=dtype)
         # one map's keys at a time: only the merge spans them all
@@ -273,41 +316,102 @@ class DerivativeMatrices:
         the maps L_m above; weights is (count, size), diagonal a scalar or
         (size,)."""
         from scipy import sparse
-        stacked = np.empty((self.count + 1, self.size))
-        stacked[:-1] = weights
-        stacked[-1] = sum(weights[m] for m in self._with_trace) / self._n
-        data = self._assembly @ stacked.reshape(-1)
+        data = self._assembly @ self._stack(weights)
         data[self.diagonal] += diagonal
         return sparse.csr_array((data, self.indices, self.indptr),
                                 shape=(self.size, self.size))
 
-    def coarse_space(self, block):
-        """The aggregates of block nodes per axis, and the pattern of L Z
-        for every L from combine, Z the aggregates' indicator columns:
-        (agg, count, slot, indices, indptr, entry), the aggregate of every
-        node, their number, the L Z entry of every pattern entry, L Z's
-        CSR pattern and the flat entry of Z^T L Z of every L Z entry.
-        Built on the first call per block and kept."""
-        if block not in self._coarse:
-            counts = [-(-size // block) for size in self.shape]
-            agg = np.ravel_multi_index(tuple(np.indices(self.shape)
-                                             // block), counts)
-            agg = agg.astype(np.int32).ravel()
-            count = math.prod(counts)
-            # per entry row * count + its column's aggregate, then in place
-            # its L Z entry, the rank of its key among the distinct keys
-            dtype = np.int32 if self.size * count < 2 ** 31 else np.int64
-            slot = np.repeat(np.arange(0, self.size * count, count,
-                                       dtype=dtype), np.diff(self.indptr))
-            slot += agg[self.indices]
-            unique = np.sort(slot, kind="stable")  # rows are in order
-            unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
-            slot[:] = np.searchsorted(unique, slot)
-            rows, columns = np.divmod(unique, count)
-            indptr = np.searchsorted(rows, np.arange(self.size + 1))
-            self._coarse[block] = (agg, count, slot, columns, indptr,
-                                   agg[rows] * count + columns)
-        return self._coarse[block]
+    def _coarse_pattern(self, agg, count):
+        """(agg, count, slot, indices, indptr, entry): the pattern of L Z
+        for every L from combine, Z the aggregates' indicator columns;
+        the L Z entry of every pattern entry, L Z's CSR pattern and the
+        flat entry of Z^T L Z of every L Z entry."""
+        # per entry row * count + its column's aggregate, then in place
+        # its L Z entry, the rank of its key among the distinct keys
+        dtype = np.int32 if self.size * count < 2 ** 31 else np.int64
+        slot = np.repeat(np.arange(0, self.size * count, count, dtype=dtype),
+                         np.diff(self.indptr))
+        slot += agg[self.indices]
+        unique = np.sort(slot, kind="stable")  # rows are in order
+        unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+        slot[:] = np.searchsorted(unique, slot)
+        rows, columns = np.divmod(unique, count)
+        indptr = np.searchsorted(rows, np.arange(self.size + 1))
+        return agg, count, slot, columns, indptr, agg[rows] * count + columns
+
+    def coarse_products(self, jac, block):
+        """(agg, count, J Z, Z^T J Z) for J from combine and Z the
+        indicators of coarse_space(block): J Z as a CSR array and
+        Z^T J Z dense, one bincount each through the kept pattern."""
+        from scipy import sparse
+        agg, count, slot, indices, indptr, entry = self.coarse_space(block)
+        jz = np.bincount(slot, weights=jac.data, minlength=len(indices))
+        coarse = np.bincount(entry, weights=jz,
+                             minlength=count * count).reshape(count, count)
+        jz = sparse.csr_array((jz, indices, indptr), shape=(self.size, count))
+        return agg, count, jz, coarse
+
+    def diagonal_of(self, jac):
+        """J's diagonal, for J from combine."""
+        return jac.data[self.diagonal]
+
+
+class DenseDerivativeMatrices(_MapStorage):
+    """The maps of _MapStorage combined into a dense size x size J with
+    numpy alone, the storage of shapes with at most one axis of extent > 1
+    (a line of nodes, or one node).
+
+    Each stored map keeps its entries, not a dense map: their flat keys
+    row * size + col, their values and the index of the weight each is
+    scaled by in the stacked weights, all maps' entries in map order.
+    """
+
+    def __init__(self, shape, maps):
+        """A map's repeated keys are summed in term order, as _sparse_sum
+        sums them, and its zero entries dropped."""
+        super().__init__(shape)
+        size = self.size
+        starts = np.arange(0, size * size, size)
+        parts = []
+        for m, terms in enumerate(maps()):
+            columns, values = _stack_terms(terms, size)
+            keys, inverse = np.unique((columns + starts).T.reshape(-1),
+                                      return_inverse=True)
+            values = np.bincount(inverse, weights=values.T.reshape(-1),
+                                 minlength=len(keys))
+            kept = values != 0.0
+            keys, values = keys[kept], values[kept]
+            parts.append((keys, values, m * size + keys // size))
+        self._keys, self._values, self._weight = map(np.concatenate,
+                                                     zip(*parts))
+
+    def combine(self, weights, diagonal=0.0):
+        """DerivativeMatrices.combine as a dense array: one bincount
+        scatters the weighted entries in map order, so each entry of J is
+        summed over the maps in the order the CSR assembly sums it."""
+        weighted = self._values * self._stack(weights)[self._weight]
+        # bincount returns ints when there are no entries (the node)
+        flat = np.bincount(self._keys, weights=weighted,
+                           minlength=self.size ** 2).astype(float, copy=False)
+        flat[::self.size + 1] += diagonal
+        return flat.reshape(self.size, self.size)
+
+    @staticmethod
+    def _coarse_pattern(agg, count):
+        # on one varying axis each aggregate is a run of nodes: its start
+        return agg, count, np.searchsorted(agg, np.arange(count))
+
+    def coarse_products(self, jac, block):
+        """DerivativeMatrices.coarse_products on a dense J: J Z sums each
+        aggregate's columns, Z^T J Z then its rows, both dense."""
+        agg, count, starts = self.coarse_space(block)
+        jz = np.add.reduceat(jac, starts, axis=1)
+        return agg, count, jz, np.add.reduceat(jz, starts, axis=0)
+
+    @staticmethod
+    def diagonal_of(jac):
+        """J's diagonal, for J from combine."""
+        return jac.diagonal()
 
 
 class BackgroundGeometry:
@@ -892,22 +996,27 @@ class BackgroundGeometry:
 
     def derivative_matrices(self, shape=None):
         """The Hessian and gradient components of frame_derivatives as
-        DerivativeMatrices for fields of shape, the grid's by default or a
-        slab (_fit); both are linear and depend only on the chart and the
-        shape, so they are built on first use per shape (_maps) and kept."""
+        matrices for fields of shape, the grid's by default or a slab
+        (_fit): DenseDerivativeMatrices when at most one axis has extent
+        > 1, else DerivativeMatrices, the storage that loads scipy.sparse.
+        Both are linear and depend only on the chart and the shape, so they
+        are built on first use per shape (_maps) and kept."""
         shape = shape or self.grid.shape
         if shape not in self._derivative_matrices:
-            self._derivative_matrices[shape] = DerivativeMatrices(
+            dense = sum(s > 1 for s in shape) <= 1
+            storage = DenseDerivativeMatrices if dense else DerivativeMatrices
+            self._derivative_matrices[shape] = storage(
                 shape, lambda: self._maps(shape))
         return self._derivative_matrices[shape]
 
     def _maps(self, shape=None):
-        """Yield the stored maps of DerivativeMatrices at shape (the grid's
-        by default) one at a time, each a sum of terms with one entry per
-        row (_shift_terms). A mixed entry composes the shifts along a with
-        the first difference along b; a polar defect is _polar_defect's
-        flux difference over the density less the pointwise part, plus its
-        antipodal rows (same 1/H_a^2). An axis of extent 1 adds no terms
+        """Yield the stored maps of _MapStorage at shape (the grid's by
+        default) one at a time, each as its terms, (columns, values) with
+        one entry per row (_shift_terms), repeats not yet summed. A mixed
+        entry composes the shifts along a with the first difference along
+        b; a polar defect is _polar_defect's flux difference over the
+        density less the pointwise part, plus its antipodal rows (same
+        1/H_a^2). An axis of extent 1 adds no terms
         (no differences along it, no G_c, no H_ab with b on it and no
         polar defect), as _stencil gives +0 there; the Christoffel terms
         of its H_aa along the other axes stay."""
@@ -937,9 +1046,9 @@ class BackgroundGeometry:
                          for col_b, val_b in inner]
                 if fit.dlog[b][a] is not None:
                     terms += d1(b, -fit.dlog[b][a] * inv)
-            yield _sparse_sum(terms, size)
+            yield terms
         for c in range(n):
-            yield _sparse_sum(d1(c, fit.inv_lame[c]), size)
+            yield d1(c, fit.inv_lame[c])
         terms = []
         for a, (_, blocks) in fit.polar.items():
             # out_i = F_{i+1} - F_i with F_i = sum_k coef_k(i) du_{i+k}, less
@@ -958,7 +1067,7 @@ class BackgroundGeometry:
             antipode = self._antipode(np.arange(size).reshape(shape), blocks,
                                       np.empty(shape, int)).reshape(-1)
             terms += axis + [(col[antipode], val[antipode]) for col, val in axis]
-        yield _sparse_sum(terms, size)
+        yield terms
 
     def _shift_terms(self, shape, axis, weights, width=None, comp=None):
         """The terms (columns, values) of sum_s diag(weights[s]) S_s, |s| <=

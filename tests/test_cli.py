@@ -379,33 +379,39 @@ def test_module_entry_point_and_thread_env(tmp_path):
 
 
 def test_eigen_run_does_not_load_scipy_linalg(tmp_path):
-    # The dense solves of eigen and krylov run on numpy.linalg, so a run
-    # loads scipy.sparse alone (about 8 MB less resident memory). Checked
-    # in a fresh interpreter after a whole eigen run, which catches lazy
-    # imports on the solve path; this test process itself has loaded
-    # scipy.linalg through the test oracles.
+    # The dense solves of eigen and krylov run on numpy.linalg, and every
+    # Newton system of a CLI search lies on a line of nodes or one node,
+    # whose matrices are dense (geometry.DenseDerivativeMatrices): a
+    # seeded run and an amplitude-0 run load no scipy.linalg and no
+    # scipy.sparse module. Checked in a fresh interpreter after whole
+    # eigen runs, which catches lazy imports on the solve path; this test
+    # process itself has loaded both through the test oracles.
     script = (
         "import sys\n"
         "from sigmaflow import cli\n"
-        "code = cli.main(['eigen', 'chart=round_sphere', 'n=3', 'k=1',\n"
-        "                 'resolution=16', 'tolerance=0.2', 'amplitude=0',\n"
-        f"                 'output_dir={tmp_path / 'eig'}'])\n"
-        "print(code, 'scipy.sparse' in sys.modules,\n"
-        "      sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+        "codes = [cli.main(['eigen', 'chart=round_sphere', 'n=3', 'k=1',\n"
+        "                   'resolution=16', 'tolerance=0.2', guess,\n"
+        f"                   'output_dir={tmp_path}/' + guess])\n"
+        "         for guess in ('seed=1', 'amplitude=0')]\n"
+        "loaded = ('scipy.linalg', 'scipy.sparse')\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith(loaded)))\n")
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 True []"
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_flow_run_does_not_load_scipy_sparse(tmp_path):
-    # Only the eigen solve uses sparse matrices, so a flow run and the
-    # chart validation leave scipy.sparse unloaded (its import costs about
-    # 20 MB of resident memory and 0.15 s). The eigen command loads it when
-    # its config is parsed, before the solve. Checked in a fresh
+    # Only a Newton system on a slab with two or more varying axes uses
+    # sparse matrices (geometry.DerivativeMatrices), so a flow run, the
+    # chart validation and the eigen command's config parsing leave
+    # scipy.sparse unloaded (its import costs about 60 ms and 13 MB of
+    # resident memory), and a search with an h that varies along every
+    # axis, which solves on the grid, loads it. Checked in a fresh
     # interpreter after whole runs, which catches lazy imports on the way.
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "from sigmaflow import cli, eigen, fieldio, geometry, krylov, symfun\n"
         "sparse = lambda: sorted(m for m in sys.modules\n"
         "                        if m.startswith('scipy.sparse'))\n"
@@ -417,11 +423,17 @@ def test_flow_run_does_not_load_scipy_sparse(tmp_path):
         "print(codes, sparse())\n"
         "cli.parse_config('eigen', {'chart': 'round_sphere', 'n': '3',\n"
         "                           'k': '1', 'resolution': '16'})\n"
+        "print(sparse())\n"
+        "geom = geometry.build_round_sphere(3, 16)\n"
+        "t = [geom.grid.axis_vector(a, geom.grid.coordinates(a))\n"
+        "     for a in range(3)]\n"
+        "h = 1.0 + 0.2 * np.sin(t[0]) * np.sin(t[1]) * np.cos(t[2])\n"
+        "eigen.lambda_star_search(eigen.AuxiliaryProblem(geom, 1, h=h), 0.2)\n"
         "print('scipy.sparse' in sparse())\n")
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-2:] == ["[0, 0] []", "True"]
+    assert result.stdout.splitlines()[-3:] == ["[0, 0] []", "[]", "True"]
 
 
 def test_unknown_subcommand_exits_two():

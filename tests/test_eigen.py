@@ -210,24 +210,28 @@ def test_two_level_matches_the_j_based_apply(name, monkeypatch):
 def test_singular_coarse_matrix_is_a_nonconvergence(monkeypatch):
     # numpy.linalg raises LinAlgError on an exactly singular Z^T J Z; the
     # Newton solve must end as the typed failure (CLI exit code 4), as a
-    # non-finite direction does, and not as an untyped traceback.
+    # non-finite direction does, and not as an untyped traceback. A
+    # grid-shaped rhs solves on the grid (a CSR J), a scalar one from the
+    # zonal guess on the line of nodes (a dense J).
     def singular(a):
         raise np.linalg.LinAlgError("Singular matrix")
 
     geom = build_round_sphere(3, 16)
     prob = AuxiliaryProblem(geom, 2)
-    rhs = constant(geom, S_OF_K[2] - 1.0)
     guess = zonal(geom, lambda t: 0.05 * np.cos(t))
     monkeypatch.setattr(np.linalg, "inv", singular)
-    with pytest.raises(NonconvergenceError, match="singular") as failure:
-        newton_solve(prob, rhs, guess)
-    assert failure.value.exit_code == 4
-    assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+    for rhs in (constant(geom, S_OF_K[2] - 1.0), S_OF_K[2] - 1.0):
+        with pytest.raises(NonconvergenceError, match="singular") as failure:
+            newton_solve(prob, rhs, guess)
+        assert failure.value.exit_code == 4
+        assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+    assert list(geom._derivative_matrices) == [geom.grid.shape, (16, 1, 1)]
 
 
 def test_coarse_space_is_built_once_per_shape(monkeypatch):
-    # Every Newton iteration reads the one map from J's pattern onto J Z's
-    # of its system's shape; the map is built on the first and kept. A
+    # Every Newton iteration reads the one coarse space of its system's
+    # shape (on the grid the map from J's pattern onto J Z's, on the line
+    # the aggregates' starts); it is built on the first and kept. A
     # scalar rhs from a zonal guess solves on the line of nodes along the
     # first axis, a grid-shaped rhs on the grid.
     geom = build_round_sphere(3, 16)

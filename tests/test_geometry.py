@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_form import gradient, hessian
-from sigmaflow import fieldio, geometry, symfun
+from sigmaflow import eigen, fieldio, geometry, symfun
 from sigmaflow.errors import ConfigurationError
 from sigmaflow.geometry import (
     build_hopf_product,
@@ -415,6 +415,33 @@ def test_derivative_matrices_reproduce_the_stencils(name, n, fd_order, seed):
         assert np.max(np.abs(got - out)) <= 1e-13 * np.max(np.abs(out))
 
 
+def assert_dense_matches_csr(geom, dense, rng):
+    """The CSR storage built directly at dense's shape is the oracle of
+    the dense one: from the same terms, with the same random weights and
+    diagonal, the combined J must agree entry by entry to 1e-15 relative
+    (measured equal), and eigen's two-level preconditioner built on
+    either J and storage (J Z, Z^T J Z and J's diagonal from each) must
+    give the same x = M^{-1} y to rounding (measured at most 6e-14
+    relative)."""
+    shape = dense.shape
+    csr = geometry.DerivativeMatrices(shape, lambda: geom._maps(shape))
+    assert dense.count == csr.count
+    weights = rng.standard_normal((dense.count, dense.size))
+    diagonal = rng.standard_normal(dense.size)
+    jac = dense.combine(weights, diagonal)
+    reference = csr.combine(weights, diagonal)
+    assert isinstance(jac, np.ndarray) and jac.shape == reference.shape
+    assert np.max(np.abs(jac - reference.toarray())) \
+        <= 1e-15 * np.max(np.abs(jac))
+    apply = eigen._two_level(dense, jac)
+    want = eigen._two_level(csr, reference)
+    for _ in range(4):
+        y = rng.standard_normal(dense.size)
+        expected = want(y)
+        assert np.max(np.abs(apply(y) - expected)) \
+            <= 1e-12 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("name, n, fd_order", (
     ("round_sphere", 3, 2), ("round_sphere", 3, 4), ("round_sphere", 4, 2),
     ("hopf_product", 3, 2), ("synthetic", 3, 4)))
@@ -426,8 +453,10 @@ def test_slab_derivative_matrices_reproduce_the_stencils(name, n, fd_order):
     # must give the stencils' Hessian and gradient at the slab's nodes
     # (measured at most 6e-16 relative). The oracle is frame_derivatives
     # on the slab, not the grid matrices on a broadcast field, which carry
-    # rounding dust from the pole rows. With no varying axis no map has an
-    # entry, and at j = n the matrices are the grid's.
+    # rounding dust from the pole rows. The node (j = 0) and the line
+    # (j = 1) are stored dense, with no map entry on the node, and match
+    # the CSR storage built there; from j = 2 on the storage is CSR, and
+    # at j = n the matrices are the grid's.
     geom = matrix_chart(name, n, fd_order)
     rng = np.random.default_rng(17)
     for j in range(n + 1):
@@ -435,8 +464,14 @@ def test_slab_derivative_matrices_reproduce_the_stencils(name, n, fd_order):
         maps = geom.derivative_matrices(shape)
         assert maps is geom.derivative_matrices(shape)
         assert maps.shape == shape and maps.size == math.prod(shape)
-        assert np.array_equal(maps.indices[maps.diagonal],
-                              np.arange(maps.size))
+        if j >= 2:
+            assert isinstance(maps, geometry.DerivativeMatrices)
+            assert np.array_equal(maps.indices[maps.diagonal],
+                                  np.arange(maps.size))
+        else:
+            assert isinstance(maps, geometry.DenseDerivativeMatrices)
+            assert (len(maps._keys) == 0) == (j == 0)
+            assert_dense_matches_csr(geom, maps, rng)
         x = rng.standard_normal(shape)
         weights = rng.standard_normal((maps.count,) + shape)
         hess, grad, _ = geom.frame_derivatives(x)
@@ -445,7 +480,6 @@ def test_slab_derivative_matrices_reproduce_the_stencils(name, n, fd_order):
         assert np.max(np.abs(got - expected.reshape(-1))) \
             <= 1e-14 * np.max(np.abs(expected))
     assert geom.derivative_matrices(shape) is geom.derivative_matrices()
-    assert geom.derivative_matrices((1,) * n)._assembly.nnz == 0
 
 
 def union_pattern(maps, size):
@@ -487,7 +521,7 @@ def test_derivative_pattern_is_the_union_of_the_maps(name, n, points,
                            lambda shape: calls.append(1) or maps_of(shape)):
         maps = geom.derivative_matrices()
     assert len(calls) == 1
-    stored = list(maps_of())
+    stored = [geometry._sparse_sum(terms, maps.size) for terms in maps_of()]
     union = union_pattern(stored, maps.size)
     assert np.array_equal(maps.indptr, union.indptr)
     assert np.array_equal(maps.indices, union.indices)
@@ -524,8 +558,8 @@ def test_derivative_pattern_is_int32_on_every_chart():
                               jac.indptr):
                     assert index.dtype == np.int32
                 # the build reads every stored map's columns without a copy
-                assert all(stored.indices.dtype == np.int32
-                           for stored in geom._maps())
+                assert all(geometry._sparse_sum(terms, maps.size).indices.dtype
+                           == np.int32 for terms in geom._maps())
 
 
 def test_laplacian_converges_next_to_poles():
